@@ -40,10 +40,6 @@ SETUP_SAMPLES = 5  # the worker's own set-up plus four set-up-only starts
 WORKER_TIMEOUT_S = 150
 THREAD_PINS = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
-# The Q radius leaves out float rounding (ROADMAP item 2), so the 40-digit
-# enclosure check is expected to fail at some points.  Such ops count as
-# failed; they do not make the run incorrect.
-KNOWN_DEFECT = "q-enclosure"
 VERDICT_KINDS = ("verdict", "example")
 
 
@@ -96,18 +92,6 @@ def environment() -> dict:
     return env
 
 
-def machine_probe_ms() -> float:
-    """Best of three timings of a fixed pure-Python loop.  Not a metric: it
-    shows how fast the machine was around the run, because on a shared VM
-    whole runs can be 30-60% slower than the next."""
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        sum(i * i for i in range(200_000))
-        best = min(best, time.perf_counter() - t0)
-    return 1000 * best
-
-
 def tail(latencies: list) -> tuple:
     """Latency at the highest percentile with at least 10 samples beyond it."""
     ordered = sorted(latencies)
@@ -115,17 +99,11 @@ def tail(latencies: list) -> tuple:
     return ordered[index], 100.0 * (index + 1) / len(ordered)
 
 
-def by_position(records: list, passes: list) -> dict:
-    """Records of the untraced passes, grouped by their place in the pass."""
-    groups: dict = {}
-    for rec in records:
-        if not passes[rec["pass"]]["traced"]:
-            groups.setdefault(rec["position"], []).append(rec)
-    return dict(sorted(groups.items()))
-
-
 def check_run(rundir: str, result: dict) -> tuple:
-    """Check every distinct op once, then judge each executed op."""
+    """Check every distinct op once, then judge each executed op.
+
+    Returns the failed ops as (record, reasons, known only) triples, the
+    certified verdict count and the largest Q radius."""
     checker = Checker(rundir)
     verdicts = {}
     problems = {}
@@ -135,21 +113,22 @@ def check_run(rundir: str, result: dict) -> tuple:
         try:
             problems[key] = checker.check(entry["op"], entry["code"], stdout)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
-            problems[key] = ["output not in the documented shape: %r" % exc]
-        if entry["op"]["kind"] in VERDICT_KINDS and not problems[key]:
+            problems[key] = (["output not in the documented shape: %r" % exc], [])
+        if entry["op"]["kind"] in VERDICT_KINDS and not any(problems[key]):
             payload = json.loads(stdout)
             verdicts[key] = payload.get("report", payload).get("verdict")
     failures = []
     certified = 0
     for rec in result["records"]:
         entry = result["manifest"][rec["key"]]
-        reasons = list(problems[rec["key"]])
+        bad, known = problems[rec["key"]]
+        bad = list(bad)
         if rec["error"] or rec["traceback"]:
-            reasons = ["raised: " + (rec["error"] or "traceback on stderr").strip().splitlines()[-1]]
+            bad = ["raised: " + (rec["error"] or "traceback on stderr").strip().splitlines()[-1]]
         elif rec["sha"] != entry["sha"] or rec["code"] != entry["code"]:
-            reasons.append("output differs from an earlier pass")
-        if reasons:
-            failures.append((rec, reasons))
+            bad.append("output differs from an earlier pass")
+        if bad or known:
+            failures.append((rec, bad + known, not bad))
         elif verdicts.get(rec["key"]) in CERTIFIED:
             certified += 1
     return failures, certified, checker.q_radius_max
@@ -181,9 +160,7 @@ def main():
         with open(os.path.join(probe, "setup.json")) as handle:
             setups.append(json.load(handle)["setup_s"])
         shutil.rmtree(probe)
-    probe_before = machine_probe_ms()
     spawn_worker(args, rundir, False, WORKER_TIMEOUT_S)
-    probe_after = machine_probe_ms()
     with open(os.path.join(rundir, "result.json")) as handle:
         result = json.load(handle)
     setups.append(result["setup_s"])
@@ -192,7 +169,7 @@ def main():
     shutil.rmtree(os.path.join(rundir, "out"))  # stored stdout, up to 25 MB a run
     records = result["records"]
     attempted = len(records)
-    correct = all(r.startswith(KNOWN_DEFECT) for _, reasons in failures for r in reasons)
+    correct = all(known_only for _, _, known_only in failures)
     passes = result["passes"]
     timed = [p for p in passes if not p["traced"]]
     ops = sum(p["ops"] for p in timed)
@@ -201,7 +178,6 @@ def main():
     tail_s, tail_pct = tail(latencies)
     verdict_ops = sum(1 for r in records if r["kind"] in VERDICT_KINDS)
     env = environment()
-    env["probe_ms"] = "%.2f/%.2f" % (probe_before, probe_after)
 
     values = {
         "setup_s": (statistics.median(setups), "s", "median of %d fresh interpreters" % len(setups)),
@@ -241,15 +217,12 @@ def main():
     print("environment: " + " ".join("%s=%s" % kv for kv in env.items()))
     for name, (value, unit, note) in list(shown.items()) + list(extra.items()):
         print("  %-48s %14.6g %-6s %s" % (name, value, unit, note))
-    for rec, reasons in failures[:20]:
+    for rec, reasons, _ in failures[:20]:
         print("  FAILED pass %d %s: %s" % (rec["pass"], " ".join(json.loads(rec["key"])), "; ".join(reasons)))
     with open(os.path.join(rundir, "report.json"), "w") as handle:
         json.dump({"environment": env, "metrics": metrics,
                    "also": {k: v[0] for k, v in extra.items()},
-                   "op_median_ms": [[" ".join(json.loads(v[0]["key"])),
-                                     1000 * statistics.median(r["latency_s"] for r in v)]
-                                    for v in by_position(records, passes).values()],
-                   "failures": [(r["key"], reasons) for r, reasons in failures]}, handle, indent=1)
+                   "failures": [(r["key"], reasons) for r, reasons, _ in failures]}, handle, indent=1)
     print(json.dumps({"correct": correct, "attempted": attempted, "failed": len(failures),
                       "metrics": metrics}))
 

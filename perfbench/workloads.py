@@ -186,36 +186,35 @@ IZ_SPEC = {
 
 def exact(rng: random.Random, out: _Writer) -> list[Op]:
     ops = [_family_classifier(rng, out, 1), _family_classifier(rng, out, 2)]
-    # unbounded exponents: shifted tails collapse to the point mass at 0
-    for tail in ({"enumerate": 3}, {"periodic": [3, 1, 2]}):
-        spec = out.write({
-            "alphabet": _mixed_letters(rng),
-            "word": {"prefix": _random_prefix(rng, [1, 2, 3]), "tail": tail},
-            "exponents": {"unbounded": {"offset": rng.randint(1, 3),
-                                        "shift": rng.randint(0, 4)}},
-        })
-        ops.append(_verdict(spec, "SpectralCertified",
-                            "unbounded-exponent-tail-collapse"))
-    # every occurring letter recurs: the difference-gcd reduction applies
-    for tail, exps in (({"periodic": [1, 2, 3]}, {"periodic": [1, 2]}),
-                       (_bernoulli(rng, 3), {"const": 1})):
-        spec = out.write({
-            "alphabet": _mixed_letters(rng),
-            "word": {"prefix": _random_prefix(rng, [1, 2, 3]), "tail": tail},
-            "exponents": exps,
-        })
-        ops.append(_verdict(spec, "SpectralCertified", "tail-difference-gcd"))
+    # One verdict per exact branch, so that as many ops cost less than the
+    # 55-85 ms group (truncate at depth 10, overlap at depth 10, the two
+    # window examples) as cost more: op_p50_ms then falls inside that group
+    # of near-equal ops instead of on a gap between two ops.
+    # Unbounded exponents: shifted tails collapse to the point mass at 0.
+    spec = out.write({
+        "alphabet": _mixed_letters(rng),
+        "word": {"prefix": _random_prefix(rng, [1, 2, 3]), "tail": {"enumerate": 3}},
+        "exponents": {"unbounded": {"offset": rng.randint(1, 3),
+                                    "shift": rng.randint(0, 4)}},
+    })
+    ops.append(_verdict(spec, "SpectralCertified", "unbounded-exponent-tail-collapse"))
+    # Every occurring letter recurs: the difference-gcd reduction applies.
+    spec = out.write({
+        "alphabet": _mixed_letters(rng),
+        "word": {"prefix": _random_prefix(rng, [1, 2, 3]), "tail": {"periodic": [1, 2, 3]}},
+        "exponents": {"periodic": [1, 2]},
+    })
+    ops.append(_verdict(spec, "SpectralCertified", "tail-difference-gcd"))
     # (4,{0,1}) finitely often, then (4,{0,2u}) forever: every zero
-    # candidate of the limit tail has a nonzero integer translate
-    for _ in range(2):
-        spec = out.write({
-            "alphabet": [_pair(4, (0, 1), (0, 2)),
-                         _pair(4, (0, 2 * _odd(rng, 1, 7)), (0, 1))],
-            "word": {"prefix": _random_prefix(rng, [1, 2], must=1),
-                     "tail": {"periodic": [2]}},
-            "exponents": {"const": 1},
-        })
-        ops.append(_verdict(spec, "SpectralCertified", "empty-periodic-zero-set"))
+    # candidate of the limit tail has a nonzero integer translate.
+    spec = out.write({
+        "alphabet": [_pair(4, (0, 1), (0, 2)),
+                     _pair(4, (0, 2 * _odd(rng, 1, 7)), (0, 1))],
+        "word": {"prefix": _random_prefix(rng, [1, 2], must=1),
+                 "tail": {"periodic": [2]}},
+        "exponents": {"const": 1},
+    })
+    ops.append(_verdict(spec, "SpectralCertified", "empty-periodic-zero-set"))
     # survivors go through the residue cover and stay undecided
     for _ in range(2):
         ops.append(_verdict(out.write(_survivor_spec(rng)), "Inconclusive",
@@ -239,18 +238,21 @@ def exact(rng: random.Random, out: _Writer) -> list[Op]:
         ops.append(Op("overlap", ["conv", "overlap", spec_o, str(shift),
                                   "--depth", str(depth)],
                       expect={"spec": spec_o, "depth": depth, "shift": shift}))
-    for _ in range(5):
+    for _ in range(2):
         xi = Fraction(rng.randint(1, 400), rng.choice([3, 5, 7, 9, 11]))
         ops.append(Op("ft", ["conv", "ft", spec_t, str(xi)],
                       expect={"spec": spec_t, "xi": str(xi)}))
     # iz on exact atom lists: truncations computed here, not by the program.
     # The spec is fixed: iz cost grows with the digit span about 15-fold
-    # between the digits the seed would otherwise pick.
-    for depth in (4, 5, 6):
+    # between the digits the seed would otherwise pick.  The level factors
+    # (1 + e(-b xi / c_k)) / 2 vanish exactly at 2^a * odd / 3 with a in
+    # {0, 2, 3, 5, 6, 8, ...}, never a = 1, and every coset xi + Z of a
+    # third contains a point with a = 1: the zero set is empty.
+    for depth in (5, 6):
         atoms = [{"x": str(x), "w": str(w)}
                  for x, w in sorted(truncation(IZ_SPEC, depth).items())]
         spec = out.write(atoms)
-        ops.append(Op("iz", ["iz", spec], expect={"atoms": spec}))
+        ops.append(Op("iz", ["iz", spec], expect={"kind": "empty-certified"}))
     ops.append(Op("example", ["example", "example-7.1"], (0,),
                   {"verdict": ("SpectralCertified",)}))
     ops.append(Op("example", ["example", "example-7.2"], (0,),
