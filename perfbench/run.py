@@ -7,7 +7,8 @@ Run from the root of a checkout.  Each run starts fresh interpreters
 that sets up and then drives the workload's op list in a closed loop
 with one client for about --seconds.  BLAS and OpenMP are pinned to one
 thread.  Outputs are checked here, after the worker has exited, against
-the oracles in checks.py.  With --trace 1 the worker alternates traced
+the oracles in checks.py.  Op times are given at the reference speed
+of speed.py.  With --trace 1 the worker alternates traced
 and untraced passes and the per-layer metrics are reported instead of
 the end-to-end ones.
 
@@ -33,10 +34,11 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 
+import speed  # noqa: E402
 from checks import Checker  # noqa: E402
 from workloads import CERTIFIED, WORKLOADS  # noqa: E402
 
-SETUP_SAMPLES = 5  # the worker's own set-up plus four set-up-only starts
+SETUP_SAMPLES = 9  # the worker's own set-up plus eight set-up-only starts
 WORKER_TIMEOUT_S = 150
 THREAD_PINS = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
@@ -174,18 +176,21 @@ def main():
     timed = [p for p in passes if not p["traced"]]
     ops = sum(p["ops"] for p in timed)
     seconds = sum(p["wall_s"] for p in timed)
-    latencies = [r["latency_s"] for r in records if not passes[r["pass"]]["traced"]]
+    scale = speed.scales([r["kernel_s"] for r in records])
+    untraced = [(r, f) for r, f in zip(records, scale) if not passes[r["pass"]]["traced"]]
+    latencies = [r["latency_s"] * f for r, f in untraced]
     tail_s, tail_pct = tail(latencies)
     verdict_ops = sum(1 for r in records if r["kind"] in VERDICT_KINDS)
     env = environment()
 
     values = {
-        "setup_s": (statistics.median(setups), "s", "median of %d fresh interpreters" % len(setups)),
-        "ops_per_s": (ops / seconds, "1/s", "%d ops in %d passes over their summed latency"
+        "setup_s": (statistics.median(setups) * statistics.median(scale), "s",
+                    "median of %d fresh interpreters" % len(setups)),
+        "ops_per_s": (ops / sum(latencies), "1/s", "%d ops in %d passes over their summed latency"
                       % (ops, len(timed))),
         "op_p50_ms": (1000 * statistics.median(latencies), "ms", "N=%d" % len(latencies)),
         "op_tail_ms": (1000 * tail_s, "ms", "p%.1f, N=%d, 10 ops beyond" % (tail_pct, len(latencies))),
-        "cpu_s": (sum(p["cpu_s"] for p in timed) / len(timed), "s",
+        "cpu_s": (sum(r["cpu_s"] * f for r, f in untraced) / len(timed), "s",
                   "user+sys of the timed calls, mean over %d passes" % len(timed)),
         "peak_rss_mb": (result["max_rss_kb"] / 1024.0, "MB", "ru_maxrss of the worker"),
         "certified_ratio": (certified / verdict_ops if verdict_ops else 0.0, "ratio",
@@ -194,16 +199,22 @@ def main():
     extra = {
         "fail_ratio": (len(failures) / attempted, "ratio", "%d of %d ops" % (len(failures), attempted)),
         "q_radius_max": (q_radius_max, "abs", "largest certified radius over all Q points"),
+        "unscaled setup_s": (statistics.median(setups), "s", "as measured"),
+        "unscaled ops_per_s": (ops / seconds, "1/s", "as measured"),
+        "unscaled op_p50_ms": (1000 * statistics.median(r["latency_s"] for r, _ in untraced),
+                               "ms", "as measured"),
+        "speed scale": (statistics.median(scale), "", "median, %.3g to %.3g over the run"
+                        % (min(scale), max(scale))),
     }
     if args.trace:
         layers = dict(result["per_layer"])
         layers["spectrality.q_partial.radius_max"] = q_radius_max
-        traced = [p for p in passes if p["traced"]]
-        traced_rate = sum(p["ops"] for p in traced) / sum(p["wall_s"] for p in traced)
-        layers["trace.overhead_ratio"] = (ops / seconds) / traced_rate
+        traced = [r["latency_s"] * f for r, f in zip(records, scale) if passes[r["pass"]]["traced"]]
+        traced_rate = len(traced) / sum(traced)
+        layers["trace.overhead_ratio"] = values["ops_per_s"][0] / traced_rate
         extra["ops_per_s untraced / traced"] = (
-            ops / seconds, "1/s", "%.4g traced, %d + %d passes"
-            % (traced_rate, len(timed), len(traced)))
+            values["ops_per_s"][0], "1/s", "%.4g traced, %d + %d passes"
+            % (traced_rate, len(timed), len(passes) - len(timed)))
         wanted = contract["per_layer"]
         metrics = {m["name"]: {"value": layers[m["name"]], "unit": m["unit"]} for m in wanted}
         shown = {k: (v, next((m["unit"] for m in wanted if m["name"] == k), ""), "")

@@ -5,8 +5,9 @@ generating the seeded inputs, writing the spec files) is timed from the
 moment run.py spawned this interpreter.  The loop then calls the
 ``spectral`` click entry point in-process, one op at a time (a single
 client), for a fixed number of whole passes over the workload's op list.  Each op's
-latency and CPU time cover the call only; its stdout is stored for the
-checks, which run.py performs after this process has exited.
+latency and CPU time cover the call only; the reference kernel of
+speed.py is timed just before it.  Its stdout is stored for the checks,
+which run.py performs after this process has exited.
 """
 from __future__ import annotations
 
@@ -75,6 +76,7 @@ def main():
 
     sys.path.insert(0, HERE)
     spectral = import_program()
+    from speed import kernel_seconds
     from workloads import FRESH_INPUTS_PER_PASS, NOMINAL_PASS_S, generate
     os.makedirs(args.rundir, exist_ok=True)
     os.chdir(args.rundir)
@@ -111,6 +113,7 @@ def main():
         for i, op in enumerate(ops):
             op_id = len(records)
             gc.collect()
+            kernel_s = kernel_seconds()
             if traced:
                 tracer.begin_op(op_id, op.kind)
             latency, used_cpu, code, error, stdout, stderr = call(spectral, op.argv)
@@ -128,7 +131,7 @@ def main():
                                  "code": code}
             records.append({
                 "pass": p, "position": i, "key": key, "kind": op.kind, "latency_s": latency,
-                "cpu_s": used_cpu, "code": code, "error": error, "sha": digest,
+                "cpu_s": used_cpu, "kernel_s": kernel_s, "code": code, "error": error, "sha": digest,
                 "stdout_bytes": len(stdout.encode()),
                 "traceback": "Traceback" in stderr,
             })
