@@ -30,6 +30,7 @@ from .mask import (
     window_zeros,
 )
 from .measures import (
+    TWO_PI_UPPER,
     AffineMap,
     AtomicMeasure,
     ComplexInterval,
@@ -47,10 +48,6 @@ Rational = Union[int, Fraction]
 _PERIODIC_ONE = PeriodicTail((1,))
 
 DEFAULT_MAX_DEPTH = 4096
-
-# Strict rational upper bound for 2*pi; used wherever an evaluation depth
-# is chosen by exact comparison, so the choice itself cannot be a float bug.
-TWO_PI_UPPER = Fraction(710, 113)
 
 
 class DepthLimitError(RuntimeError):
@@ -297,11 +294,20 @@ class ConvolutionSpec:
         return self.pair_at(k).scale ** self.exponent_at(k)
 
     def cumulative_scale(self, k: int) -> int:
-        """Signed product of the first k level scales; 1 for k = 0."""
-        c = 1
-        for i in range(1, k + 1):
-            c *= self.level_scale(i)
-        return c
+        """Signed product of the first k level scales; 1 for k = 0.
+
+        Prefix products are kept per spec and extended on demand; the
+        list is replaced, never mutated, so concurrent readers stay safe.
+        """
+        if k <= 0:
+            return 1
+        prefix = self.__dict__.get("_prefix_scales", [1])
+        if k >= len(prefix):
+            prefix = list(prefix)
+            for i in range(len(prefix), k + 1):
+                prefix.append(prefix[-1] * self.level_scale(i))
+            object.__setattr__(self, "_prefix_scales", prefix)
+        return prefix[k]
 
     def levels(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """Infinite stream of (cumulative scale, digit set), level 1 first."""

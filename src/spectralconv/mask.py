@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .cyclotomic import cyclotomic_orders, unit_circle_angles
-from .measures import frac_mod1, frac_str, parse_frac, phase_unit
+from .measures import TWO_PI_UPPER, frac_mod1, frac_str, parse_frac, phase_unit
 
 Rational = Union[Fraction, int]
 
@@ -46,10 +46,84 @@ def eval_mask(digits: Sequence[int], x) -> complex:
     return complex(total / len(digits))
 
 
-def mask_values(digits: Sequence[int], xs: np.ndarray) -> np.ndarray:
-    """Vectorized digit-set transform over a float array."""
-    b = np.asarray(list(digits), dtype=float)
-    return np.exp(-2j * np.pi * np.asarray(xs, dtype=float)[..., None] * b).mean(axis=-1)
+# np.cos is taken to be within this many ulps of cos and inside [-1, 1];
+# glibc's cos, which numpy calls for float64, is within 1 ulp.
+COS_ULPS = 4
+
+
+@dataclass(frozen=True)
+class MaskAbs2:
+    """The squared mask |m_B(y)|^2 of one digit set, vectorized.
+
+    With mult(d) the number of digit pairs at difference d > 0 and g the
+    gcd of the differences,
+
+        |m_B(y)|^2 = 1/#B + sum_d (2 mult(d)/#B^2) cos(2 pi d y)
+                   = sum_k coeffs[k] T_k(cos(2 pi g y)),
+
+    because cos(2 pi k g y) = T_k(cos(2 pi g y)) for the Chebyshev
+    polynomials T_k.  One evaluation is one cosine plus Clenshaw's
+    recurrence b_k = coeffs[k] + 2c b_{k+1} - b_{k+2} down from the top
+    index m = span/g (1 for two digits, 2 for {0,1,2}).  Results are
+    clamped to [0, 1], the range of the true value.
+
+    Error bound, with u = 2**-53: if |yhat - y| <= delta and |yhat| <= Y,
+    the value at yhat is within slope*(delta + 3.1*u*Y) + rounding*u of
+    |m_B(y)|^2.  The slope term covers the argument: 2 pi g is rounded
+    twice, the product once, and the series moves by at most
+    sum_k k coeffs[k] per radian.  The rounding term covers the cosine
+    (COS_ULPS ulps of at most 2u each, times |d/dc| <= sum_k k^2 coeffs[k]),
+    the rounding of the coefficients (u in all, as |T_k| <= 1) and
+    Clenshaw's steps.  The computed b_k are the exact ones for
+    coefficients moved by each step's rounding, which is at most
+    u(|2c b_{k+1}| + coeffs[k] + |b_{k+2}| + |b_k|), so the result moves
+    by at most their sum; |b_k| <= sum_{j>=k} coeffs[j] (j - k + 1), since
+    b_k = sum_j coeffs[j] U_{j-k}(c) and |U_i| <= i + 1.
+    """
+
+    step: float
+    coeffs: tuple[float, ...]
+    slope: float
+    rounding: float
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        c = y * self.step
+        np.cos(c, out=c)
+        b1, b2 = self.coeffs[-1], 0.0
+        for a in self.coeffs[-2:0:-1]:
+            b = c * (b1 + b1)
+            b += a - b2
+            b1, b2 = b, b1
+        f = c * b1
+        f += self.coeffs[0] - b2
+        return np.clip(f, 0.0, 1.0, out=f)
+
+
+@lru_cache(maxsize=None)
+def mask_abs2(digits: tuple[int, ...]) -> MaskAbs2:
+    """The cosine-series kernel of |mask|^2 for a digit set."""
+    size = len(digits)
+    mult: dict[int, int] = {}
+    for i, a in enumerate(digits):
+        for b in digits[i + 1:]:
+            mult[abs(a - b)] = mult.get(abs(a - b), 0) + 1
+    g = gcd(*mult)
+    alpha = [Fraction(1, size)] + [Fraction(0)] * (max(mult) // g)
+    for d, count in mult.items():
+        alpha[d // g] = Fraction(2 * count, size * size)
+    m = len(alpha) - 1
+    # bound[k] >= |b_k|; twice the needed 2 bound[k+1] covers the (1 + u)
+    # factors of the step bound
+    bound = [sum(alpha[j] * (j - k + 1) for j in range(k, m + 1))
+             for k in range(m + 1)] + [0, 0]
+    steps = sum(4 * bound[k + 1] + alpha[k] + bound[k] + bound[k + 2]
+                for k in range(m + 1))
+    slope = TWO_PI_UPPER * g * sum(k * a for k, a in enumerate(alpha))
+    rounding = (2 * COS_ULPS * sum(a * k * k for k, a in enumerate(alpha))
+                + Fraction(101, 100) * steps + 1)
+    # the 1% and the +1 cover rounding these constants to floats
+    return MaskAbs2(2 * np.pi * g, tuple(float(a) for a in alpha),
+                    float(slope) * 1.01, float(rounding) + 1)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,11 @@ from typing import Iterable, Sequence, Union
 
 Xi = Union[int, float, Fraction]
 
+# Strict rational upper bound for 2*pi; used wherever an evaluation depth
+# or an error bound is chosen by exact comparison, so the choice itself
+# cannot be a float bug.
+TWO_PI_UPPER = Fraction(710, 113)
+
 _QUARTER = {
     Fraction(0): 1 + 0j,
     Fraction(1, 4): -1j,

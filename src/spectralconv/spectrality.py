@@ -21,19 +21,23 @@ import numpy as np
 from .convolution import (
     ConvolutionSpec,
     SparseInsertionSpec,
-    TWO_PI_UPPER,
     detect_special,
     zero_set_window,
 )
 from .cyclotomic import cyclotomic_orders, degree, unit_circle_angles
 from .hadamard import AdmissiblePair, find_spectra, FIND_SPECTRA_SCALE_LIMIT
-from .mask import IrrationalZeroPresent, eval_mask, mask_zero_set
-from .measures import AtomicMeasure, ComplexInterval, frac_str
+from .mask import IrrationalZeroPresent, eval_mask, mask_abs2, mask_zero_set
+from .measures import TWO_PI_UPPER, AtomicMeasure, ComplexInterval, frac_str
 from .words import SymbolicWord, PeriodicTail
 
 Rational = Union[int, Fraction]
 
-_TWO_PI_UP = float(TWO_PI_UPPER)
+_U = 2.0 ** -53
+
+# q_partial cuts its grid into point blocks of about this many branches,
+# so no temporary of a level holds more than a few times that many
+# entries.
+_BLOCK_ENTRIES = 1 << 15
 
 # The residue-cover search for a certified zero-set member caps the modulus
 # it sweeps; beyond this the certificate would be too slow to check anyway.
@@ -140,98 +144,171 @@ class QReport:
         }
 
 
-def _mask_abs2(digits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    phases = np.exp((-2j * np.pi) * y[..., None] * digits)
-    m = phases.mean(axis=-1)
-    return (m * m.conj()).real
-
-
 def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
                      tol: float, budget_atoms: int,
                      max_tail: int) -> tuple[np.ndarray, np.ndarray]:
-    """Certified Q_n enclosures for a block of grid points.
+    """Certified Q_n enclosures (value, radius) for a block of grid points.
 
-    Carries per-branch positions y = (xi + partial sum)/c_k, which stay
-    bounded because each level divides by its scale before adding the
-    next spectrum offset.  Mass pruned to honor budget_atoms is folded
-    into the enclosure as an interval of full width.
+    Each branch carries its position y = (xi + lambda)/c_k, updated as
+    y <- y/s_k^e_k + l/s_k, and its mass p = prod_k |m_k(y_k)|^2.  The
+    factor is the cosine series of ``mask.MaskAbs2``,
+
+        |m_B(y)|^2 = 1/#B + sum_{d>0} (2 mult(d)/#B^2) cos(2 pi d y),
+
+    clamped to [0, 1].  The true Q_n(xi) is the sum over leaves of p times
+    |nu^(y)|^2, with nu the measure of the levels after the last one
+    multiplied.  The radius has three parts:
+
+    * pruned mass: branches dropped to keep budget_atoms per point add
+      their mass as an interval [0, p] of full width;
+    * tail: 1 - |nu^(y)|^2 <= 2 pi^2 y^2 diam(supp nu)^2, from
+      1 - cos t <= t^2/2, with diam <= 2h for h = support_halfwidth();
+      levels are multiplied per point until this is at most tol/2 on
+      every branch, so it takes at most a tol/2 share of the mass;
+    * rounding: every kernel value is within its ``MaskAbs2`` bound e_k,
+      given the bound ``delta`` carried on the error of y.  A factor's
+      error enters the result times the computed factors before it (at
+      most its parent's mass, as they lie in [0, 1]) and the true factors
+      after it (summing to at most 1 over the branches below, as the
+      level factors over a spectrum sum to 1).  The masses of a level sum
+      to at most 1, so level k adds e_k * #L_k and a tail level e_k.
+      Products, sums and the final arithmetic add Higham's gamma bounds
+      on the mass.
+
+    Every point's row is computed on its own, so the result does not
+    depend on how the grid is split into blocks.
     """
     npts = len(xs)
-    y = xs.astype(float).reshape(npts, 1)
+    y = xs.reshape(npts, 1).copy()
     p = np.ones_like(y)
-    value = np.zeros(npts)
-    radius = np.zeros(npts)
+    # per point: bound on |true y|, bound on |computed y - true y|, summed
+    # kernel error bound and pruned mass
+    ybound = np.abs(xs) * (1.0 + 2.0 * _U)
+    delta = np.abs(xs) * (1.01 * _U)
+    kernel_err = np.zeros(npts)
+    dropped = np.zeros(npts)
+    widest = 1
     for k in range(1, n + 1):
         pair = spec.pair_at(k)
-        e = spec.exponent_at(k)
-        level_scale = float(pair.scale ** e)
-        offsets = np.array(_level_spectrum(pair), dtype=float) / pair.scale
-        y = (y / level_scale)[:, :, None] + offsets
-        y = y.reshape(npts, -1)
-        digits = np.array(pair.digits, dtype=float)
-        p = np.repeat(p, len(offsets), axis=1) * _mask_abs2(digits, y)
+        scale = float(pair.scale ** spec.exponent_at(k))
+        spectrum = _level_spectrum(pair)
+        offsets = np.array(spectrum, dtype=float) / pair.scale
+        offset_max = max(spectrum) / abs(pair.scale)
+        y = ((y / scale)[:, :, None] + offsets).reshape(npts, -1)
+        widest = max(widest, y.shape[1])
+        delta = delta / abs(scale) + 3.02 * _U * (
+            (ybound + delta) / abs(scale) + offset_max)
+        ybound = ybound / abs(scale) + offset_max
+        kernel = mask_abs2(pair.digits)
+        kernel_err += len(spectrum) * (
+            kernel.slope * (delta + 3.1 * _U * (ybound + delta))
+            + kernel.rounding * _U)
+        factor = kernel(y)
+        factor.reshape(npts, -1, len(spectrum))[...] *= p[:, :, None]
+        p = factor
         if p.shape[1] > budget_atoms:
-            order = np.argsort(p, axis=1)
-            drop = order[:, :p.shape[1] - budget_atoms]
-            keep = order[:, p.shape[1] - budget_atoms:]
-            dropped = np.take_along_axis(p, drop, axis=1).sum(axis=1)
-            value += dropped / 2.0
-            radius += dropped / 2.0
-            p = np.take_along_axis(p, keep, axis=1)
-            y = np.take_along_axis(y, keep, axis=1)
-    # extend the factor product until the remaining tail contributes at
-    # most tol/4 per unit of surviving mass
-    smin = spec.min_level_scale()
-    hw = float(spec.support_halfwidth())
+            cut = p.shape[1] - budget_atoms
+            order = np.argpartition(p, cut, axis=1)
+            order += np.arange(0, p.size, p.shape[1])[:, None]
+            dropped += p.take(order[:, :cut]).sum(axis=1)
+            p = p.take(order[:, cut:])
+            y = y.take(order[:, cut:])
+    # 2 pi^2 (2h)^2, rounded up past the three roundings of each use
+    tail_c = float(2 * TWO_PI_UPPER ** 2 * spec.support_halfwidth() ** 2) \
+        * (1.0 + 8.0 * _U)
+    # largest |computed y| per point; dividing every y by a scale divides
+    # it exactly the same way, since rounding is monotonic
+    far = np.maximum(y.max(axis=1), -y.min(axis=1))
+    rows = slice(None)
     m = n
     while m < n + max_tail:
-        worst = _TWO_PI_UP * hw * float(np.max(np.abs(y))) * 1.0000001
-        if worst <= tol / 4.0:
+        reach = far[rows] + delta[rows]
+        going = tail_c * reach * reach > tol / 2.0
+        if not going.any():
             break
+        if not going.all():
+            rows = np.arange(npts)[rows][going]
         m += 1
         pair = spec.pair_at(m)
-        e = spec.exponent_at(m)
-        y = y / float(pair.scale ** e)
-        p = p * _mask_abs2(np.array(pair.digits, dtype=float), y)
-    err = np.minimum(1.0, _TWO_PI_UP * hw * np.abs(y) * 1.0000001)
-    lo = p * np.maximum(0.0, 1.0 - err) ** 2
-    value += (lo + p).sum(axis=1) / 2.0
-    radius += (p - lo).sum(axis=1) / 2.0
+        scale = float(pair.scale ** spec.exponent_at(m))
+        kernel = mask_abs2(pair.digits)
+        y[rows] /= scale
+        far[rows] /= abs(scale)
+        p[rows] *= kernel(y[rows])
+        delta[rows] = (delta[rows] + 2.01 * _U * (ybound[rows] + delta[rows])) \
+            / abs(scale)
+        ybound[rows] /= abs(scale)
+        kernel_err[rows] += (
+            kernel.slope * (delta[rows] + 3.1 * _U * (ybound[rows] + delta[rows]))
+            + kernel.rounding * _U)
+    shortfall = np.abs(y)
+    shortfall += delta[:, None]
+    shortfall *= shortfall
+    shortfall *= tail_c
+    np.minimum(shortfall, 1.0, out=shortfall)
+    shortfall *= p
+    shortfall = shortfall.sum(axis=1)
+    inside = p.sum(axis=1)
+    # Higham's gamma_k = k u/(1 - k u) bounds k chained roundings: sums of
+    # at most `widest` terms (the pruned ones also pass through n
+    # accumulations), m rounded products per branch, 8 final operations.
+    # The 1% covers the rounding in computing the bound itself.
+    chain = 3 * widest + 2 * m + 8
+    rounding = 1.01 * (kernel_err + chain * _U / (1.0 - chain * _U)
+                       * (inside + dropped))
+    value = inside + (dropped - shortfall) / 2.0
+    radius = (dropped + shortfall) / 2.0 + rounding
     return value, radius
 
 
 def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
               tol: float = 1e-6, budget_atoms: int = 16384,
               max_tail: int = 64, threads: Optional[int] = None) -> QReport:
+    """Q_n on a grid: certified enclosures q +- r of the completeness sum
+
+        Q_n(xi) = sum over lambda in candidate_spectrum(spec, n) of
+                  |mu^(xi + lambda)|^2,
+
+    which is nondecreasing in n and at most 1.  Each level factor is the
+    cosine series |m_B(y)|^2 = 1/#B + sum_{d>0} (2 mult(d)/#B^2) cos(2 pi d y).
+    Each radius covers the pruned mass (at most budget_atoms branches per
+    point are kept), the quadratic tail bound 2 pi^2 y^2 diam^2 (at most
+    tol/4 of the mass) and float rounding; see ``_q_partial_block``.  The grid is cut into point blocks of about
+    _BLOCK_ENTRIES branches, run on `threads` threads when that is above 1.
+    """
     if n < 1:
         raise ValueError("depth must be at least 1")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    widest = columns = 1
     for k in range(1, n + 1):
-        _level_spectrum(spec.pair_at(k))
+        columns = min(columns, budget_atoms) * len(_level_spectrum(spec.pair_at(k)))
+        widest = max(widest, columns)
     xs = np.array([float(x) for x in grid], dtype=float)
     if len(xs) == 0:
         return QReport((), n, (), (), 0.0, 0.0, 0.0)
-    if threads and threads > 1 and len(xs) > 1:
-        chunks = np.array_split(xs, min(threads, len(xs)))
+    per_block = max(1, _BLOCK_ENTRIES // widest)
+    blocks = np.array_split(xs, max(-(-len(xs) // per_block),
+                                    min(threads or 1, len(xs))))
+
+    def run(block):
+        return _q_partial_block(spec, n, block, tol, budget_atoms, max_tail)
+
+    if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda c: _q_partial_block(spec, n, c, tol, budget_atoms,
-                                           max_tail),
-                chunks))
-        value = np.concatenate([v for v, _ in parts])
-        radius = np.concatenate([r for _, r in parts])
+            parts = list(pool.map(run, blocks))
     else:
-        value, radius = _q_partial_block(spec, n, xs, tol, budget_atoms,
-                                         max_tail)
+        parts = [run(block) for block in blocks]
+    value = np.concatenate([v for v, _ in parts])
+    radius = np.concatenate([r for _, r in parts])
     return QReport(
         grid=tuple(float(x) for x in xs),
         depth=n,
         q_values=tuple(float(v) for v in value),
         radii=tuple(float(r) for r in radius),
-        tail_radius=float(radius.max()) if len(radius) else 0.0,
-        min_q=float(value.min()) if len(value) else 0.0,
-        max_q=float(value.max()) if len(value) else 0.0,
+        tail_radius=float(radius.max()),
+        min_q=float(value.min()),
+        max_q=float(value.max()),
     )
 
 

@@ -1,0 +1,117 @@
+"""Q_n enclosures from q_partial against a 40-digit mpmath oracle.
+
+The oracle sums |mu^(xi + lambda)|^2 over the depth-n candidate spectrum
+directly, one lambda at a time, with every position an exact Fraction
+and every cosine taken at 40 digits.  Each product is carried past level
+n until the rest of the measure, of diameter at most D/(s - 1) (D the
+largest digit span, s the smallest scale), can move it by at most
+ORACLE_TAIL: 1 - |nu^(t)|^2 <= 2 pi^2 t^2 diam^2 and 2 pi^2 < 20.  The
+enclosure q +- r must contain the oracle's whole interval.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import mpmath
+import pytest
+
+from spectralconv.catalog import (
+    mixed_word_spec,
+    scale4_spec,
+    two_letter_family_spec,
+)
+from spectralconv.convolution import ConstantExponents, ConvolutionSpec
+from spectralconv.hadamard import AdmissiblePair
+from spectralconv.spectrality import candidate_spectrum, q_partial
+from spectralconv.words import PeriodicTail, SymbolicWord, splitmix64
+
+DPS = 40
+ORACLE_TAIL = Fraction(1, 10 ** 18)
+POINTS_PER_SPEC = 50
+
+
+def _abs2(digits, num: int, den: int):
+    """|mask(num/den)|^2 = (#B + 2 sum_{i<j} cos(2 pi (b_j - b_i) num/den))
+    / #B^2, each cosine argument reduced modulo 1 exactly first."""
+    pairs = Counter(b - a for i, a in enumerate(digits) for b in digits[i + 1:])
+    total = mpmath.mpf(len(digits))
+    for d, count in pairs.items():
+        total += 2 * count * mpmath.cospi(2 * mpmath.mpf(d * num % den) / den)
+    return total / len(digits) ** 2
+
+
+def q_oracle(spec: ConvolutionSpec, n: int, xi: Fraction):
+    """Interval [lo, hi] around Q_n(xi), width at most ORACLE_TAIL * Q_n."""
+    span = max(max(p.digits) - min(p.digits) for p in spec.alphabet)
+    smin = min(p.modulus for p in spec.alphabet) ** spec.exponents.minimum()
+    diam = Fraction(span, smin - 1)
+    lo = hi = mpmath.mpf(0)
+    for lam in candidate_spectrum(spec, n).elements:
+        x = xi + lam
+        # the rest after level k moves the product by at most bound / c_k^2
+        bound = 20 * diam ** 2 * x ** 2
+        mass = mpmath.mpf(1)
+        c = 1
+        k = 0
+        while k < n or bound > ORACLE_TAIL * c * c:
+            k += 1
+            c *= spec.level_scale(k)
+            mass *= _abs2(spec.pair_at(k).digits, x.numerator, x.denominator * c)
+        hi += mass
+        lo += mass * (1 - mpmath.mpf(bound.numerator) / (bound.denominator * c * c))
+    return lo, hi
+
+
+def _points(seed: int) -> list[Fraction]:
+    fixed = [Fraction(0), Fraction(1, 3), Fraction(5, 128), Fraction(63, 64),
+             Fraction(-1, 2), Fraction(7, 3)]
+    drawn = []
+    for j in range(POINTS_PER_SPEC - len(fixed)):
+        den = (3, 7, 128, 1000, 6 ** 4)[j % 5]
+        num = splitmix64(seed, j) % (4 * den + 1) - 2 * den
+        drawn.append(Fraction(num, den))
+    return fixed + drawn
+
+
+CASES = {
+    "jorgensen-pedersen": (scale4_spec, 4, {}),
+    "example-1.7": (mixed_word_spec, 4, {}),
+    "grid-alternating": (lambda: two_letter_family_spec(
+        2, 2, 3, SymbolicWord((), PeriodicTail((1, 2)))), 4, {}),
+    # 27 branches at depth 3 against a budget of 4: pruning at levels 2, 3
+    "base6-pruned": (lambda: ConvolutionSpec(
+        (AdmissiblePair(6, (0, 1, 2), (0, 2, 4)),),
+        SymbolicWord((), PeriodicTail((1,))), ConstantExponents(1)),
+        3, {"budget_atoms": 4}),
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_values():
+    out = {}
+    with mpmath.workdps(DPS):
+        for seed, (name, (build, n, _)) in enumerate(sorted(CASES.items())):
+            spec = build()
+            points = _points(seed)
+            out[name] = (points, [q_oracle(spec, n, xi) for xi in points])
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_q_enclosure_contains_the_oracle(oracle_values, name, tol):
+    build, n, options = CASES[name]
+    points, exact = oracle_values[name]
+    report = q_partial(build(), n, points, tol=tol, **options)
+    misses = []
+    with mpmath.workdps(DPS):
+        for xi, (lo, hi), q, r in zip(points, exact, report.q_values,
+                                      report.radii):
+            assert r >= 0
+            q, r = mpmath.mpf(q), mpmath.mpf(r)
+            if lo < q - r or hi > q + r:
+                misses.append("Q_%d(%s) = %r +- %r, oracle [%s, %s]" % (
+                    n, xi, float(q), float(r), mpmath.nstr(lo, 20),
+                    mpmath.nstr(hi, 20)))
+    assert not misses, misses[:3]
+
