@@ -22,10 +22,9 @@ from .convolution import (
 from .hadamard import AdmissiblePair
 from .measures import frac_str
 from .spectrality import (
-    SpectralReport,
     VerdictBudget,
+    budget_q_partial,
     classify_special,
-    q_partial,
     spectral_verdict,
 )
 from .words import EnumerationTail, PeriodicTail, SymbolicWord
@@ -94,15 +93,6 @@ def _exit_code(matches: list[bool], verdicts: list[str]) -> int:
     return EXIT_CONTRADICTION
 
 
-def _attach_q(payload: dict, spec: ConvolutionSpec,
-              budget: VerdictBudget) -> None:
-    grid = [Fraction(j, budget.grid) for j in range(budget.grid)]
-    report = q_partial(spec, budget.depth, grid, tol=budget.tol,
-                       budget_atoms=budget.budget_atoms,
-                       threads=budget.threads)
-    payload["q_report"] = report.to_json()
-
-
 def _convolution_payload(spec: ConvolutionSpec, expected: str,
                          budget: VerdictBudget, attach_q: bool) -> dict:
     report = spectral_verdict(spec, budget)
@@ -113,7 +103,7 @@ def _convolution_payload(spec: ConvolutionSpec, expected: str,
         "match": report.verdict == expected,
     }
     if attach_q and budget.run_q:
-        _attach_q(payload, spec, budget)
+        payload["q_report"] = budget_q_partial(spec, budget).to_json()
     return payload
 
 

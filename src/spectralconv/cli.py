@@ -13,7 +13,7 @@ from typing import Optional
 
 import click
 
-from .catalog import example_ids, run_example, write_json, write_q_csv
+from .catalog import example_ids, run_example, write_q_csv
 from .convolution import (
     ConvolutionSpec,
     SparseInsertionSpec,
@@ -26,8 +26,8 @@ from .mask import IrrationalZeroPresent, mask_zero_set
 from .measures import AtomicMeasure, frac_str, parse_frac
 from .spectrality import (
     VerdictBudget,
+    budget_q_partial,
     iz_weak_limit,
-    q_partial,
     spectral_verdict,
 )
 from .words import monte_carlo_spectrality
@@ -264,13 +264,9 @@ def conv_overlap(ctx, specfile, shift, depth):
 @click.option("--budget-atoms", type=int, default=16384, show_default=True)
 @click.pass_context
 def q_command(ctx, specfile, depth, grid_size, tol, budget_atoms):
-    spec = _load_convolution(specfile)
-    depth = depth if depth is not None else ctx.obj["budget_depth"]
-    grid = [Fraction(j, grid_size) for j in range(grid_size)]
-    report = q_partial(spec, depth, grid, tol=tol,
-                       budget_atoms=budget_atoms,
-                       threads=ctx.obj["threads"])
-    payload = report.to_json()
+    budget = _budget(ctx, grid=grid_size, tol=tol, budget_atoms=budget_atoms,
+                     depth=ctx.obj["budget_depth"] if depth is None else depth)
+    payload = budget_q_partial(_load_convolution(specfile), budget).to_json()
     _emit(ctx, payload)
     _emit_q_csv(ctx, payload)
 
@@ -320,9 +316,12 @@ def mc_command(ctx, specfile, trials, length, probs, pattern):
     else:
         probs = tuple(parse_frac(p) for p in probs.split(","))
     pattern_letters = _parse_ints(pattern) if pattern else None
-    summary = monte_carlo_spectrality(alphabet, probs, trials, length,
-                                      seed=ctx.obj["seed"],
-                                      pattern=pattern_letters)
+    try:
+        summary = monte_carlo_spectrality(alphabet, probs, trials, length,
+                                          seed=ctx.obj["seed"],
+                                          pattern=pattern_letters)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     _emit(ctx, summary.to_json())
 
 
@@ -392,11 +391,6 @@ def validate_spec(data) -> tuple[Optional[dict], list[dict]]:
         spec = ConvolutionSpec.from_json(candidate)
     except (ValueError, KeyError, TypeError) as exc:
         return None, [{"pair": "word", "reason": str(exc)}]
-    letters = spec.word.occurring_letters()
-    bad = sorted(l for l in letters if not 1 <= l <= len(spec.alphabet))
-    if bad:
-        return None, [{"pair": "word",
-                       "reason": "letters %s outside the alphabet" % bad}]
     return spec.to_json(), []
 
 
@@ -411,3 +405,7 @@ def validate_command(ctx, specfile):
         ctx.exit(2)
         return
     _emit(ctx, {"valid": True, "spec": normalized})
+
+
+if __name__ == "__main__":
+    main(prog_name="spectral")

@@ -17,10 +17,13 @@ that lives here.
 from __future__ import annotations
 
 import os
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Union
 
 from .hadamard import AdmissiblePair
 from .mask import (
@@ -48,6 +51,9 @@ Rational = Union[int, Fraction]
 _PERIODIC_ONE = PeriodicTail((1,))
 
 DEFAULT_MAX_DEPTH = 4096
+
+# serializes the extension of every spec's cached prefix products
+_PREFIX_LOCK = threading.Lock()
 
 
 class DepthLimitError(RuntimeError):
@@ -296,27 +302,22 @@ class ConvolutionSpec:
     def cumulative_scale(self, k: int) -> int:
         """Signed product of the first k level scales; 1 for k = 0.
 
-        Prefix products are kept per spec and extended on demand; the
-        list is replaced, never mutated, so concurrent readers stay safe.
+        Every c_k in the package comes from here.  Prefix products are
+        kept per spec and only ever appended to, under a lock, so walking
+        k levels costs k multiplications and readers need no lock.
         """
         if k <= 0:
             return 1
-        prefix = self.__dict__.get("_prefix_scales", [1])
+        prefix = self.__dict__.setdefault("_prefix_scales", [1])
         if k >= len(prefix):
-            prefix = list(prefix)
-            for i in range(len(prefix), k + 1):
-                prefix.append(prefix[-1] * self.level_scale(i))
-            object.__setattr__(self, "_prefix_scales", prefix)
+            with _PREFIX_LOCK:
+                for i in range(len(prefix), k + 1):
+                    prefix.append(prefix[-1] * self.level_scale(i))
         return prefix[k]
 
     def levels(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """Infinite stream of (cumulative scale, digit set), level 1 first."""
-        c = 1
-        k = 1
-        while True:
-            c *= self.level_scale(k)
-            yield c, self.pair_at(k).digits
-            k += 1
+        return ((self.cumulative_scale(k), self.pair_at(k).digits) for k in count(1))
 
     def tail(self, n: int) -> "ConvolutionSpec":
         """Spec of the restarted tail: levels n+1, n+2, ... renumbered from 1.
@@ -487,22 +488,19 @@ class ConvolutionSpec:
         # need |c_q| >= 2*pi*|x|*maxb / (tol*(smin-1)); compare exactly
         need = TWO_PI_UPPER * ax * maxb / ((smin - 1) * Fraction(tol))
         q = 0
-        c = 1
-        while abs(c) < need:
-            q += 1
-            c *= self.level_scale(q)
-            if q >= cap and abs(c) < need:
-                est, cc = q, abs(c)
+        while abs(self.cumulative_scale(q)) < need:
+            if q >= cap:
+                est, cc = q, abs(self.cumulative_scale(q))
                 while cc < need:
                     est += 1
                     cc *= smin
                 raise DepthLimitError(est, cap)
+            q += 1
         value = complex(1)
-        ck = 1
         for k in range(1, q + 1):
-            ck *= self.level_scale(k)
-            value *= eval_mask(self.pair_at(k).digits, x / Fraction(ck))
-        tail_bound = float(TWO_PI_UPPER * ax * Fraction(maxb, abs(c) * (smin - 1)))
+            value *= eval_mask(self.pair_at(k).digits, x / self.cumulative_scale(k))
+        cq = abs(self.cumulative_scale(q))
+        tail_bound = float(TWO_PI_UPPER * ax * Fraction(maxb, cq * (smin - 1)))
         radius = abs(value) * tail_bound + (q + 4) * 1e-15 * (1.0 + abs(value))
         return ComplexInterval(value, radius)
 
@@ -551,12 +549,7 @@ def zero_set_window(
     gap = tail.min_zero_gap(require_complete=True)
     if gap is None:
         return []
-
-    def absolute_levels():
-        for c, digits in tail.levels():
-            yield Fraction(abs(c)), digits
-
-    return window_zeros(absolute_levels(), -h, h, min_zero_gap=gap, max_levels=max_levels)
+    return window_zeros(tail.levels(), -h, h, min_zero_gap=gap, max_levels=max_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -753,8 +746,6 @@ def overlap_mass(spec: ConvolutionSpec, j: int, depth: int) -> Fraction:
         else:
             spans.append((lo, hi))
     starts = [s[0] for s in spans]
-    from bisect import bisect_right
-
     total = Fraction(0)
     for x, w in m.atoms:
         lo, hi = x + tlo, x + thi
@@ -851,14 +842,6 @@ class SparseInsertionSpec:
         if j is None:
             return self.regular_digits
         return self.insertion_pair(j).digits
-
-    def levels(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        c = 1
-        k = 1
-        while True:
-            c *= self.scale
-            yield c, self.digits_at(k)
-            k += 1
 
     def regular_spec(self) -> ConvolutionSpec:
         pair = AdmissiblePair(self.scale, self.regular_digits, self.spectrum)

@@ -19,8 +19,9 @@ verdict.
 from __future__ import annotations
 
 import cmath
-from math import gcd
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,17 +42,6 @@ def trim(coeffs: Sequence[int]) -> list[int]:
 def degree(coeffs: Sequence[int]) -> int:
     """Degree of a trimmed polynomial; -1 for the zero polynomial."""
     return len(coeffs) - 1
-
-
-def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return trim(out)
 
 
 def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -144,7 +134,6 @@ def euler_phi(n: int) -> int:
 def _eval_at_primitive_root(coeffs: Sequence[int], n: int) -> tuple[complex, float]:
     """Evaluate at exp(-2*pi*i/n) with a certified error bound."""
     zeta = cmath.exp(-2j * cmath.pi / n)
-    total = 0j
     scale = 0
     # Horner on the folded exponents keeps arguments small.
     folded = [0] * n
@@ -155,10 +144,8 @@ def _eval_at_primitive_root(coeffs: Sequence[int], n: int) -> tuple[complex, flo
     for c in reversed(folded):
         acc = acc * zeta + c
         scale += abs(c)
-    total = acc
     # each fold step: one complex mul (unit modulus) and one add
-    err = 4e-15 * (scale + n)
-    return total, err
+    return acc, 4e-15 * (scale + n)
 
 
 def exponent_sum_vanishes(n: int, exponents: Iterable[int]) -> bool:
@@ -181,14 +168,6 @@ def exponent_sum_vanishes(n: int, exponents: Iterable[int]) -> bool:
         return False
     _, rem = poly_divmod(coeffs, list(cyclotomic(n)))
     return not rem
-
-
-def fold_mod_xn_minus_1(coeffs: Sequence[int], n: int) -> list[int]:
-    folded = [0] * n
-    for e, c in enumerate(coeffs):
-        if c:
-            folded[e % n] += c
-    return trim(folded)
 
 
 def cyclotomic_orders(coeffs: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -246,8 +225,6 @@ def _content(coeffs: Sequence[int]) -> int:
 
 def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Primitive gcd in Z[x] via the subresultant-free rational Euclid."""
-    from fractions import Fraction
-
     fa = [Fraction(c) for c in trim(a)]
     fb = [Fraction(c) for c in trim(b)]
     while fb:
@@ -269,8 +246,6 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
         fa, fb = fb, rem
     if not fa:
         return []
-    from math import lcm
-
     den = 1
     for c in fa:
         den = lcm(den, c.denominator)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from math import gcd
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -182,34 +182,6 @@ class RationalZeroSet:
             raise ValueError("scale factor must be positive")
         return RationalZeroSet(self.period * c, tuple(p * c for p in self.phases))
 
-    def shifted(self, t: Rational) -> "RationalZeroSet":
-        return RationalZeroSet(self.period, tuple((p + Fraction(t)) % self.period for p in self.phases))
-
-    def progressions(self) -> list[tuple[Fraction, Fraction]]:
-        return [(p, self.period) for p in self.phases]
-
-    @classmethod
-    def empty(cls, period: Rational = 1) -> "RationalZeroSet":
-        return cls(Fraction(period), ())
-
-    @classmethod
-    def merge(cls, parts: Iterable["RationalZeroSet"]) -> "RationalZeroSet":
-        """Union, re-expressed over the lcm of the periods."""
-        parts = list(parts)
-        if not parts:
-            return cls.empty()
-        period = Fraction(
-            lcm(*(p.period.numerator for p in parts)),
-            gcd(*(p.period.denominator for p in parts)),
-        )
-        phases = []
-        for part in parts:
-            reps = int(period / part.period)
-            assert reps * part.period == period
-            for p in part.phases:
-                phases.extend(p + j * part.period for j in range(reps))
-        return cls(period, tuple(phases))
-
     def to_json(self) -> dict:
         return {
             "period": frac_str(self.period),
@@ -239,10 +211,6 @@ class IrrationalZeroFlag:
 class MaskZeros:
     rational: RationalZeroSet
     irrational: Optional[IrrationalZeroFlag]
-
-    @property
-    def purely_rational(self) -> bool:
-        return self.irrational is None
 
     def to_json(self) -> dict:
         out = {"rational": self.rational.to_json()}
@@ -294,7 +262,7 @@ def rational_zeros(digits: Sequence[int]) -> RationalZeroSet:
     """Rational zero phases of the mask; raises if irrational zeros exist,
     so callers relying on completeness cannot be fooled."""
     mz = mask_zero_set(tuple(digits))
-    if not mz.purely_rational:
+    if mz.irrational is not None:
         raise IrrationalZeroPresent(tuple(digits), mz.irrational.angles)
     return mz.rational
 
@@ -308,8 +276,9 @@ def window_zeros(
 ) -> list[Fraction]:
     """Zeros in [lo, hi] of a product of masks taken at x / scale_k.
 
-    `levels` yields (scale_k, digits_k) with cumulative scales strictly
-    increasing.  Factor k contributes its mask's zero set blown up by
+    `levels` yields (scale_k, digits_k) with |scale_k| strictly
+    increasing; the sign does not matter, as mask zero sets are symmetric
+    under negation.  Factor k contributes its mask's zero set blown up by
     scale_k, whose nonzero elements all have absolute value >= scale_k
     times the least nonzero mask zero distance over the whole level
     alphabet.  `min_zero_gap` must be a positive lower bound on that
@@ -332,7 +301,7 @@ def window_zeros(
                 f"zero-set window did not stabilize within {max_levels} levels"
             )
         count += 1
-        scale = Fraction(scale)
+        scale = abs(Fraction(scale))
         if scale <= prev_scale:
             raise ValueError("cumulative scales must be strictly increasing")
         prev_scale = scale

@@ -14,7 +14,6 @@ bit-exact.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -73,9 +72,6 @@ class ComplexInterval:
     def abs_upper(self) -> float:
         return abs(self.value) + self.radius
 
-    def straddles_zero(self) -> bool:
-        return abs(self.value) <= self.radius
-
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -92,9 +88,6 @@ class AffineMap:
 
     def __call__(self, x: Fraction) -> Fraction:
         return self.a * x + self.b
-
-    def inverse(self) -> "AffineMap":
-        return AffineMap(1 / self.a, -self.b / self.a)
 
 
 @dataclass(frozen=True)
@@ -142,13 +135,6 @@ class AtomicMeasure:
     def positions(self) -> tuple[Fraction, ...]:
         return tuple(x for x, _ in self.atoms)
 
-    def weight_at(self, x: Xi) -> Fraction:
-        x = Fraction(x)
-        for p, w in self.atoms:
-            if p == x:
-                return w
-        return Fraction(0)
-
     def support_min(self) -> Fraction:
         return self.atoms[0][0]
 
@@ -167,13 +153,8 @@ class AtomicMeasure:
                     total += w
         return total
 
-    def ft(self, xi: Xi) -> complex:
+    def ft(self, xi: Union[int, Fraction]) -> complex:
         """Fourier transform sum_j w_j exp(-2*pi*i*xi*x_j)."""
-        if isinstance(xi, float):
-            return sum(
-                float(w) * cmath.exp(-2j * cmath.pi * xi * float(x))
-                for x, w in self.atoms
-            )
         xi = Fraction(xi)
         groups: dict[Fraction, Fraction] = {}
         for x, w in self.atoms:
@@ -181,14 +162,8 @@ class AtomicMeasure:
             groups[theta] = groups.get(theta, Fraction(0)) + w
         return sum(float(w) * phase_unit(theta) for theta, w in groups.items())
 
-    def ft_interval(self, xi: Xi) -> ComplexInterval:
-        value = self.ft(xi)
-        if isinstance(xi, float):
-            span = max((abs(float(x)) for x, _ in self.atoms), default=0.0)
-            radius = (len(self.atoms) + 2 + abs(xi) * span) * 1e-15
-        else:
-            radius = (len(self.atoms) + 2) * 1e-15
-        return ComplexInterval(value, radius)
+    def ft_interval(self, xi: Union[int, Fraction]) -> ComplexInterval:
+        return ComplexInterval(self.ft(xi), (len(self.atoms) + 2) * 1e-15)
 
     def to_json(self) -> list[dict]:
         return [{"x": frac_str(x), "w": frac_str(w)} for x, w in self.atoms]
@@ -226,7 +201,3 @@ def mixture(components: Sequence[tuple[Xi, AtomicMeasure]]) -> AtomicMeasure:
     if total != 1:
         raise ValueError(f"mixture weights sum to {total}, expected 1")
     return AtomicMeasure(tuple(sorted(out.items())))
-
-
-def ft_atomic(m: AtomicMeasure, xi: Xi) -> complex:
-    return m.ft(xi)

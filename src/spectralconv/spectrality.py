@@ -19,7 +19,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .convolution import (
+    ConstantExponents,
     ConvolutionSpec,
+    ExplicitExponents,
+    PeriodicExponents,
     SparseInsertionSpec,
     detect_special,
     zero_set_window,
@@ -27,7 +30,7 @@ from .convolution import (
 from .cyclotomic import cyclotomic_orders, degree, unit_circle_angles
 from .hadamard import AdmissiblePair, find_spectra, FIND_SPECTRA_SCALE_LIMIT
 from .mask import IrrationalZeroPresent, eval_mask, mask_abs2, mask_zero_set
-from .measures import TWO_PI_UPPER, AtomicMeasure, ComplexInterval, frac_str
+from .measures import TWO_PI_UPPER, AtomicMeasure, frac_str
 from .words import SymbolicWord, PeriodicTail
 
 Rational = Union[int, Fraction]
@@ -625,12 +628,8 @@ class EquiPositivityFailure:
 def _tail_ft_lower(tail, xi: Fraction) -> float:
     """Certified lower bound on |transform| at xi for one family member."""
     if isinstance(tail, AtomicMeasure):
-        value = tail.ft_interval(xi)
-    else:
-        value = tail.ft_infinite(xi, tol=1e-9)
-    if isinstance(value, ComplexInterval):
-        return value.abs_lower()
-    return abs(value)
+        return tail.ft_interval(xi).abs_lower()
+    return tail.ft_infinite(xi, tol=1e-9).abs_lower()
 
 
 def equi_positive_check(tails: Sequence, x_grid: Sequence[Rational],
@@ -726,6 +725,13 @@ class VerdictBudget:
     radius_max: float = 1e-6
 
 
+def budget_q_partial(spec: ConvolutionSpec, budget: VerdictBudget) -> QReport:
+    """q_partial at the budget's depth on its grid j/grid, j = 0..grid-1."""
+    grid = [Fraction(j, budget.grid) for j in range(budget.grid)]
+    return q_partial(spec, budget.depth, grid, tol=budget.tol,
+                     budget_atoms=budget.budget_atoms, threads=budget.threads)
+
+
 @dataclass(frozen=True)
 class SpectralReport:
     verdict: str
@@ -800,8 +806,6 @@ def _gcd_branch(spec: ConvolutionSpec) -> Optional[tuple[int, str]]:
 
 
 def _limit_exponents(rule):
-    from .convolution import (ConstantExponents, ExplicitExponents,
-                              PeriodicExponents)
     if isinstance(rule, ExplicitExponents):
         return ConstantExponents(rule.then)
     if isinstance(rule, (ConstantExponents, PeriodicExponents)):
@@ -928,10 +932,7 @@ def spectral_verdict(spec, budget: Optional[VerdictBudget] = None
     q_report = None
     if budget.run_q:
         try:
-            grid = [Fraction(j, budget.grid) for j in range(budget.grid)]
-            q_report = q_partial(spec, budget.depth, grid, tol=budget.tol,
-                                 budget_atoms=budget.budget_atoms,
-                                 threads=budget.threads)
+            q_report = budget_q_partial(spec, budget)
             trace.append("grid Q at depth %d: min %.6f, max radius %.2e"
                          % (q_report.depth, q_report.min_q,
                             q_report.tail_radius))

@@ -14,9 +14,9 @@ Letters are 1-based: a word over m letters uses symbols 1..m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .measures import frac_str, parse_frac
 
@@ -78,10 +78,6 @@ class TailRule:
 
     def recurring_letters(self) -> frozenset[int]:
         raise NotImplementedError
-
-    def letters_present(self) -> frozenset[int]:
-        """Letters occurring at least once in the tail."""
-        return self.recurring_letters()
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -212,7 +208,7 @@ class SymbolicWord:
         return self.tail.recurring_letters()
 
     def occurring_letters(self) -> frozenset[int]:
-        return frozenset(self.prefix) | self.tail.letters_present()
+        return frozenset(self.prefix) | self.tail.recurring_letters()
 
     def occurs_infinitely(self, letter: int) -> bool:
         return letter in self.tail.recurring_letters()
@@ -242,33 +238,24 @@ class SymbolicWord:
         return cls(tuple(int(x) for x in data.get("prefix", ())), tail_from_json(data["tail"]))
 
 
-def shift(word: SymbolicWord, n: int) -> SymbolicWord:
-    return word.shift(n)
-
-
-def cylinder_measure(spec: BernoulliSpec, pattern: Sequence[int]) -> Fraction:
-    """Probability of the cylinder set fixing these first letters."""
-    out = Fraction(1)
-    for letter in pattern:
-        if not 1 <= letter <= len(spec.probs):
-            raise ValueError(f"letter {letter} outside alphabet")
-        out *= spec.probs[letter - 1]
-    return out
-
-
 def sample_word(spec: BernoulliSpec, length: int) -> tuple[int, ...]:
     """First `length` letters of the word determined by the seed."""
     return tuple(spec.symbol(i) for i in range(length))
 
 
-def pattern_frequency(prefix: Sequence[int], pattern: Sequence[int]) -> Fraction:
-    """Fraction of contiguous windows of the prefix equal to the pattern."""
+def _pattern_windows(prefix: Sequence[int], pattern: Sequence[int]) -> tuple[int, int]:
+    """(windows equal to the pattern, contiguous windows of its length)."""
     n, m = len(prefix), len(pattern)
     if m == 0 or m > n:
         raise ValueError("pattern must be nonempty and no longer than the prefix")
     pat = tuple(pattern)
     hits = sum(1 for i in range(n - m + 1) if tuple(prefix[i : i + m]) == pat)
-    return Fraction(hits, n - m + 1)
+    return hits, n - m + 1
+
+
+def pattern_frequency(prefix: Sequence[int], pattern: Sequence[int]) -> Fraction:
+    """Fraction of contiguous windows of the prefix equal to the pattern."""
+    return Fraction(*_pattern_windows(prefix, pattern))
 
 
 @dataclass
@@ -280,7 +267,6 @@ class MonteCarloSummary:
     pattern: tuple[int, ...]
     pattern_freq: Fraction
     pattern_expected: Fraction
-    per_trial_freqs: list[Fraction] = field(repr=False, default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -324,11 +310,12 @@ def monte_carlo_spectrality(
     pattern = tuple(pattern)
     expected = Fraction(1)
     for letter in pattern:
+        if not 1 <= letter <= len(probs):
+            raise ValueError(f"pattern letter {letter} outside 1..{len(probs)}")
         expected *= probs[letter - 1]
     exponents = exponents or ConstantExponents(1)
 
     counts: dict[str, int] = {}
-    freqs: list[Fraction] = []
     hits_total = 0
     windows_total = 0
     budget = VerdictBudget(run_q=False)
@@ -340,10 +327,9 @@ def monte_carlo_spectrality(
         spec = ConvolutionSpec(tuple(alphabet), word, exponents)
         report = spectral_verdict(spec, budget)
         counts[report.verdict] = counts.get(report.verdict, 0) + 1
-        f = pattern_frequency(prefix, pattern)
-        freqs.append(f)
-        hits_total += f.numerator * ((length - len(pattern) + 1) // f.denominator)
-        windows_total += length - len(pattern) + 1
+        hits, windows = _pattern_windows(prefix, pattern)
+        hits_total += hits
+        windows_total += windows
     return MonteCarloSummary(
         trials=trials,
         length=length,
@@ -352,5 +338,4 @@ def monte_carlo_spectrality(
         pattern=pattern,
         pattern_freq=Fraction(hits_total, windows_total) if windows_total else Fraction(0),
         pattern_expected=expected,
-        per_trial_freqs=freqs,
     )

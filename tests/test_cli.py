@@ -1,11 +1,16 @@
 """Command line surface: JSON payloads, exit codes, and file output."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from spectralconv.catalog import mixed_word_spec, scale4_spec
+import spectralconv
 from spectralconv.cli import main, validate_spec
 
 
@@ -272,3 +277,60 @@ def test_validate_rejects_alien_word_letters():
     assert normalized is None
     assert diagnostics[0]["pair"] == "word"
     assert "outside 1..1" in diagnostics[0]["reason"]
+
+
+# SHA-256 of stdout for commands whose output holds no float, pinned so a
+# refactor of the exact layers cannot change a byte.  "{jp}" and "{mixed}"
+# stand for the catalog's jorgensen-pedersen and example-1.7 spec files.
+GOLDEN_STDOUT = [
+    ("example example-1.7 --no-q",
+     "5553006bfa66df191ef96d240c8c14732bf8b16b9dc2834f0ffe4960fe49076b"),
+    ("example example-7.1 --no-q",
+     "429a639a128f8468a7cf202b0a757bbb8b82f2274c59c775b2c8aa67548ca309"),
+    ("example example-7.2 --no-q",
+     "15398253e630951dc73c9ced657cd7c7d7f400d82029392b9ae336dd73b618d8"),
+    ("example jorgensen-pedersen --no-q",
+     "46da44a94afcb1b31076a1e97ca6a50b27487b335c3723a35996b921bc75b97e"),
+    ("example theorem-1.6-grid --no-q",
+     "a432103963e159d0501b7688b4b7b049651b2fef0952bc064470cbfe8f66bbd1"),
+    ("conv truncate {jp}",
+     "85f8f855c3de716dc1cf472dcc0cf1e7cb69877fc57d6bc663fb82f6762d2926"),
+    ("conv overlap {jp} 1",
+     "be439f928a898949eaf771bb9b6c4e2f474239f3ee641ff72b1a39c79bc7363f"),
+    ("mask window {jp}",
+     "7ee35d0cf7e6da3d07476e9a4b6d4db71e4f0d80bea096ab5fe2cfad7ddc68bd"),
+    ("iz {jp}",
+     "51b55af5ddef29f99796ad94f0135b92fffdc6e065887bb2aefaea3ff6777250"),
+    ("conv truncate {mixed}",
+     "1e6e18dd9c1289fed53facf951bb3b627650cb2ff922e703d7409e7abdbd0fe9"),
+    ("conv overlap {mixed} 1",
+     "a445cf10995996032d8929ca083ec8723a04728287254de0218c60172c879f54"),
+    ("mask window {mixed}",
+     "00ed4c2bb0c8454c00b0407b3a5e00e0bc5b1ffc50be0529dc3d21f9dbf33593"),
+    ("iz {mixed}",
+     "f508a4ffff06505fc8b4fa36e661fde4c433b95025bc5ceaa5edc3876d5c4c0a"),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN_STDOUT,
+                         ids=[c for c, _ in GOLDEN_STDOUT])
+def test_float_free_stdout_is_pinned(runner, jp_file, mixed_file, command,
+                                     digest):
+    argv = command.format(jp=jp_file, mixed=mixed_file).split()
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+def test_module_entry_point_prints_the_group_help():
+    src = os.path.dirname(os.path.dirname(spectralconv.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-m", "spectralconv", "--help"],
+                            env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("Usage: spectral [OPTIONS] COMMAND")
+    assert "Spectrality toolkit for infinite convolution measures." in \
+        result.stdout

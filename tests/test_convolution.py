@@ -1,7 +1,10 @@
 """Infinite convolution specs: truncation, transforms, zero windows,
 densities, overlap masses, and the sparse insertion construction."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -99,8 +102,9 @@ def test_truncation_respects_the_cap(monkeypatch):
 def test_tiny_tolerance_exhausts_the_depth_budget(monkeypatch):
     monkeypatch.setenv("SPECTRAL_MAX_DEPTH", "16")
     spec = scale4_spec()
-    with pytest.raises(DepthLimitError):
+    with pytest.raises(DepthLimitError) as raised:
         spec.ft_infinite(Fraction(1, 3), tol=1e-300)
+    assert (raised.value.needed, raised.value.cap) == (499, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +119,31 @@ def test_level_structure_of_the_quarter_spec(jp):
     assert jp.min_level_scale() == 4
     assert jp.support_halfwidth() == Fraction(2, 3)
     assert jp.support_bound() == (Fraction(-2, 3), Fraction(2, 3))
+
+
+def test_walking_the_levels_computes_each_level_scale_once(jp):
+    seen = []
+    level_scale = jp.level_scale
+    object.__setattr__(jp, "level_scale", lambda k: seen.append(k) or level_scale(k))
+    walked = [c for c, _ in islice(jp.levels(), 300)]
+    assert walked == [4 ** k for k in range(1, 301)]
+    assert jp.cumulative_scale(300) == 4 ** 300
+    assert seen == list(range(1, 301))
+
+
+def test_concurrent_level_walks_see_exact_prefix_products():
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            spec = two_letter_family_spec(1, 2, 3, SymbolicWord((), PeriodicTail((1, 2))))
+            expected = [2 ** k for k in range(1, 401)]
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                walks = [pool.submit(lambda: [spec.cumulative_scale(k) for k in range(1, 401)])
+                         for _ in range(6)]
+                assert all(w.result(timeout=60) == expected for w in walks)
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def test_mixed_word_levels(mixed17):

@@ -91,22 +91,11 @@ def test_every_listed_zero_kills_the_mask():
 def test_scaling_and_shifting_zero_sets():
     z = rational_zeros((0, 1))
     assert z.scaled(3).members_in(0, 6) == [Fraction(3, 2), Fraction(9, 2)]
-    assert z.shifted(Fraction(1, 4)).members_in(0, 2) == [
-        Fraction(3, 4), Fraction(7, 4)]
 
 
 def test_min_abs_nonzero():
     assert rational_zeros((0, 3)).min_abs_nonzero() == Fraction(1, 6)
     assert rational_zeros((0, 1)).min_abs_nonzero() == Fraction(1, 2)
-
-
-def test_merge_and_empty():
-    merged = RationalZeroSet.merge([rational_zeros((0, 1)),
-                                    rational_zeros((0, 2))])
-    got = merged.members_in(0, 1)
-    assert got == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-    assert not RationalZeroSet.empty()
-    assert RationalZeroSet.empty().members_in(-10, 10) == []
 
 
 def test_json_roundtrip():

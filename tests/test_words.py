@@ -11,11 +11,9 @@ from spectralconv.words import (
     MonteCarloSummary,
     PeriodicTail,
     SymbolicWord,
-    cylinder_measure,
     monte_carlo_spectrality,
     pattern_frequency,
     sample_word,
-    shift,
     splitmix64,
     tail_from_json,
 )
@@ -67,7 +65,6 @@ def test_shift_drops_the_front():
         moved = w.shift(n)
         for k in range(1, 10):
             assert moved.symbol(k) == w.symbol(k + n)
-    assert shift(w, 2).symbol(1) == w.symbol(3)
 
 
 def test_shift_composition():
@@ -134,13 +131,6 @@ def test_word_json_roundtrip():
            [w.symbol(k) for k in range(1, 10)]
 
 
-def test_cylinder_measure_is_a_product():
-    spec = BernoulliSpec((Fraction(1, 2), Fraction(1, 2)))
-    assert cylinder_measure(spec, (1, 2)) == Fraction(1, 4)
-    skew = BernoulliSpec((Fraction(1, 3), Fraction(2, 3)))
-    assert cylinder_measure(skew, (2, 2, 1)) == Fraction(4, 27)
-
-
 def test_sliding_window_pattern_frequency():
     assert pattern_frequency((1, 2, 1, 2), (1, 2)) == Fraction(2, 3)
     assert pattern_frequency((1, 1, 1, 1), (1, 2)) == 0
@@ -172,3 +162,15 @@ def test_small_monte_carlo_run_is_deterministic():
                                     seed=7)
     assert again.pattern_freq == summary.pattern_freq
     assert again.to_json() == summary.to_json()
+
+
+@pytest.mark.parametrize("letter", [0, 3, -1])
+def test_monte_carlo_rejects_pattern_letters_outside_the_alphabet(letter):
+    from spectralconv.hadamard import AdmissiblePair
+
+    alphabet = (AdmissiblePair(2, (0, 1), (0, 1)),
+                AdmissiblePair(2, (0, 3), (0, 1)))
+    probs = (Fraction(1, 4), Fraction(3, 4))
+    with pytest.raises(ValueError, match="pattern letter %d outside 1..2" % letter):
+        monte_carlo_spectrality(alphabet, probs, trials=2, length=8,
+                                pattern=(1, letter))
