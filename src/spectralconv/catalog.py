@@ -94,7 +94,7 @@ def _exit_code(matches: list[bool], verdicts: list[str]) -> int:
 
 
 def _convolution_payload(spec: ConvolutionSpec, expected: str,
-                         budget: VerdictBudget, attach_q: bool) -> dict:
+                         budget: VerdictBudget) -> dict:
     report = spectral_verdict(spec, budget)
     payload = {
         "spec": spec.to_json(),
@@ -102,7 +102,7 @@ def _convolution_payload(spec: ConvolutionSpec, expected: str,
         "report": report.to_json(),
         "match": report.verdict == expected,
     }
-    if attach_q and budget.run_q:
+    if budget.run_q:
         payload["q_report"] = budget_q_partial(spec, budget).to_json()
     return payload
 
@@ -147,13 +147,12 @@ def _grid_payload(budget: VerdictBudget) -> dict:
 
 
 def _run_scale4(budget: VerdictBudget) -> dict:
-    return _convolution_payload(scale4_spec(), "SpectralCertified", budget,
-                                attach_q=True)
+    return _convolution_payload(scale4_spec(), "SpectralCertified", budget)
 
 
 def _run_mixed_word(budget: VerdictBudget) -> dict:
     return _convolution_payload(mixed_word_spec(), "NotSpectralCertified",
-                                budget, attach_q=True)
+                                budget)
 
 
 def _run_insertion_five_sixths(budget: VerdictBudget) -> dict:

@@ -169,12 +169,15 @@ class RationalZeroSet:
         return sorted(out)
 
     def min_abs_nonzero(self) -> Fraction:
-        """Distance from 0 to the nearest nonzero element."""
-        best = self.period
-        for p in self.phases:
-            if p != 0:
-                best = min(best, p, self.period - p)
-        return best
+        """Distance from 0 to the nearest nonzero element.
+
+        The phases are sorted in [0, period), so the nearest elements are
+        the first nonzero phase and the last phase minus the period.
+        """
+        nonzero = self.phases[1:] if self.phases[:1] == (0,) else self.phases
+        if not nonzero:
+            return self.period
+        return min(nonzero[0], self.period - nonzero[-1])
 
     def scaled(self, c: Rational) -> "RationalZeroSet":
         c = Fraction(c)

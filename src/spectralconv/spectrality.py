@@ -42,8 +42,8 @@ _U = 2.0 ** -53
 # entries.
 _BLOCK_ENTRIES = 1 << 15
 
-# The residue-cover search for a certified zero-set member caps the modulus
-# it sweeps; beyond this the certificate would be too slow to check anyway.
+# The residue-cover sieve gives up once the modulus |c_J| passes this cap,
+# which bounds its list of open residues.
 _COVER_MODULUS_CAP = 4096
 
 
@@ -406,34 +406,31 @@ def _residue_cover(spec: ConvolutionSpec, f: Fraction,
                    horizon: int) -> Optional[tuple[int, str]]:
     """Look for a periodic certificate that every translate of f is a zero.
 
-    Covers residues modulo M = |c_J| one level at a time: residue r is
-    covered by level k when (f + r)/c_k lands in the level mask's zero
-    set and that zero set's period divides M/c_k, which pushes the whole
-    arithmetic progression r + M Z into the zero set.
+    Level k covers residue r when (f + r)/c_k lies in the level mask's
+    zero set.  That set has period 1, so the answer depends only on
+    r mod |c_k| and level k then covers the whole class r + c_k Z.  A
+    sieve keeps the residues modulo M = |c_J| that no level up to J
+    covers: each step lifts them to the next modulus and drops those
+    level J covers.  Once none is left, every translate of f is a zero,
+    and the certificate names the levels that covered some residue
+    first.  Meant for survivors of the translate check only: on other
+    candidates the open list grows before it shrinks.
     """
+    open_residues, covering, prev = [0], [], 1
     for J in range(1, horizon + 1):
-        M = abs(spec.cumulative_scale(J))
+        c = spec.cumulative_scale(J)
+        M = abs(c)
         if M > _COVER_MODULUS_CAP:
             return None
-        assignments = []
-        for r in range(M):
-            found = None
-            for k in range(1, J + 1):
-                c = spec.cumulative_scale(k)
-                mz = mask_zero_set(spec.pair_at(k).digits).rational
-                if not mz.phases:
-                    continue
-                if Fraction(M, abs(c)) % mz.period != 0:
-                    continue
-                if mz.contains(Fraction(f + r, c)):
-                    found = k
-                    break
-            if found is None:
-                break
-            assignments.append(found)
-        else:
+        zeros = mask_zero_set(spec.pair_at(J).digits).rational
+        lifted = [r + prev * t for t in range(M // prev) for r in open_residues]
+        open_residues = [r for r in lifted if not zeros.contains(Fraction(f + r, c))]
+        if len(open_residues) < len(lifted):
+            covering.append(J)
+        if not open_residues:
             return M, "levels %s cover residues 0..%d modulo %d" % (
-                ",".join(str(k) for k in sorted(set(assignments))), M - 1, M)
+                ",".join(map(str, covering)), M - 1, M)
+        prev = M
     return None
 
 
@@ -755,26 +752,25 @@ class SpectralReport:
         return out
 
 
-def _divided_pair_admissible(scale: int, digits: tuple[int, ...]) -> bool:
-    if abs(scale) > FIND_SPECTRA_SCALE_LIMIT:
-        return False
-    return len(find_spectra(scale, digits)) > 0
-
-
 def _admissibility_gap(spec: ConvolutionSpec) -> Optional[str]:
     """Reason string when some occurring pair is not known admissible.
 
     Every certified branch below leans on the levels being admissible,
     so a pair without a chosen spectrum and without any found by search
-    blocks certification outright.
+    blocks certification outright.  Up to FIND_SPECTRA_SCALE_LIMIT the
+    search is exhaustive, so finding nothing there proves the pair
+    inadmissible; above it the question stays open.
     """
     for letter in sorted(spec.word.occurring_letters()):
         pair = spec.alphabet[letter - 1]
         if pair.spectrum is not None:
             continue
-        if not _divided_pair_admissible(pair.scale, pair.digits):
+        if abs(pair.scale) > FIND_SPECTRA_SCALE_LIMIT:
             return ("pair (%d, %s) has no known spectrum; admissibility "
                     "is open" % (pair.scale, list(pair.digits)))
+        if not find_spectra(pair.scale, pair.digits):
+            return ("pair (%d, %s) is not admissible: exhaustive search "
+                    "finds no spectrum" % (pair.scale, list(pair.digits)))
     return None
 
 

@@ -43,3 +43,55 @@ def test_the_checker_sees_an_unused_import():
 def test_no_unused_module_level_imports(module):
     with open(os.path.join(SRC, module)) as handle:
         assert unused_imports(handle.read()) == []
+
+
+def private_definitions(source):
+    """Module-level private functions, classes and constants: name -> line."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def unreferenced_private_names(sources):
+    """(module, line, name) of every private module-level definition that
+    no module in ``sources`` (module name -> source) reads, by name or as
+    an attribute."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted((module, line, name)
+                  for module, source in sources.items()
+                  for name, line in private_definitions(source).items()
+                  if name not in read)
+
+
+def test_the_checker_sees_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_LIMIT = 3\n_SPARE = 4\ndef _helper():\n    return _LIMIT\n"
+                "class _Unused:\n    pass\n__all__ = []\n",
+        "b.py": "from . import a\nx = a._helper()\n_seen: int = 0\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        ("a.py", 2, "_SPARE"), ("a.py", 5, "_Unused"), ("b.py", 3, "_seen")]
+
+
+def test_every_private_module_level_name_is_referenced():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as handle:
+            sources[module] = handle.read()
+    assert unreferenced_private_names(sources) == []

@@ -96,6 +96,15 @@ def test_scaling_and_shifting_zero_sets():
 def test_min_abs_nonzero():
     assert rational_zeros((0, 3)).min_abs_nonzero() == Fraction(1, 6)
     assert rational_zeros((0, 1)).min_abs_nonzero() == Fraction(1, 2)
+    at_zero = RationalZeroSet(Fraction(1), (Fraction(0), Fraction(3, 5)))
+    assert at_zero.min_abs_nonzero() == Fraction(2, 5)
+    only_zero = RationalZeroSet(Fraction(1), (Fraction(0),))
+    assert only_zero.min_abs_nonzero() == 1
+    wide = RationalZeroSet(Fraction(3), (Fraction(1, 2), Fraction(5, 2)))
+    assert wide.min_abs_nonzero() == Fraction(1, 2)
+    near_end = RationalZeroSet(Fraction(5, 2), (Fraction(1), Fraction(9, 4)))
+    assert near_end.min_abs_nonzero() == Fraction(1, 4)
+    assert RationalZeroSet(Fraction(2), ()).min_abs_nonzero() == 2
 
 
 def test_json_roundtrip():

@@ -16,9 +16,16 @@ from spectralconv.convolution import (
     ConvolutionSpec,
     UnboundedExponents,
 )
-from spectralconv.hadamard import AdmissiblePair, find_spectra
+from spectralconv.hadamard import (
+    FIND_SPECTRA_SCALE_LIMIT,
+    AdmissiblePair,
+    find_spectra,
+)
+from spectralconv.mask import mask_zero_set
 from spectralconv.measures import AtomicMeasure
 from spectralconv.spectrality import (
+    _COVER_MODULUS_CAP,
+    _residue_cover,
     EquiPositivityCertificate,
     EquiPositivityFailure,
     VerdictBudget,
@@ -203,6 +210,69 @@ def test_witness_spec_has_a_certified_integer_zero():
                         "levels 1 cover residues 0..3 modulo 4")
 
 
+def three_level_witness_spec():
+    """(3, {0,2,4}) twice, then (2, {1,3}) forever: no single level covers
+    every residue of 1/2, the first three together do modulo 18."""
+    return ConvolutionSpec(
+        (AdmissiblePair(3, (0, 2, 4), (0, 1, 2)), AdmissiblePair(2, (1, 3), None)),
+        SymbolicWord((1, 1), PeriodicTail((2,))), ConstantExponents(1))
+
+
+def test_three_level_witness_needs_every_level_of_the_cover():
+    v = iz_weak_limit(three_level_witness_spec(), horizon=64)
+    assert v.kind == "nonempty-witness"
+    assert v.witness == Fraction(1, 2)
+    assert v.reason == ("all translates of 1/2 are zeros: "
+                        "levels 1,2,3 cover residues 0..17 modulo 18")
+
+
+def rescanned_residue_cover(spec, f, horizon):
+    """Reference cover: for every modulus M = |c_J|, give each residue
+    0..M-1 the least level 1..J whose zero set holds (f + r)/c_k."""
+    for J in range(1, horizon + 1):
+        M = abs(spec.cumulative_scale(J))
+        if M > _COVER_MODULUS_CAP:
+            return None
+        assignments = []
+        for r in range(M):
+            found = None
+            for k in range(1, J + 1):
+                c = spec.cumulative_scale(k)
+                mz = mask_zero_set(spec.pair_at(k).digits).rational
+                if not mz.phases:
+                    continue
+                if Fraction(M, abs(c)) % mz.period != 0:
+                    continue
+                if mz.contains(Fraction(f + r, c)):
+                    found = k
+                    break
+            if found is None:
+                break
+            assignments.append(found)
+        else:
+            return M, "levels %s cover residues 0..%d modulo %d" % (
+                ",".join(str(k) for k in sorted(set(assignments))), M - 1, M)
+    return None
+
+
+@pytest.mark.parametrize("spec, f, expected", [
+    (ConvolutionSpec(
+        (AdmissiblePair(4, (0, 4), None),
+         AdmissiblePair(4, (0, 1, 2, 3), (0, 1, 2, 3))),
+        SymbolicWord((1,), PeriodicTail((2,))), ConstantExponents(1)),
+     Fraction(1, 2), (4, "levels 1 cover residues 0..3 modulo 4")),
+    (ConvolutionSpec(
+        (AdmissiblePair(2, (0, 1), (0, 1)), AdmissiblePair(2, (0, 3), (0, 1))),
+        constant_word(2), ConstantExponents(1)),
+     Fraction(1, 3), None),
+    (three_level_witness_spec(), Fraction(1, 2),
+     (18, "levels 1,2,3 cover residues 0..17 modulo 18")),
+])
+def test_residue_sieve_matches_the_rescan(spec, f, expected):
+    assert rescanned_residue_cover(spec, f, 64) == expected
+    assert _residue_cover(spec, f, 64) == expected
+
+
 def test_finite_measure_dispatch(mixed17):
     v = iz_weak_limit(AtomicMeasure.uniform((0, 1)))
     assert v.kind == "nonempty-witness" and v.witness == Fraction(1, 2)
@@ -350,6 +420,17 @@ def test_verdict_without_spectra_is_inconclusive():
     rep = spectral_verdict(single_pair_spec(5, (0, 3)))
     assert rep.verdict == "Inconclusive"
     assert rep.reason == "pair-admissibility-unknown"
+    assert rep.trace[-1] == ("pair (5, [0, 3]) is not admissible: "
+                             "exhaustive search finds no spectrum")
+
+
+def test_verdict_leaves_admissibility_open_above_the_search_limit():
+    scale = FIND_SPECTRA_SCALE_LIMIT + 2
+    rep = spectral_verdict(single_pair_spec(scale, (0, 1)))
+    assert rep.verdict == "Inconclusive"
+    assert rep.reason == "pair-admissibility-unknown"
+    assert rep.trace[-1] == ("pair (%d, [0, 1]) has no known spectrum; "
+                             "admissibility is open" % scale)
 
 
 def test_verdict_from_empty_periodic_zero_set():
