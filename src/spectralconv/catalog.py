@@ -8,9 +8,7 @@ pipeline came back inconclusive.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
 from fractions import Fraction
 from typing import Optional
 
@@ -189,25 +187,8 @@ def _payload_exit(payload: dict) -> int:
     return _exit_code(matches, verdicts)
 
 
-def write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as handle:
-        handle.write(json.dumps(payload, sort_keys=True, indent=2))
-        handle.write("\n")
-
-
-def write_q_csv(path: str, q_report: dict) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["xi", "q_value", "radius", "depth"])
-        depth = q_report["depth"]
-        for xi, q, r in zip(q_report["grid"], q_report["q_values"],
-                            q_report["radii"]):
-            writer.writerow([repr(xi), repr(q), repr(r), depth])
-
-
-def run_example(example_id: str, budget: Optional[VerdictBudget] = None,
-                json_out: Optional[str] = None,
-                csv_out: Optional[str] = None) -> tuple[dict, int]:
+def run_example(example_id: str,
+                budget: Optional[VerdictBudget] = None) -> tuple[dict, int]:
     if example_id not in EXAMPLES:
         raise KeyError("unknown example %r; choose from %s"
                        % (example_id, ", ".join(example_ids())))
@@ -217,12 +198,4 @@ def run_example(example_id: str, budget: Optional[VerdictBudget] = None,
     payload["example"] = example_id
     code = _payload_exit(payload)
     payload["exit_code"] = code
-    if json_out:
-        write_json(json_out, payload)
-    if csv_out:
-        q_report = payload.get("q_report")
-        if q_report is None:
-            q_report = payload.get("report", {}).get("q_report")
-        if q_report:
-            write_q_csv(csv_out, q_report)
     return payload, code

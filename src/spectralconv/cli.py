@@ -4,18 +4,26 @@ Every subcommand prints one JSON document to stdout (sorted keys, fixed
 indentation) and optionally writes it to --json-out, so outputs are
 byte-deterministic given the same inputs and flags.  Q reports can also
 be dumped to CSV with the fixed column set xi, q_value, radius, depth.
+
+Malformed input ends every command the same way: one JSON document
+{"error": kind, "detail": message} and exit code 2 (kind "bad-input"),
+or 3 when a depth limit or an irrational mask zero stops an exact
+computation (kinds "depth-limit" and "irrational-zeros").
 """
 from __future__ import annotations
 
+import csv
 import json
+import math
 from fractions import Fraction
 from typing import Optional
 
 import click
 
-from .catalog import example_ids, run_example, write_q_csv
+from .catalog import example_ids, run_example
 from .convolution import (
     ConvolutionSpec,
+    DepthLimitError,
     SparseInsertionSpec,
     density_consecutive,
     overlap_mass,
@@ -37,8 +45,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise click.BadParameter("expected comma-separated integers, got %r"
-                                 % text)
+        raise ValueError("expected comma-separated integers, got %r"
+                         % text) from None
 
 
 def _parse_window(text: Optional[str]):
@@ -46,13 +54,20 @@ def _parse_window(text: Optional[str]):
         return None
     parts = text.split(",")
     if len(parts) != 2:
-        raise click.BadParameter("window must be LO,HI")
+        raise ValueError("window must be LO,HI")
     return (parse_frac(parts[0]), parse_frac(parts[1]))
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("JSON numbers must be finite, got %s" % text)
+    return value
 
 
 def _load_json(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        return json.load(handle, parse_float=_finite, parse_constant=_finite)
 
 
 def _load_convolution(path: str) -> ConvolutionSpec:
@@ -71,19 +86,50 @@ def _load_target(path: str):
 
 
 def _emit(ctx: click.Context, payload: dict) -> None:
+    """Write the payload to --json-out, then print it."""
     text = json.dumps(payload, sort_keys=True, indent=2)
-    click.echo(text)
     json_out = ctx.obj.get("json_out")
     if json_out:
         with open(json_out, "w") as handle:
             handle.write(text)
             handle.write("\n")
+    click.echo(text)
 
 
-def _emit_q_csv(ctx: click.Context, q_json: dict) -> None:
+def _emit_q_csv(ctx: click.Context, q_json: Optional[dict]) -> None:
+    """Write a Q report to --csv-out; a command without one writes none."""
     csv_out = ctx.obj.get("csv_out")
-    if csv_out:
-        write_q_csv(csv_out, q_json)
+    if csv_out and q_json:
+        with open(csv_out, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["xi", "q_value", "radius", "depth"])
+            for xi, q, r in zip(q_json["grid"], q_json["q_values"],
+                                q_json["radii"]):
+                writer.writerow([repr(xi), repr(q), repr(r), q_json["depth"]])
+
+
+def _fail(ctx: click.Context, kind: str, exc: Exception, code: int) -> None:
+    if isinstance(exc, OSError) and exc.filename == ctx.obj.get("json_out"):
+        ctx.obj["json_out"] = None  # that file is what failed: print only
+    _emit(ctx, {"error": kind, "detail": str(exc)})
+    ctx.exit(code)
+
+
+class _ErrorDocumentGroup(click.Group):
+    """The top-level group: every library input error leaves through here.
+
+    RuntimeError is not caught, because click's own Exit is one.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except DepthLimitError as exc:
+            _fail(ctx, "depth-limit", exc, 3)
+        except IrrationalZeroPresent as exc:
+            _fail(ctx, "irrational-zeros", exc, 3)
+        except (ValueError, KeyError, TypeError, OSError) as exc:
+            _fail(ctx, "bad-input", exc, 2)
 
 
 def _budget(ctx: click.Context, **overrides) -> VerdictBudget:
@@ -96,7 +142,7 @@ def _budget(ctx: click.Context, **overrides) -> VerdictBudget:
     return VerdictBudget(**base)
 
 
-@click.group()
+@click.group(cls=_ErrorDocumentGroup)
 @click.option("--json-out", type=click.Path(), default=None,
               help="also write the JSON payload to this file")
 @click.option("--csv-out", type=click.Path(), default=None,
@@ -181,12 +227,7 @@ def mask_zeros(ctx, digits):
 @click.pass_context
 def mask_window(ctx, specfile, start, halfwidth):
     spec = _load_convolution(specfile)
-    try:
-        zeros = zero_set_window(spec, start, parse_frac(halfwidth))
-    except IrrationalZeroPresent as exc:
-        _emit(ctx, {"error": "irrational-zeros", "detail": str(exc)})
-        ctx.exit(3)
-        return
+    zeros = zero_set_window(spec, start, parse_frac(halfwidth))
     _emit(ctx, {
         "start": start,
         "halfwidth": halfwidth,
@@ -267,8 +308,8 @@ def q_command(ctx, specfile, depth, grid_size, tol, budget_atoms):
     budget = _budget(ctx, grid=grid_size, tol=tol, budget_atoms=budget_atoms,
                      depth=ctx.obj["budget_depth"] if depth is None else depth)
     payload = budget_q_partial(_load_convolution(specfile), budget).to_json()
-    _emit(ctx, payload)
     _emit_q_csv(ctx, payload)
+    _emit(ctx, payload)
 
 
 @main.command("iz")
@@ -291,9 +332,9 @@ def verdict_command(ctx, specfile, no_q, window):
     target = _load_target(specfile)
     budget = _budget(ctx, run_q=not no_q, window=_parse_window(window))
     report = spectral_verdict(target, budget)
-    _emit(ctx, report.to_json())
-    if report.q_report is not None:
-        _emit_q_csv(ctx, report.q_report.to_json())
+    payload = report.to_json()
+    _emit_q_csv(ctx, payload.get("q_report"))
+    _emit(ctx, payload)
     if report.verdict == "Inconclusive":
         ctx.exit(3)
 
@@ -316,12 +357,9 @@ def mc_command(ctx, specfile, trials, length, probs, pattern):
     else:
         probs = tuple(parse_frac(p) for p in probs.split(","))
     pattern_letters = _parse_ints(pattern) if pattern else None
-    try:
-        summary = monte_carlo_spectrality(alphabet, probs, trials, length,
-                                          seed=ctx.obj["seed"],
-                                          pattern=pattern_letters)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    summary = monte_carlo_spectrality(alphabet, probs, trials, length,
+                                      seed=ctx.obj["seed"],
+                                      pattern=pattern_letters)
     _emit(ctx, summary.to_json())
 
 
@@ -332,10 +370,9 @@ def mc_command(ctx, specfile, trials, length, probs, pattern):
 @click.pass_context
 def example_command(ctx, example_id, no_q, window):
     budget = _budget(ctx, run_q=not no_q, window=_parse_window(window))
-    payload, code = run_example(example_id, budget,
-                                json_out=ctx.obj.get("json_out"),
-                                csv_out=ctx.obj.get("csv_out"))
-    click.echo(json.dumps(payload, sort_keys=True, indent=2))
+    payload, code = run_example(example_id, budget)
+    _emit_q_csv(ctx, payload.get("q_report"))
+    _emit(ctx, payload)
     ctx.exit(code)
 
 

@@ -18,18 +18,19 @@ from __future__ import annotations
 
 import os
 import threading
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from math import gcd
 from typing import Iterator, Optional, Union
 
 from .hadamard import AdmissiblePair
 from .mask import (
-    IrrationalZeroPresent,
     eval_mask,
     mask_zero_set,
+    rational_zeros,
     window_zeros,
 )
 from .measures import (
@@ -52,6 +53,9 @@ _PERIODIC_ONE = PeriodicTail((1,))
 
 DEFAULT_MAX_DEPTH = 4096
 
+# levels that tail_sum_interval encloses exactly before the geometric bound
+_TAIL_TERMS = 48
+
 # serializes the extension of every spec's cached prefix products
 _PREFIX_LOCK = threading.Lock()
 
@@ -62,19 +66,15 @@ class DepthLimitError(RuntimeError):
     def __init__(self, needed: int, cap: int):
         super().__init__(
             "evaluation needs about %d levels but the cap is %d "
-            "(raise SPECTRAL_MAX_DEPTH or pass a larger max_depth)" % (needed, cap)
+            "(raise SPECTRAL_MAX_DEPTH)" % (needed, cap)
         )
         self.needed = needed
         self.cap = cap
 
 
-def depth_cap(explicit: Optional[int] = None) -> int:
-    """Effective truncation-depth cap: explicit argument, else the
-    SPECTRAL_MAX_DEPTH environment variable, else the default."""
-    if explicit is not None:
-        if not isinstance(explicit, int) or explicit < 1:
-            raise ValueError("depth cap must be a positive integer")
-        return explicit
+def depth_cap() -> int:
+    """Effective truncation-depth cap: the SPECTRAL_MAX_DEPTH environment
+    variable, else the default."""
     raw = os.environ.get("SPECTRAL_MAX_DEPTH")
     if raw is None:
         return DEFAULT_MAX_DEPTH
@@ -256,6 +256,8 @@ def exponents_from_json(data: Optional[dict]) -> ExponentRule:
         return PeriodicExponents(tuple(int(v) for v in data["periodic"]))
     if "unbounded" in data:
         u = data["unbounded"] or {}
+        if not isinstance(u, dict):
+            raise ValueError("unbounded exponent rule must be a JSON object")
         return UnboundedExponents(int(u.get("offset", 1)), int(u.get("shift", 0)))
     raise ValueError(f"unknown exponent rule: {sorted(data)}")
 
@@ -349,17 +351,15 @@ class ConvolutionSpec:
         h = self.support_halfwidth()
         return -h, h
 
-    def tail_sum_interval(self, terms: int = 48) -> tuple[Fraction, Fraction]:
+    def tail_sum_interval(self) -> tuple[Fraction, Fraction]:
         """Exact interval containing the support of this spec's measure.
 
-        The first `terms` levels contribute their exact signed min/max;
+        The first _TAIL_TERMS levels contribute their exact signed min/max;
         the remainder is enclosed by the geometric worst case.  One-sided
         structure survives: a spec with nonnegative digits and positive
         scales gets a lower endpoint below 0 only by the (tiny) remainder
         term of the last enclosed level.
         """
-        if terms < 1:
-            raise ValueError("need at least one enclosed level")
         lo = hi = Fraction(0)
         c = 1
         for k, (c, digits) in enumerate(self.levels(), start=1):
@@ -370,7 +370,7 @@ class ConvolutionSpec:
             else:
                 lo += Fraction(dhi, c)
                 hi += Fraction(dlo, c)
-            if k >= terms:
+            if k >= _TAIL_TERMS:
                 break
         geo = Fraction(1, abs(c) * (self.min_level_scale() - 1))
         if all(pair.scale > 0 for pair in self.alphabet):
@@ -385,11 +385,11 @@ class ConvolutionSpec:
 
     # -- truncation
 
-    def truncate(self, q: int, max_depth: Optional[int] = None) -> AtomicMeasure:
+    def truncate(self, q: int) -> AtomicMeasure:
         """Exact atomic measure of the first q convolution levels."""
         if q < 0:
             raise ValueError("truncation depth must be nonnegative")
-        cap = depth_cap(max_depth)
+        cap = depth_cap()
         if q > cap:
             raise DepthLimitError(q, cap)
         m = AtomicMeasure.point(0)
@@ -399,9 +399,7 @@ class ConvolutionSpec:
             m = convolve(m, AtomicMeasure.uniform(Fraction(b, c) for b in digits))
         return m
 
-    def truncate_with_tail(
-        self, q: int, terms: int = 48, max_depth: Optional[int] = None
-    ) -> tuple[AtomicMeasure, tuple[Fraction, Fraction]]:
+    def truncate_with_tail(self, q: int) -> tuple[AtomicMeasure, tuple[Fraction, Fraction]]:
         """Depth-q truncation plus an exact enclosure of the dropped tail.
 
         The full measure is the truncation convolved with a measure
@@ -409,8 +407,8 @@ class ConvolutionSpec:
         returned atoms by the interval gives a closed cover of the
         support of the full measure.
         """
-        m = self.truncate(q, max_depth=max_depth)
-        nlo, nhi = self.tail(q).tail_sum_interval(terms)
+        m = self.truncate(q)
+        nlo, nhi = self.tail(q).tail_sum_interval()
         cq = self.cumulative_scale(q)
         if cq > 0:
             return m, (nlo / cq, nhi / cq)
@@ -424,18 +422,13 @@ class ConvolutionSpec:
 
         With require_complete, a letter whose mask has zeros off the
         rational grid raises, because window enumerations built on the
-        bound would otherwise be silently incomplete.
+        bound would otherwise be silently incomplete.  The bound itself is
+        computed once per alphabet.
         """
-        gap: Optional[Fraction] = None
-        for pair in self.alphabet:
-            mz = mask_zero_set(pair.digits)
-            if mz.irrational is not None and require_complete:
-                raise IrrationalZeroPresent(pair.digits, mz.irrational.angles)
-            if not mz.rational.phases:
-                continue
-            g = mz.rational.min_abs_nonzero()
-            gap = g if gap is None else min(gap, g)
-        return gap
+        if require_complete:
+            for pair in self.alphabet:
+                rational_zeros(pair.digits)
+        return _alphabet_zero_gap(self.alphabet)
 
     def transform_zero_at(self, xi: Rational) -> bool:
         """Exact test for a zero of the transform at a rational point.
@@ -462,9 +455,7 @@ class ConvolutionSpec:
                 return True
         raise AssertionError("unreachable: cumulative scales diverge")
 
-    def ft_infinite(
-        self, xi, tol: float = 1e-9, max_depth: Optional[int] = None
-    ) -> ComplexInterval:
+    def ft_infinite(self, xi, tol: float = 1e-9) -> ComplexInterval:
         """Transform value with a certified radius at most tol.
 
         Strategy: detect an exact zero first (radius 0); otherwise pick
@@ -481,7 +472,7 @@ class ConvolutionSpec:
             return ComplexInterval(complex(1), 0.0)
         if self.transform_zero_at(x):
             return ComplexInterval(complex(0), 0.0)
-        cap = depth_cap(max_depth)
+        cap = depth_cap()
         ax = abs(x)
         smin = self.min_level_scale()
         maxb = self.max_abs_digit()
@@ -527,9 +518,13 @@ class ConvolutionSpec:
         return cls(alphabet, word, exponents_from_json(data.get("exponents")))
 
 
-def zero_set_window(
-    spec: ConvolutionSpec, n: int, h: Rational, max_levels: int = 10_000
-) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def _alphabet_zero_gap(alphabet: tuple[AdmissiblePair, ...]) -> Optional[Fraction]:
+    zero_sets = (mask_zero_set(pair.digits).rational for pair in alphabet)
+    return min((zs.min_abs_nonzero() for zs in zero_sets if zs.phases), default=None)
+
+
+def zero_set_window(spec: ConvolutionSpec, n: int, h: Rational) -> list[Fraction]:
     """All zeros of the restarted tail's transform in [-h, h], exactly.
 
     The tail after level n has transform equal to the product of masks at
@@ -549,7 +544,7 @@ def zero_set_window(
     gap = tail.min_zero_gap(require_complete=True)
     if gap is None:
         return []
-    return window_zeros(tail.levels(), -h, h, min_zero_gap=gap, max_levels=max_levels)
+    return window_zeros(tail.levels(), -h, h, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -736,21 +731,14 @@ def overlap_mass(spec: ConvolutionSpec, j: int, depth: int) -> Fraction:
     if j == 0:
         raise ValueError("overlap with the zero translate is all of the mass")
     m, (tlo, thi) = spec.truncate_with_tail(depth)
-    jf = Fraction(j)
-    # merge the translated cover into disjoint closed spans
-    spans: list[tuple[Fraction, Fraction]] = []
-    for x, _ in m.atoms:
-        lo, hi = x + tlo + jf, x + thi + jf
-        if spans and lo <= spans[-1][1]:
-            spans[-1] = (spans[-1][0], max(spans[-1][1], hi))
-        else:
-            spans.append((lo, hi))
-    starts = [s[0] for s in spans]
+    # all cover intervals have the same width, so atom x's interval meets
+    # the translated cover iff some atom y has |x - y - j| <= width
+    width = thi - tlo
+    positions = [x for x, _ in m.atoms]
     total = Fraction(0)
     for x, w in m.atoms:
-        lo, hi = x + tlo, x + thi
-        idx = bisect_right(starts, hi)
-        if idx > 0 and spans[idx - 1][1] >= lo:
+        idx = bisect_left(positions, x - j - width)
+        if idx < len(positions) and positions[idx] <= x - j + width:
             total += w
     return total
 

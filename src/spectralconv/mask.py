@@ -274,8 +274,7 @@ def window_zeros(
     levels: Iterator[tuple[Fraction, tuple[int, ...]]],
     lo: Rational,
     hi: Rational,
-    min_zero_gap: Optional[Fraction] = None,
-    max_levels: int = 10_000,
+    min_zero_gap: Fraction,
 ) -> list[Fraction]:
     """Zeros in [lo, hi] of a product of masks taken at x / scale_k.
 
@@ -287,30 +286,18 @@ def window_zeros(
     alphabet.  `min_zero_gap` must be a positive lower bound on that
     distance valid for EVERY level, not just the ones already seen; once
     scale * min_zero_gap clears max(|lo|, |hi|), no later factor can
-    reach the window and enumeration stops.  A finite `levels` iterator
-    may omit the gap (exhaustion ends the scan); an infinite one without
-    a gap exhausts max_levels and raises.  Also raises if a digit set
-    has irrational mask zeros, since the rational window would then be
+    reach the window and enumeration stops.  Raises if a digit set has
+    irrational mask zeros, since the rational window would then be
     incomplete.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     reach = max(abs(lo), abs(hi))
     zeros: set[Fraction] = set()
-    prev_scale = Fraction(0)
-    count = 0
     for scale, digits in levels:
-        if count >= max_levels:
-            raise RuntimeError(
-                f"zero-set window did not stabilize within {max_levels} levels"
-            )
-        count += 1
         scale = abs(Fraction(scale))
-        if scale <= prev_scale:
-            raise ValueError("cumulative scales must be strictly increasing")
-        prev_scale = scale
         zs = rational_zeros(tuple(digits))
         if zs:
             zeros.update(zs.scaled(scale).members_in(lo, hi))
-        if min_zero_gap is not None and scale * min_zero_gap > reach:
+        if scale * min_zero_gap > reach:
             break
     return sorted(zeros)

@@ -39,7 +39,12 @@ def frac_mod1(x: Fraction) -> Fraction:
 
 
 def parse_frac(text: str) -> Fraction:
-    return Fraction(text.strip())
+    if not isinstance(text, str):
+        raise TypeError("expected a fraction string, got %r" % (text,))
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 def frac_str(x: Fraction) -> str:

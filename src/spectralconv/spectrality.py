@@ -42,6 +42,10 @@ _U = 2.0 ** -53
 # entries.
 _BLOCK_ENTRIES = 1 << 15
 
+# q_partial multiplies at most this many tail levels past depth n; the
+# radius stays certified when the tail bound has not reached tol/2 by then.
+_MAX_TAIL = 64
+
 # The residue-cover sieve gives up once the modulus |c_J| passes this cap,
 # which bounds its list of open residues.
 _COVER_MODULUS_CAP = 4096
@@ -148,8 +152,7 @@ class QReport:
 
 
 def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
-                     tol: float, budget_atoms: int,
-                     max_tail: int) -> tuple[np.ndarray, np.ndarray]:
+                     tol: float, budget_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """Certified Q_n enclosures (value, radius) for a block of grid points.
 
     Each branch carries its position y = (xi + lambda)/c_k, updated as
@@ -224,7 +227,7 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
     far = np.maximum(y.max(axis=1), -y.min(axis=1))
     rows = slice(None)
     m = n
-    while m < n + max_tail:
+    while m < n + _MAX_TAIL:
         reach = far[rows] + delta[rows]
         going = tail_c * reach * reach > tol / 2.0
         if not going.any():
@@ -266,7 +269,7 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
 
 def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
               tol: float = 1e-6, budget_atoms: int = 16384,
-              max_tail: int = 64, threads: Optional[int] = None) -> QReport:
+              threads: Optional[int] = None) -> QReport:
     """Q_n on a grid: certified enclosures q +- r of the completeness sum
 
         Q_n(xi) = sum over lambda in candidate_spectrum(spec, n) of
@@ -295,7 +298,7 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
                                     min(threads or 1, len(xs))))
 
     def run(block):
-        return _q_partial_block(spec, n, block, tol, budget_atoms, max_tail)
+        return _q_partial_block(spec, n, block, tol, budget_atoms)
 
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -171,6 +171,8 @@ class EnumerationTail(TailRule):
 
 
 def tail_from_json(data: dict) -> TailRule:
+    if not isinstance(data, dict):
+        raise ValueError("tail rule must be a JSON object")
     if "periodic" in data:
         return PeriodicTail(tuple(int(x) for x in data["periodic"]))
     if "bernoulli" in data:
@@ -235,6 +237,8 @@ class SymbolicWord:
 
     @classmethod
     def from_json(cls, data: dict) -> "SymbolicWord":
+        if not isinstance(data, dict):
+            raise ValueError("word must be a JSON object")
         return cls(tuple(int(x) for x in data.get("prefix", ())), tail_from_json(data["tail"]))
 
 

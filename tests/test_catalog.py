@@ -1,18 +1,20 @@
 """Bundled example runs: payload shapes, expectation matching, exit
-codes, and deterministic file output."""
+codes, and deterministic file output through `spectral example`."""
 
 import json
 
 import pytest
+from click.testing import CliRunner
 
-from spectralconv.catalog import (
-    EXIT_MATCH,
-    example_ids,
-    run_example,
-    write_json,
-    write_q_csv,
-)
+from spectralconv.catalog import EXIT_MATCH, example_ids, run_example
+from spectralconv.cli import main
 from spectralconv.spectrality import VerdictBudget
+
+
+def _example_run(*argv):
+    result = CliRunner().invoke(main, list(argv))
+    assert result.exit_code == EXIT_MATCH, result.output
+    return result.stdout
 
 
 def test_registered_ids_are_stable():
@@ -95,22 +97,20 @@ def test_grid_example_payload():
 
 
 def test_json_output_is_byte_deterministic(tmp_path):
-    payload, _ = run_example("example-7.1")
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    write_json(str(a), payload)
-    payload2, _ = run_example("example-7.1")
-    write_json(str(b), payload2)
+    stdout = _example_run("--json-out", str(a), "example", "example-7.1")
+    _example_run("--json-out", str(b), "example", "example-7.1")
     assert a.read_bytes() == b.read_bytes()
+    assert a.read_text() == stdout
     assert json.loads(a.read_text())["example"] == "example-7.1"
 
 
 def test_csv_output_is_byte_deterministic(tmp_path):
-    payload, _ = run_example("jorgensen-pedersen")
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    write_q_csv(str(a), payload["q_report"])
-    write_q_csv(str(b), payload["q_report"])
+    _example_run("--csv-out", str(a), "example", "jorgensen-pedersen")
+    _example_run("--csv-out", str(b), "example", "jorgensen-pedersen")
     assert a.read_bytes() == b.read_bytes()
     head = a.read_text().splitlines()[0]
     assert head == "xi,q_value,radius,depth"
@@ -122,10 +122,17 @@ def test_budget_can_skip_the_grid_run():
     assert payload.get("q_report") is None
 
 
-def test_run_example_writes_requested_files(tmp_path):
+def test_example_command_writes_requested_files(tmp_path):
     out_json = tmp_path / "payload.json"
     out_csv = tmp_path / "grid.csv"
-    payload, _ = run_example("jorgensen-pedersen",
-                             json_out=str(out_json), csv_out=str(out_csv))
+    _example_run("--json-out", str(out_json), "--csv-out", str(out_csv),
+                 "example", "jorgensen-pedersen")
     assert json.loads(out_json.read_text())["example"] == "jorgensen-pedersen"
     assert out_csv.read_text().startswith("xi,q_value,radius,depth")
+
+
+def test_example_without_a_grid_writes_no_csv(tmp_path):
+    out_csv = tmp_path / "grid.csv"
+    _example_run("--csv-out", str(out_csv), "example", "jorgensen-pedersen",
+                 "--no-q")
+    assert not out_csv.exists()

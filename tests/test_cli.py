@@ -9,7 +9,11 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from spectralconv.catalog import mixed_word_spec, scale4_spec
+from spectralconv.catalog import (
+    insertion_target_five_sixths,
+    mixed_word_spec,
+    scale4_spec,
+)
 import spectralconv
 from spectralconv.cli import main, validate_spec
 
@@ -277,6 +281,74 @@ def test_validate_rejects_alien_word_letters():
     assert normalized is None
     assert diagnostics[0]["pair"] == "word"
     assert "outside 1..1" in diagnostics[0]["reason"]
+
+
+# Malformed inputs: (argv, environment, error kind, exit code).  "{jp}"
+# and "{ins}" stand for the jorgensen-pedersen and example-7.1 spec files,
+# "{broken}" for a file holding "{bad" and "{nx}" for a pair with n "x".
+MALFORMED = [
+    ("conv ft {jp} abc", {}, "bad-input", 2),
+    ("q {jp} --depth 0", {}, "bad-input", 2),
+    ("conv truncate {jp} --depth 5000", {}, "depth-limit", 3),
+    ("iz {ins}", {}, "bad-input", 2),
+    ("verdict {broken}", {}, "bad-input", 2),
+    ("verdict {nx}", {}, "bad-input", 2),
+    ("verdict {jp} --window 1,x", {}, "bad-input", 2),
+    ("conv density {jp}", {}, "bad-input", 2),
+    ("conv overlap {jp} 0", {}, "bad-input", 2),
+    ("hadamard search 100 0,1", {}, "bad-input", 2),
+    ("mask zeros 0,0", {}, "bad-input", 2),
+    ("conv truncate {jp}", {"SPECTRAL_MAX_DEPTH": "x"}, "bad-input", 2),
+    ("mc {jp} --pattern 0", {}, "bad-input", 2),
+]
+
+
+@pytest.mark.parametrize("command,env,kind,code", MALFORMED,
+                         ids=[c for c, _, _, _ in MALFORMED])
+def test_malformed_input_gets_one_json_error(runner, jp_file, tmp_path,
+                                             command, env, kind, code):
+    files = {"jp": jp_file}
+    for name, text in (
+            ("ins", json.dumps(insertion_target_five_sixths().to_json())),
+            ("broken", "{bad"),
+            ("nx", json.dumps({"alphabet": [{"n": "x", "b": [0, 1]}]}))):
+        path = tmp_path / (name + ".json")
+        path.write_text(text)
+        files[name] = str(path)
+    result = runner.invoke(main, command.format(**files).split(), env=env)
+    assert result.exit_code == code, result.output
+    assert result.stderr == ""
+    payload = json.loads(result.stdout)
+    assert sorted(payload) == ["detail", "error"]
+    assert payload["error"] == kind
+
+
+def test_depth_limit_detail_names_the_setting(runner, jp_file):
+    result = runner.invoke(main, ["conv", "truncate", jp_file,
+                                  "--depth", "5000"])
+    assert _payload(result)["detail"] == (
+        "evaluation needs about 5000 levels but the cap is 4096 "
+        "(raise SPECTRAL_MAX_DEPTH)")
+
+
+@pytest.mark.parametrize("option", ["--json-out", "--csv-out"])
+def test_unwritable_output_file_gets_one_json_error(runner, jp_file,
+                                                    tmp_path, option):
+    missing = str(tmp_path / "no-such-dir" / "out")
+    result = runner.invoke(main, [option, missing, "q", jp_file,
+                                  "--depth", "2", "--grid-size", "2"])
+    assert result.exit_code == 2
+    payload = json.loads(result.stdout)
+    assert payload["error"] == "bad-input"
+    assert missing in payload["detail"]
+
+
+def test_click_argument_errors_keep_the_usage_message(runner, jp_file):
+    result = runner.invoke(main, ["conv", "truncate", jp_file,
+                                  "--depth", "many"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Usage: " in result.stderr
 
 
 # SHA-256 of stdout for commands whose output holds no float, pinned so a

@@ -84,7 +84,6 @@ def test_exponent_json_roundtrip():
 def test_depth_cap_default_and_override(monkeypatch):
     monkeypatch.delenv("SPECTRAL_MAX_DEPTH", raising=False)
     assert depth_cap() == 4096
-    assert depth_cap(17) == 17
     monkeypatch.setenv("SPECTRAL_MAX_DEPTH", "16")
     assert depth_cap() == 16
 
@@ -231,6 +230,30 @@ def test_exact_zero_decisions(jp):
 def test_minimum_zero_gap(jp, mixed17):
     assert jp.min_zero_gap() == Fraction(1, 4)
     assert mixed17.min_zero_gap() == Fraction(1, 6)
+
+
+def test_translate_walk_computes_each_letter_gap_once(monkeypatch):
+    from spectralconv import convolution
+    from spectralconv.mask import RationalZeroSet
+    from spectralconv.spectrality import iz_weak_limit
+
+    spec = ConvolutionSpec.from_json({
+        "alphabet": [{"n": 2, "b": [0, 1]}, {"n": 2, "b": [0, 9]},
+                     {"n": 2, "b": [0, 15]}],
+        "word": {"prefix": [], "tail": {"periodic": [2, 3]}}})
+    gaps = []
+    original = RationalZeroSet.min_abs_nonzero
+
+    def counted(zeros):
+        gaps.append(zeros)
+        return original(zeros)
+
+    convolution._alphabet_zero_gap.cache_clear()
+    monkeypatch.setattr(RationalZeroSet, "min_abs_nonzero", counted)
+    verdict = iz_weak_limit(spec, horizon=64)
+    # candidates 1/3 and 2/3 survive all 2 x 64 translates
+    assert verdict.kind == "empty-up-to-horizon"
+    assert len(gaps) == 3
 
 
 def test_zero_window_of_the_quarter_spec(jp):
