@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import os
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd
+from math import floor, gcd
 from typing import Iterator, Optional, Union
 
 from .hadamard import AdmissiblePair
@@ -38,13 +38,12 @@ from .measures import (
     AffineMap,
     AtomicMeasure,
     ComplexInterval,
-    convolve,
     frac_str,
     mixture,
     parse_frac,
     pushforward,
 )
-from .words import PeriodicTail, SymbolicWord
+from .words import EnumerationTail, PeriodicTail, SymbolicWord
 
 Rational = Union[int, Fraction]
 
@@ -286,6 +285,8 @@ class ConvolutionSpec:
         if not isinstance(self.exponents, ExponentRule):
             raise TypeError("exponents must be an ExponentRule")
         m = len(self.alphabet)
+        if isinstance(self.word.tail, EnumerationTail) and self.word.tail.m > m:
+            raise ValueError(f"word enumerates more letters than the alphabet's {m}")
         bad = [l for l in self.word.occurring_letters() if not 1 <= l <= m]
         if bad:
             raise ValueError(f"word uses letters {sorted(bad)} outside 1..{m}")
@@ -361,15 +362,9 @@ class ConvolutionSpec:
         term of the last enclosed level.
         """
         lo = hi = Fraction(0)
-        c = 1
         for k, (c, digits) in enumerate(self.levels(), start=1):
-            dlo, dhi = min(digits), max(digits)
-            if c > 0:
-                lo += Fraction(dlo, c)
-                hi += Fraction(dhi, c)
-            else:
-                lo += Fraction(dhi, c)
-                hi += Fraction(dlo, c)
+            dlo, dhi = sorted((Fraction(min(digits), c), Fraction(max(digits), c)))
+            lo, hi = lo + dlo, hi + dhi
             if k >= _TAIL_TERMS:
                 break
         geo = Fraction(1, abs(c) * (self.min_level_scale() - 1))
@@ -392,12 +387,17 @@ class ConvolutionSpec:
         cap = depth_cap()
         if q > cap:
             raise DepthLimitError(q, cap)
-        m = AtomicMeasure.point(0)
-        for k, (c, digits) in enumerate(self.levels(), start=1):
-            if k > q:
-                break
-            m = convolve(m, AtomicMeasure.uniform(Fraction(b, c) for b in digits))
-        return m
+        # numerators over |c_k|: N_k = N_{k-1} * |c_k / c_{k-1}| + sign(c_k) * b
+        acc, den = {0: 1}, 1
+        for _, (c, digits) in zip(range(q), self.levels()):
+            step, den, nxt = abs(c) // den, abs(c), {}
+            signed = digits if c > 0 else [-b for b in digits]
+            for n, w in acc.items():
+                base = n * step
+                for b in signed:
+                    nxt[base + b] = nxt.get(base + b, 0) + w
+            acc = nxt
+        return AtomicMeasure.from_lattice(den, acc)
 
     def truncate_with_tail(self, q: int) -> tuple[AtomicMeasure, tuple[Fraction, Fraction]]:
         """Depth-q truncation plus an exact enclosure of the dropped tail.
@@ -410,9 +410,7 @@ class ConvolutionSpec:
         m = self.truncate(q)
         nlo, nhi = self.tail(q).tail_sum_interval()
         cq = self.cumulative_scale(q)
-        if cq > 0:
-            return m, (nlo / cq, nhi / cq)
-        return m, (nhi / cq, nlo / cq)
+        return m, tuple(sorted((nlo / cq, nhi / cq)))
 
     # -- transform
 
@@ -732,15 +730,12 @@ def overlap_mass(spec: ConvolutionSpec, j: int, depth: int) -> Fraction:
         raise ValueError("overlap with the zero translate is all of the mass")
     m, (tlo, thi) = spec.truncate_with_tail(depth)
     # all cover intervals have the same width, so atom x's interval meets
-    # the translated cover iff some atom y has |x - y - j| <= width
-    width = thi - tlo
-    positions = [x for x, _ in m.atoms]
-    total = Fraction(0)
-    for x, w in m.atoms:
-        idx = bisect_left(positions, x - j - width)
-        if idx < len(positions) and positions[idx] <= x - j + width:
-            total += w
-    return total
+    # the translated cover iff some atom y has |x - y - j| <= width, that
+    # is |N_x - N_y - j*D| <= floor(width*D) for numerators N over D
+    reach, shift, nums = floor((thi - tlo) * m.den), j * m.den, m.nums
+    total = sum(w for n, w in zip(nums, m.weights)
+                if bisect_left(nums, n - shift - reach) < bisect_right(nums, n - shift + reach))
+    return Fraction(total, m.total)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,26 @@
 """Exact atomic measures and their Fourier transforms.
 
-Atom positions and weights are fractions.Fraction throughout.  Every family
-handled by this package has rational atoms, and decisions about collisions,
-zeros and periodicity are only sound when made exactly.  Floating point
-enters once per Fourier evaluation: for a rational frequency the phase
-xi*x is reduced modulo 1 in rational arithmetic first, atoms sharing a
-reduced phase are merged exactly, and only then is a complex exponential
-taken in double precision.  Quarter phases (0, 1/4, 1/2, 3/4) are emitted
-as exact unit values, which makes the classic two-digit cancellations
-bit-exact.
+A measure is kept on an integer lattice: positions are integer numerators
+over one common denominator and weights are integers over their total, so
+convolution, mixture and affine image are one exact merge of equal keys.
+Every family handled by this package has rational atoms, and decisions
+about collisions, zeros and periodicity are only sound when made exactly.
+Floating point enters once per Fourier evaluation: for a rational
+frequency the phase xi*x is reduced modulo 1 in exact arithmetic first,
+atoms sharing a reduced phase are merged exactly, and only then is a
+complex exponential taken in double precision.  Quarter phases (0, 1/4,
+1/2, 3/4) are emitted as exact unit values, which makes the classic
+two-digit cancellations bit-exact.
 """
 
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import lt
 from typing import Iterable, Sequence, Union
 
 Xi = Union[int, float, Fraction]
@@ -49,10 +54,12 @@ def parse_frac(text: str) -> Fraction:
 
 def frac_str(x: Fraction) -> str:
     """Canonical "num/den" form, denominator omitted when it is 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _ratio_str(*Fraction(x).as_integer_ratio())
+
+
+def _ratio_str(n: int, d: int) -> str:  # frac_str(n / d) for d > 0, with one gcd
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def phase_unit(theta: Fraction) -> complex:
@@ -91,87 +98,100 @@ class AffineMap:
         if self.a == 0:
             raise ValueError("affine map must have a != 0")
 
-    def __call__(self, x: Fraction) -> Fraction:
-        return self.a * x + self.b
-
 
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finitely supported probability measure with rational atoms.
 
-    `atoms` is sorted by position; weights are positive and sum to 1
-    exactly.  Equality is therefore bit-exact structural equality.
+    Atom i sits at nums[i] / den with weight weights[i] / total: sorted
+    distinct numerators, positive weights summing to total, den and total
+    minimal, so equality is bit-exact structural equality.  `atoms` is the
+    (position, weight) Fraction view.
     """
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    den: int
+    nums: tuple[int, ...]
+    weights: tuple[int, ...]
+    total: int
 
     def __post_init__(self):
-        total = Fraction(0)
-        prev = None
-        for x, w in self.atoms:
-            if w <= 0:
-                raise ValueError(f"weight at {x} must be positive")
-            if prev is not None and x <= prev:
-                raise ValueError("atoms must be sorted with distinct positions")
-            prev = x
-            total += w
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, expected 1")
+        nums, weights = self.nums, self.weights
+        if weights and min(weights) <= 0:
+            x = Fraction(nums[[w > 0 for w in weights].index(False)], self.den)
+            raise ValueError(f"weight at {x} must be positive")
+        if len(weights) != len(nums) or sum(weights) != self.total:
+            raise ValueError(f"weights sum to {Fraction(sum(weights), self.total)}, expected 1")
+        if not (self.den > 0 and gcd(self.den, *nums) == gcd(*weights) == 1
+                and all(map(lt, nums, nums[1:]))):
+            raise ValueError("atoms need sorted distinct positions over minimal denominators")
+
+    @classmethod
+    def from_lattice(cls, den: int, acc: dict[int, int]) -> "AtomicMeasure":
+        """Mass proportional to acc[n] at each n / den, for den > 0."""
+        nums = sorted(acc)
+        weights = [acc[n] for n in nums]
+        g, gw = gcd(den, *nums), gcd(*weights)
+        return cls(den // g, tuple(n // g for n in nums),
+                   tuple(w // gw for w in weights), sum(weights) // gw)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Xi, Xi]]) -> "AtomicMeasure":
         merged: dict[Fraction, Fraction] = {}
         for x, w in pairs:
             merged[Fraction(x)] = merged.get(Fraction(x), Fraction(0)) + Fraction(w)
-        return cls(tuple(sorted((x, w) for x, w in merged.items() if w != 0)))
+        atoms = sorted(merged.items())
+        den = lcm(*(x.denominator for x, _ in atoms))
+        total = lcm(*(w.denominator for _, w in atoms))
+        return cls(den, tuple(int(x * den) for x, _ in atoms),
+                   tuple(int(w * total) for _, w in atoms), total)
 
     @classmethod
     def uniform(cls, points: Iterable[Xi]) -> "AtomicMeasure":
         pts = [Fraction(p) for p in points]
         if len(set(pts)) != len(pts):
             raise ValueError("uniform measure needs distinct points")
-        w = Fraction(1, len(pts))
-        return cls(tuple(sorted((p, w) for p in pts)))
+        return cls.from_pairs((p, Fraction(1, len(pts))) for p in pts)
 
     @classmethod
     def point(cls, x: Xi) -> "AtomicMeasure":
-        return cls(((Fraction(x), Fraction(1)),))
+        return cls.from_pairs(((x, 1),))
+
+    @property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(zip(self.positions(), (Fraction(w, self.total) for w in self.weights)))
 
     def positions(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.atoms)
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def support_min(self) -> Fraction:
-        return self.atoms[0][0]
+        return Fraction(self.nums[0], self.den)
 
     def support_max(self) -> Fraction:
-        return self.atoms[-1][0]
+        return Fraction(self.nums[-1], self.den)
 
     def mass_in(self, lo: Fraction, hi: Fraction, open_interval: bool = True) -> Fraction:
         """Total weight of atoms inside the interval (lo, hi) (or [lo, hi])."""
-        total = Fraction(0)
-        for x, w in self.atoms:
-            if open_interval:
-                if lo < x < hi:
-                    total += w
-            else:
-                if lo <= x <= hi:
-                    total += w
-        return total
+        left, right = (bisect_right, bisect_left) if open_interval else (bisect_left, bisect_right)
+        inside = self.weights[left(self.nums, lo * self.den):right(self.nums, hi * self.den)]
+        return Fraction(sum(inside), self.total)
 
     def ft(self, xi: Union[int, Fraction]) -> complex:
         """Fourier transform sum_j w_j exp(-2*pi*i*xi*x_j)."""
         xi = Fraction(xi)
-        groups: dict[Fraction, Fraction] = {}
-        for x, w in self.atoms:
-            theta = frac_mod1(xi * x)
-            groups[theta] = groups.get(theta, Fraction(0)) + w
-        return sum(float(w) * phase_unit(theta) for theta, w in groups.items())
+        period = xi.denominator * self.den
+        groups: dict[int, int] = {}  # period * frac(xi*x) -> weight
+        for n, w in zip(self.nums, self.weights):
+            theta = xi.numerator * n % period
+            groups[theta] = groups.get(theta, 0) + w
+        return sum(w / self.total * phase_unit(Fraction(theta, period))
+                   for theta, w in groups.items())
 
     def ft_interval(self, xi: Union[int, Fraction]) -> ComplexInterval:
-        return ComplexInterval(self.ft(xi), (len(self.atoms) + 2) * 1e-15)
+        return ComplexInterval(self.ft(xi), (len(self.nums) + 2) * 1e-15)
 
     def to_json(self) -> list[dict]:
-        return [{"x": frac_str(x), "w": frac_str(w)} for x, w in self.atoms]
+        return [{"x": _ratio_str(n, self.den), "w": _ratio_str(w, self.total)}
+                for n, w in zip(self.nums, self.weights)]
 
     @classmethod
     def from_json(cls, data: Sequence[dict]) -> "AtomicMeasure":
@@ -180,29 +200,34 @@ class AtomicMeasure:
 
 def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
     """Convolution: atoms at pairwise sums, colliding weights merged exactly."""
-    out: dict[Fraction, Fraction] = {}
-    for x1, w1 in m1.atoms:
-        for x2, w2 in m2.atoms:
-            s = x1 + x2
-            out[s] = out.get(s, Fraction(0)) + w1 * w2
-    return AtomicMeasure(tuple(sorted(out.items())))
+    den = lcm(m1.den, m2.den)
+    right = [(n * (den // m2.den), w) for n, w in zip(m2.nums, m2.weights)]
+    out: dict[int, int] = {}
+    for n1, w1 in zip(m1.nums, m1.weights):
+        base = n1 * (den // m1.den)
+        for n2, w2 in right:
+            out[base + n2] = out.get(base + n2, 0) + w1 * w2
+    return AtomicMeasure.from_lattice(den, out)
 
 
 def pushforward(m: AtomicMeasure, t: AffineMap) -> AtomicMeasure:
-    return AtomicMeasure(tuple(sorted((t(x), w) for x, w in m.atoms)))
+    den = lcm(m.den * t.a.denominator, t.b.denominator)
+    a, b = int(t.a * den / m.den), int(t.b * den)  # x = n / m.den -> (a n + b) / den
+    return AtomicMeasure.from_lattice(den, {a * n + b: w for n, w in zip(m.nums, m.weights)})
 
 
 def mixture(components: Sequence[tuple[Xi, AtomicMeasure]]) -> AtomicMeasure:
     """Convex combination sum_i c_i * m_i with exact weights."""
-    out: dict[Fraction, Fraction] = {}
-    total = Fraction(0)
+    components = [(Fraction(c), m) for c, m in components]
+    if any(c <= 0 for c, _ in components):
+        raise ValueError("mixture weights must be positive")
+    if sum(c for c, _ in components) != 1:
+        raise ValueError(f"mixture weights sum to {sum(c for c, _ in components)}, expected 1")
+    den = lcm(*(m.den for _, m in components))
+    scale = lcm(*(c.denominator * m.total for c, m in components))
+    out: dict[int, int] = {}
     for c, m in components:
-        c = Fraction(c)
-        if c <= 0:
-            raise ValueError("mixture weights must be positive")
-        total += c
-        for x, w in m.atoms:
-            out[x] = out.get(x, Fraction(0)) + c * w
-    if total != 1:
-        raise ValueError(f"mixture weights sum to {total}, expected 1")
-    return AtomicMeasure(tuple(sorted(out.items())))
+        f, g = den // m.den, int(c * scale / m.total)
+        for n, w in zip(m.nums, m.weights):
+            out[n * f] = out.get(n * f, 0) + w * g
+    return AtomicMeasure.from_lattice(den, out)

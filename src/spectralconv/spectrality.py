@@ -356,27 +356,15 @@ def iz_finite(m: AtomicMeasure) -> IZVerdict:
     weighted support polynomial; leftover factors with roots on the unit
     circle would sit at irrational points and leave the answer open.
     """
-    D = 1
-    for x, _ in m.atoms:
-        D = D * Fraction(x).denominator // gcd(D, Fraction(x).denominator)
-    positions = [int(Fraction(x) * D) for x, _ in m.atoms]
-    pmin = min(positions)
-    wden = 1
-    for _, w in m.atoms:
-        wden = wden * w.denominator // gcd(wden, w.denominator)
-    coeffs = [0] * (max(positions) - pmin + 1)
-    for (x, w), pos in zip(m.atoms, positions):
-        coeffs[pos - pmin] += int(w * wden)
+    D, pmin = m.den, m.nums[0]
+    coeffs = [0] * (m.nums[-1] - pmin + 1)
+    for n, w in zip(m.nums, m.weights):
+        coeffs[n - pmin] = w
     orders, residual = cyclotomic_orders(coeffs)
-    zeros: set[Fraction] = set()
-    for order in orders:
-        for j in range(1, order + 1):
-            if gcd(j, order) == 1:
-                zeros.add(Fraction(D * j, order) % D)
-    by_class: dict[Fraction, int] = {}
-    for z in zeros:
-        by_class[z % 1] = by_class.get(z % 1, 0) + 1
-    complete = sorted(f for f, count in by_class.items() if count == D)
+    # zeros in [0, D): D * j / order for the primitive order-th roots
+    zeros = {Fraction(D * j, order) % D for order in orders
+             for j in range(1, order + 1) if gcd(j, order) == 1}
+    complete = sorted(f for f in zeros if f < 1 and all(f + i in zeros for i in range(1, D)))
     if complete:
         witness = complete[0]
         return IZVerdict(
@@ -555,36 +543,27 @@ def translate_disjoint_window(approx: AtomicMeasure,
     translate of the window.  Boundary contact with an open translate
     does not block, which is what makes exactly-touching supports pass.
     """
-    a = Fraction(window[0])
-    b = Fraction(window[1])
+    a, b = Fraction(window[0]), Fraction(window[1])
     if not a < b:
         raise ValueError("window must be a nonempty open interval")
     lo_t, hi_t = Fraction(tail_interval[0]), Fraction(tail_interval[1])
     if lo_t > hi_t:
         raise ValueError("tail interval is inverted")
-    positions = approx.positions()
-    hull_lo = positions[0] + lo_t
-    hull_hi = positions[-1] + hi_t
-    k_lo = math.floor(hull_lo - b) + 1
-    k_hi = math.ceil(hull_hi - a) - 1
+    D, nums = approx.den, approx.nums
+    k_lo = math.floor(approx.support_min() + lo_t - b) + 1
+    k_hi = math.ceil(approx.support_max() + hi_t - a) - 1
     checked = []
     blocking: list[tuple[int, Fraction]] = []
     for k in range(k_lo, k_hi + 1):
         if k == 0:
             continue
         checked.append(k)
-        # atoms whose closed cover [x+lo_t, x+hi_t] meets (a+k, b+k)
-        left = bisect_right(positions, a + k - hi_t)
-        right = bisect_left(positions, b + k - lo_t)
-        for i in range(left, right):
-            x = positions[i]
-            if x + hi_t > a + k and x + lo_t < b + k:
-                if len(blocking) < 8:
-                    blocking.append((k, x))
-    mass = Fraction(0)
-    for x, w in approx.atoms:
-        if x + lo_t > a and x + hi_t < b:
-            mass += w
+        # atoms x = N / D whose closed cover [x+lo_t, x+hi_t] meets (a+k, b+k)
+        left = bisect_right(nums, (a + k - hi_t) * D)
+        right = min(bisect_left(nums, (b + k - lo_t) * D), left + 8 - len(blocking))
+        blocking.extend((k, Fraction(n, D)) for n in nums[left:right])
+    # atoms whose whole cover lies inside (a, b)
+    mass = approx.mass_in(a - lo_t, b - hi_t)
     if blocking:
         reason = ("support cover reaches translate(s) %s of the window"
                   % ", ".join(sorted({"%+d" % k for k, _ in blocking})))

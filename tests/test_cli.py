@@ -1,8 +1,10 @@
 """Command line surface: JSON payloads, exit codes, and file output."""
 
+import contextlib
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -285,7 +287,8 @@ def test_validate_rejects_alien_word_letters():
 
 # Malformed inputs: (argv, environment, error kind, exit code).  "{jp}"
 # and "{ins}" stand for the jorgensen-pedersen and example-7.1 spec files,
-# "{broken}" for a file holding "{bad" and "{nx}" for a pair with n "x".
+# "{broken}" for a file holding "{bad", "{nx}" for a pair with n "x", and
+# the other names for the spec files of MALFORMED_FILES below.
 MALFORMED = [
     ("conv ft {jp} abc", {}, "bad-input", 2),
     ("q {jp} --depth 0", {}, "bad-input", 2),
@@ -300,7 +303,48 @@ MALFORMED = [
     ("mask zeros 0,0", {}, "bad-input", 2),
     ("conv truncate {jp}", {"SPECTRAL_MAX_DEPTH": "x"}, "bad-input", 2),
     ("mc {jp} --pattern 0", {}, "bad-input", 2),
+    ("verdict {enum_1e300}", {}, "bad-input", 2),
+    ("verdict {enum_1e8}", {}, "bad-input", 2),
+    ("conv truncate {enum_1e8}", {}, "bad-input", 2),
+    ("iz {zero_weight}", {}, "bad-input", 2),
+    ("iz {negative_weight}", {}, "bad-input", 2),
+    ("iz {short_weights}", {}, "bad-input", 2),
+    ("iz {long_weights}", {}, "bad-input", 2),
+    ("iz {int_position}", {}, "bad-input", 2),
+    ("conv ft {zero_weight} 1/3", {}, "bad-input", 2),
 ]
+
+# A huge enumeration tail must be refused before its letters are listed,
+# and atom lists are checked for positive weights summing to 1 and for
+# string positions.
+MALFORMED_FILES = {
+    "enum_1e300": {"alphabet": [{"n": 4, "b": [0, 2]}],
+                   "word": {"tail": {"enumerate": 1e300}}},
+    "enum_1e8": {"alphabet": [{"n": 4, "b": [0, 2]}],
+                 "word": {"tail": {"enumerate": 10**8}}},
+    "zero_weight": [{"x": "0", "w": "0"}, {"x": "1", "w": "1"}],
+    "negative_weight": [{"x": "0", "w": "-1/2"}, {"x": "1", "w": "3/2"}],
+    "short_weights": [{"x": "0", "w": "1/2"}, {"x": "1/3", "w": "1/3"}],
+    "long_weights": [{"x": "0", "w": "1/2"}, {"x": "1/3", "w": "2/3"}],
+    "int_position": [{"x": 0, "w": "1/2"}, {"x": "1", "w": "1/2"}],
+}
+
+# seconds one malformed case may take before it counts as a hang
+MALFORMED_CASE_LIMIT_S = 10
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the test if the block runs longer than this."""
+    def expire(signum, frame):
+        raise TimeoutError("case took longer than %s s" % seconds)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("command,env,kind,code", MALFORMED,
@@ -311,11 +355,13 @@ def test_malformed_input_gets_one_json_error(runner, jp_file, tmp_path,
     for name, text in (
             ("ins", json.dumps(insertion_target_five_sixths().to_json())),
             ("broken", "{bad"),
-            ("nx", json.dumps({"alphabet": [{"n": "x", "b": [0, 1]}]}))):
+            ("nx", json.dumps({"alphabet": [{"n": "x", "b": [0, 1]}]})),
+            *((name, json.dumps(data)) for name, data in MALFORMED_FILES.items())):
         path = tmp_path / (name + ".json")
         path.write_text(text)
         files[name] = str(path)
-    result = runner.invoke(main, command.format(**files).split(), env=env)
+    with _time_limit(MALFORMED_CASE_LIMIT_S):
+        result = runner.invoke(main, command.format(**files).split(), env=env)
     assert result.exit_code == code, result.output
     assert result.stderr == ""
     payload = json.loads(result.stdout)

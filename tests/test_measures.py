@@ -161,3 +161,33 @@ def test_json_roundtrip(m):
 def test_from_pairs_rejects_nonpositive_weight():
     with pytest.raises(ValueError):
         AtomicMeasure.from_pairs([(Fraction(0), Fraction(0))])
+
+
+def test_lattice_form_is_minimal_and_canonical():
+    m = AtomicMeasure.from_pairs([(Fraction(1, 2), Fraction(1, 3)),
+                                  (Fraction(3, 2), Fraction(2, 3))])
+    assert (m.den, m.nums, m.weights, m.total) == (2, (1, 3), (1, 2), 3)
+    # the same measure built by a lattice merge over a larger denominator
+    assert AtomicMeasure.from_lattice(6, {9: 4, 3: 2}) == m
+    assert convolve(m, AtomicMeasure.point(0)) == m
+
+
+@pytest.mark.parametrize("den,nums,weights,total", [
+    (2, (0, 2), (1, 1), 2),    # denominator not minimal
+    (1, (0, 1), (2, 2), 4),    # weights share a factor
+    (1, (1, 0), (1, 1), 2),    # positions out of order
+    (1, (0, 0), (1, 1), 2),    # repeated position
+    (1, (0, 1), (1, 0), 1),    # zero weight
+    (1, (0, 1), (1, 1), 3),    # weights do not sum to the total
+    (0, (0,), (1,), 1),        # denominator not positive
+])
+def test_lattice_constructor_rejects_malformed_fields(den, nums, weights, total):
+    with pytest.raises(ValueError):
+        AtomicMeasure(den, nums, weights, total)
+
+
+def test_from_pairs_rejects_zero_and_unbalanced_weights():
+    with pytest.raises(ValueError, match="weight at 0 must be positive"):
+        AtomicMeasure.from_pairs([(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="weights sum to 5/6, expected 1"):
+        AtomicMeasure.from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 3))])

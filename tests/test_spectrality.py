@@ -149,8 +149,8 @@ def test_point_mass_never_vanishes():
 
 
 def test_unbalanced_two_atom_measure_never_vanishes():
-    m = AtomicMeasure(((Fraction(0), Fraction(1, 3)),
-                       (Fraction(1), Fraction(2, 3))))
+    m = AtomicMeasure.from_pairs(((Fraction(0), Fraction(1, 3)),
+                                  (Fraction(1), Fraction(2, 3))))
     assert iz_finite(m).kind == "empty-certified"
 
 
@@ -160,7 +160,7 @@ def test_non_cyclotomic_roots_leave_the_question_open():
     settled by rational phase checks alone."""
     w = [Fraction(8, 49), Fraction(8, 49), Fraction(17, 49),
          Fraction(8, 49), Fraction(8, 49)]
-    m = AtomicMeasure(tuple((Fraction(j, 5), w[j]) for j in range(5)))
+    m = AtomicMeasure.from_pairs((Fraction(j, 5), w[j]) for j in range(5))
     v = iz_finite(m)
     assert v.kind == "undecided"
     assert v.reason.startswith(
@@ -298,8 +298,8 @@ def test_tail_gcd_of_the_mixed_word(mixed17):
 # window certificates
 
 def _two_atom_approx():
-    return AtomicMeasure(((Fraction(0), Fraction(1, 3)),
-                          (Fraction(7, 10), Fraction(2, 3))))
+    return AtomicMeasure.from_pairs(((Fraction(0), Fraction(1, 3)),
+                                     (Fraction(7, 10), Fraction(2, 3))))
 
 
 def test_window_certificate_accepts_a_clear_window():
