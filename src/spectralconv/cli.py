@@ -29,7 +29,7 @@ from .convolution import (
     overlap_mass,
     zero_set_window,
 )
-from .hadamard import find_spectra, is_admissible, AdmissiblePair
+from .hadamard import find_spectra, first_spectrum, is_admissible, AdmissiblePair
 from .mask import IrrationalZeroPresent, mask_zero_set
 from .measures import AtomicMeasure, frac_str, parse_frac
 from .spectrality import (
@@ -194,16 +194,26 @@ def hadamard_check(ctx, scale, digits, spectrum):
 @click.argument("scale", type=int)
 @click.argument("digits")
 @click.option("--limit", type=int, default=64, show_default=True)
+@click.option("--max-results", type=int, default=None,
+              help="stop after this many spectra (default: all)")
 @click.pass_context
-def hadamard_search(ctx, scale, digits, limit):
+def hadamard_search(ctx, scale, digits, limit, max_results):
     digits = _parse_ints(digits)
-    spectra = find_spectra(scale, digits, limit)
-    _emit(ctx, {
+    if max_results is not None and max_results < 1:
+        raise ValueError("--max-results must be at least 1, got %d" % max_results)
+    # one spectrum past the cap tells whether the cap cut the list
+    spectra = find_spectra(scale, digits, limit,
+                           None if max_results is None else max_results + 1)
+    payload = {
         "scale": scale,
         "digits": list(digits),
-        "spectra": [list(s) for s in spectra],
+        "spectra": [list(s) for s in spectra[:max_results]],
         "admissible": bool(spectra),
-    })
+    }
+    if max_results is not None:
+        payload["max_results"] = max_results
+        payload["truncated"] = len(spectra) > max_results
+    _emit(ctx, payload)
 
 
 @main.group()
@@ -404,15 +414,15 @@ def validate_spec(data) -> tuple[Optional[dict], list[dict]]:
                 spectrum = tuple(int(l) for l in spectrum)
                 pair = AdmissiblePair(scale, digits, spectrum)
             else:
-                found = find_spectra(scale, digits)
-                if not found:
+                found = first_spectrum(scale, digits)
+                if found is None:
                     diagnostics.append({
                         "pair": index,
                         "reason": "not admissible: no integer spectrum "
                                   "exists for (%d, %s)"
                                   % (scale, list(digits))})
                     continue
-                pair = AdmissiblePair(scale, digits, found[0])
+                pair = AdmissiblePair(scale, digits, found)
         except ValueError as exc:
             diagnostics.append({"pair": index, "reason": str(exc)})
             continue

@@ -19,9 +19,8 @@ verdict.
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -216,45 +215,33 @@ def _poly_reverse(coeffs: Sequence[int]) -> list[int]:
     return trim(list(reversed(trim(coeffs))))
 
 
-def _content(coeffs: Sequence[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    return g or 1
+def _primitive(coeffs: Sequence[int]) -> list[int]:
+    """The polynomial divided by its content, the gcd of its coefficients."""
+    g = gcd(*coeffs) or 1
+    return [c // g for c in coeffs]
 
 
 def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive gcd in Z[x] via the subresultant-free rational Euclid."""
-    fa = [Fraction(c) for c in trim(a)]
-    fb = [Fraction(c) for c in trim(b)]
+    """Primitive gcd in Z[x] via the primitive pseudo-remainder sequence.
+
+    Each reduction step is rem <- lc(b)*rem - c*x^k*b over the integers,
+    followed by division by the content: no fraction appears, and the
+    coefficients do not grow exponentially along the sequence as they
+    would without that division.  The result has a positive leading
+    coefficient.
+    """
+    fa, fb = trim(a), trim(b)
     while fb:
-        # remainder of fa by fb over Q
-        rem = list(fa)
-        db = len(fb) - 1
-        lead = fb[-1]
-        while len(rem) - 1 >= db and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < db:
-                break
-            c = rem[-1] / lead
-            for j in range(db + 1):
-                rem[len(rem) - 1 - db + j] -= c * fb[j]
-            rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
+        rem = fa
+        while len(rem) >= len(fb):
+            c, k = rem[-1], len(rem) - len(fb)
+            rem = [fb[-1] * r for r in rem]
+            for j, bj in enumerate(fb):
+                rem[k + j] -= c * bj
+            rem = _primitive(trim(rem))
         fa, fb = fb, rem
-    if not fa:
-        return []
-    den = 1
-    for c in fa:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in fa]
-    cont = _content(ints)
-    ints = [c // cont for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    fa = _primitive(fa)
+    return [-c for c in fa] if fa and fa[-1] < 0 else fa
 
 
 def unit_circle_angles(coeffs: Sequence[int]) -> tuple[float, ...]:

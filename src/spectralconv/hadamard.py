@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -160,37 +161,56 @@ class AdmissiblePair:
         return cls(data["n"], tuple(data["b"]), tuple(data["l"]) if "l" in data else None)
 
 
-def find_spectra(scale: int, digits, limit: int = FIND_SPECTRA_SCALE_LIMIT) -> tuple:
-    """All spectra contained in {0, ..., |scale|-1} that contain 0.
+def _cliques(scale: int, digits, limit: int):
+    """Spectra of the pair inside {0, ..., |scale|-1} that contain 0,
+    in increasing order.
 
-    Every spectrum is congruent mod scale to one with entries in the
-    canonical residue range, and translating a spectrum by an integer
-    gives another spectrum, so this anchored list is a complete set of
-    representatives.  Enumeration walks cliques of the good-difference
-    graph and is refused for |scale| above ``limit``.
+    A clique of the good-difference graph grows from {0} by intersecting
+    the compatibility masks of its members, lowest candidate bit first,
+    so the cliques come out sorted without a sort.
     """
     n = abs(_validated_scale(scale))
     ds = _validated_digits(digits)
     if n > limit:
         raise ValueError("scale %r exceeds the enumeration limit %r" % (scale, limit))
     k = len(ds)
-    if k > n:
-        return ()
-    good = good_differences(scale, ds)
-    found = []
+    good = good_differences(n, ds)
+    compat = [sum(1 << w for w in range(n) if (w - v) % n in good) for v in range(n)]
 
-    def extend(clique, start):
-        if len(clique) == k:
-            found.append(tuple(clique))
-            return
-        for v in range(start, n):
-            if all((v - u) % n in good for u in clique):
-                clique.append(v)
-                extend(clique, v + 1)
-                clique.pop()
+    def walk(clique, cand):
+        # stop once too few candidates are left to fill the clique
+        while cand.bit_count() >= k - len(clique):
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            if len(clique) == k - 1:
+                yield clique + (v,)
+            else:
+                yield from walk(clique + (v,), cand & compat[v])
 
-    extend([0], 1)
-    return tuple(sorted(found))
+    yield from walk((0,), compat[0])
+
+
+def find_spectra(scale: int, digits, limit: int = FIND_SPECTRA_SCALE_LIMIT,
+                 max_results: Optional[int] = None) -> tuple:
+    """All spectra contained in {0, ..., |scale|-1} that contain 0.
+
+    Every spectrum is congruent mod scale to one with entries in the
+    canonical residue range, and translating a spectrum by an integer
+    gives another spectrum, so this anchored list is a complete set of
+    representatives.  The list is in increasing lexicographic order, so
+    its first entry is what ``first_spectrum`` returns; ``max_results``
+    stops the walk after that many.  Enumeration walks cliques of the
+    good-difference graph and is refused for |scale| above ``limit``.
+    """
+    return tuple(islice(_cliques(scale, digits, limit), max_results))
+
+
+def first_spectrum(scale: int, digits,
+                   limit: int = FIND_SPECTRA_SCALE_LIMIT) -> Optional[tuple]:
+    """The first spectrum ``find_spectra`` would list, or None when there
+    is none; the walk stops at the first clique."""
+    return next(_cliques(scale, digits, limit), None)
 
 
 def transform_pair(pair: AdmissiblePair, kind: str, value: int) -> AdmissiblePair:

@@ -28,7 +28,7 @@ from .convolution import (
     zero_set_window,
 )
 from .cyclotomic import cyclotomic_orders, degree, unit_circle_angles
-from .hadamard import AdmissiblePair, find_spectra, FIND_SPECTRA_SCALE_LIMIT
+from .hadamard import AdmissiblePair, first_spectrum, FIND_SPECTRA_SCALE_LIMIT
 from .mask import IrrationalZeroPresent, eval_mask, mask_abs2, mask_zero_set
 from .measures import TWO_PI_UPPER, AtomicMeasure, frac_str
 from .words import SymbolicWord, PeriodicTail
@@ -750,7 +750,7 @@ def _admissibility_gap(spec: ConvolutionSpec) -> Optional[str]:
         if abs(pair.scale) > FIND_SPECTRA_SCALE_LIMIT:
             return ("pair (%d, %s) has no known spectrum; admissibility "
                     "is open" % (pair.scale, list(pair.digits)))
-        if not find_spectra(pair.scale, pair.digits):
+        if first_spectrum(pair.scale, pair.digits) is None:
             return ("pair (%d, %s) is not admissible: exhaustive search "
                     "finds no spectrum" % (pair.scale, list(pair.digits)))
     return None

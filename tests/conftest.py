@@ -4,6 +4,8 @@ Tests that need deterministic "random" draws use splitmix64 from the
 package itself so failures reproduce exactly across machines.
 """
 
+import contextlib
+import signal
 from fractions import Fraction
 
 import pytest
@@ -73,3 +75,17 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for number, status, name in sorted(_ACCEPTANCE_LINES):
         terminalreporter.write_line("[criterion %2d] %-5s %s" % (number, status, name))
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the test if the block runs longer than this."""
+    def expire(signum, frame):
+        raise TimeoutError("case took longer than %s s" % seconds)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,15 +1,14 @@
 """Command line surface: JSON payloads, exit codes, and file output."""
 
-import contextlib
 import hashlib
 import json
 import os
-import signal
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
+from conftest import time_limit
 
 from spectralconv.catalog import (
     insertion_target_five_sixths,
@@ -61,6 +60,45 @@ def test_hadamard_search_inadmissible(runner):
     payload = _payload(result)
     assert payload["admissible"] is False
     assert payload["spectra"] == []
+
+
+@pytest.mark.parametrize("cap,spectra,truncated", [
+    ("1", [[0, 1]], True),
+    ("2", [[0, 1], [0, 3]], False),
+    ("5", [[0, 1], [0, 3]], False),
+])
+def test_hadamard_search_max_results(runner, cap, spectra, truncated):
+    result = runner.invoke(main, ["hadamard", "search", "4", "0,2",
+                                  "--max-results", cap])
+    assert result.exit_code == 0
+    assert _payload(result) == {
+        "admissible": True,
+        "digits": [0, 2],
+        "max_results": int(cap),
+        "scale": 4,
+        "spectra": spectra,
+        "truncated": truncated,
+    }
+
+
+def test_hadamard_search_max_results_on_an_inadmissible_pair(runner):
+    result = runner.invoke(main, ["hadamard", "search", "3", "0,2",
+                                  "--max-results", "1"])
+    assert result.exit_code == 0
+    payload = _payload(result)
+    assert (payload["admissible"], payload["spectra"], payload["truncated"]) == (
+        False, [], False)
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_hadamard_search_rejects_a_cap_below_one(runner, cap):
+    result = runner.invoke(main, ["hadamard", "search", "4", "0,2",
+                                  "--max-results", cap])
+    assert result.exit_code == 2
+    assert _payload(result) == {
+        "error": "bad-input",
+        "detail": "--max-results must be at least 1, got %s" % cap,
+    }
 
 
 def test_hadamard_check(runner):
@@ -333,20 +371,6 @@ MALFORMED_FILES = {
 MALFORMED_CASE_LIMIT_S = 10
 
 
-@contextlib.contextmanager
-def _time_limit(seconds):
-    """Raise TimeoutError in the test if the block runs longer than this."""
-    def expire(signum, frame):
-        raise TimeoutError("case took longer than %s s" % seconds)
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("command,env,kind,code", MALFORMED,
                          ids=[c for c, _, _, _ in MALFORMED])
 def test_malformed_input_gets_one_json_error(runner, jp_file, tmp_path,
@@ -360,13 +384,31 @@ def test_malformed_input_gets_one_json_error(runner, jp_file, tmp_path,
         path = tmp_path / (name + ".json")
         path.write_text(text)
         files[name] = str(path)
-    with _time_limit(MALFORMED_CASE_LIMIT_S):
+    with time_limit(MALFORMED_CASE_LIMIT_S):
         result = runner.invoke(main, command.format(**files).split(), env=env)
     assert result.exit_code == code, result.output
     assert result.stderr == ""
     payload = json.loads(result.stdout)
     assert sorted(payload) == ["detail", "error"]
     assert payload["error"] == kind
+
+
+# 8**7 spectra: the admissibility checks must stop at the first one
+SPECTRA_8_POW_7 = {"alphabet": [{"n": 64, "b": [0, 8, 16, 24, 32, 40, 48, 56]}]}
+
+
+def test_many_spectra_pair_is_decided_without_listing_them(runner, tmp_path):
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(SPECTRA_8_POW_7))
+    with time_limit(MALFORMED_CASE_LIMIT_S):
+        verdict = runner.invoke(main, ["verdict", "--no-q", str(path)])
+        validate = runner.invoke(main, ["validate", str(path)])
+    assert verdict.exit_code == 0, verdict.output
+    payload = _payload(verdict)
+    assert (payload["verdict"], payload["reason"]) == (
+        "SpectralCertified", "tail-difference-gcd")
+    assert validate.exit_code == 0, validate.output
+    assert _payload(validate)["spec"]["alphabet"][0]["l"] == list(range(8))
 
 
 def test_depth_limit_detail_names_the_setting(runner, jp_file):

@@ -10,9 +10,10 @@ usage error, validate diagnostics or a contradicted example) or 3 (a
 verdict).
 
 Scales stay at most 12, digit sets at most 4 digits and depths at most 6,
-so every run is short.  This test does not cover search time: the slow
-exhaustive spectrum search at large scales is left to a bounded
-`first_spectrum` (ROADMAP item 4).
+so every run is short.  This test does not cover search time at large
+scales: `tests/test_cli.py::test_many_spectra_pair_is_decided_without_listing_them`
+runs `verdict` and `validate` on a pair with 8**7 spectra under a time
+limit.
 """
 
 import json
