@@ -194,26 +194,16 @@ def hadamard_check(ctx, scale, digits, spectrum):
 @click.argument("scale", type=int)
 @click.argument("digits")
 @click.option("--limit", type=int, default=64, show_default=True)
-@click.option("--max-results", type=int, default=None,
-              help="stop after this many spectra (default: all)")
 @click.pass_context
-def hadamard_search(ctx, scale, digits, limit, max_results):
+def hadamard_search(ctx, scale, digits, limit):
     digits = _parse_ints(digits)
-    if max_results is not None and max_results < 1:
-        raise ValueError("--max-results must be at least 1, got %d" % max_results)
-    # one spectrum past the cap tells whether the cap cut the list
-    spectra = find_spectra(scale, digits, limit,
-                           None if max_results is None else max_results + 1)
-    payload = {
+    spectra = find_spectra(scale, digits, limit)
+    _emit(ctx, {
         "scale": scale,
         "digits": list(digits),
-        "spectra": [list(s) for s in spectra[:max_results]],
+        "spectra": [list(s) for s in spectra],
         "admissible": bool(spectra),
-    }
-    if max_results is not None:
-        payload["max_results"] = max_results
-        payload["truncated"] = len(spectra) > max_results
-    _emit(ctx, payload)
+    })
 
 
 @main.group()

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -191,19 +190,18 @@ def _cliques(scale: int, digits, limit: int):
     yield from walk((0,), compat[0])
 
 
-def find_spectra(scale: int, digits, limit: int = FIND_SPECTRA_SCALE_LIMIT,
-                 max_results: Optional[int] = None) -> tuple:
+def find_spectra(scale: int, digits, limit: int = FIND_SPECTRA_SCALE_LIMIT) -> tuple:
     """All spectra contained in {0, ..., |scale|-1} that contain 0.
 
     Every spectrum is congruent mod scale to one with entries in the
     canonical residue range, and translating a spectrum by an integer
     gives another spectrum, so this anchored list is a complete set of
     representatives.  The list is in increasing lexicographic order, so
-    its first entry is what ``first_spectrum`` returns; ``max_results``
-    stops the walk after that many.  Enumeration walks cliques of the
-    good-difference graph and is refused for |scale| above ``limit``.
+    its first entry is what ``first_spectrum`` returns.  Enumeration
+    walks cliques of the good-difference graph and is refused for |scale|
+    above ``limit``.
     """
-    return tuple(islice(_cliques(scale, digits, limit), max_results))
+    return tuple(_cliques(scale, digits, limit))
 
 
 def first_spectrum(scale: int, digits,

@@ -62,45 +62,6 @@ def test_hadamard_search_inadmissible(runner):
     assert payload["spectra"] == []
 
 
-@pytest.mark.parametrize("cap,spectra,truncated", [
-    ("1", [[0, 1]], True),
-    ("2", [[0, 1], [0, 3]], False),
-    ("5", [[0, 1], [0, 3]], False),
-])
-def test_hadamard_search_max_results(runner, cap, spectra, truncated):
-    result = runner.invoke(main, ["hadamard", "search", "4", "0,2",
-                                  "--max-results", cap])
-    assert result.exit_code == 0
-    assert _payload(result) == {
-        "admissible": True,
-        "digits": [0, 2],
-        "max_results": int(cap),
-        "scale": 4,
-        "spectra": spectra,
-        "truncated": truncated,
-    }
-
-
-def test_hadamard_search_max_results_on_an_inadmissible_pair(runner):
-    result = runner.invoke(main, ["hadamard", "search", "3", "0,2",
-                                  "--max-results", "1"])
-    assert result.exit_code == 0
-    payload = _payload(result)
-    assert (payload["admissible"], payload["spectra"], payload["truncated"]) == (
-        False, [], False)
-
-
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_hadamard_search_rejects_a_cap_below_one(runner, cap):
-    result = runner.invoke(main, ["hadamard", "search", "4", "0,2",
-                                  "--max-results", cap])
-    assert result.exit_code == 2
-    assert _payload(result) == {
-        "error": "bad-input",
-        "detail": "--max-results must be at least 1, got %s" % cap,
-    }
-
-
 def test_hadamard_check(runner):
     result = runner.invoke(main, ["hadamard", "check", "4", "0,2", "0,1"])
     assert result.exit_code == 0
