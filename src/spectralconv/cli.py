@@ -31,7 +31,7 @@ from .convolution import (
 )
 from .hadamard import find_spectra, first_spectrum, is_admissible, AdmissiblePair
 from .mask import IrrationalZeroPresent, mask_zero_set
-from .measures import AtomicMeasure, frac_str, parse_frac
+from .measures import AtomicMeasure, frac_str, parse_frac, parse_int
 from .spectrality import (
     VerdictBudget,
     budget_q_partial,
@@ -133,13 +133,8 @@ class _ErrorDocumentGroup(click.Group):
 
 
 def _budget(ctx: click.Context, **overrides) -> VerdictBudget:
-    base = {
-        "depth": ctx.obj["budget_depth"],
-        "horizon": ctx.obj["horizon"],
-        "threads": ctx.obj["threads"],
-    }
-    base.update(overrides)
-    return VerdictBudget(**base)
+    base = {"depth": ctx.obj["budget_depth"], "horizon": ctx.obj["horizon"]}
+    return VerdictBudget(**{**base, **overrides})
 
 
 @click.group(cls=_ErrorDocumentGroup)
@@ -148,17 +143,15 @@ def _budget(ctx: click.Context, **overrides) -> VerdictBudget:
 @click.option("--csv-out", type=click.Path(), default=None,
               help="write Q grids as CSV (columns xi,q_value,radius,depth)")
 @click.option("--seed", type=int, default=2026, show_default=True)
-@click.option("--threads", type=int, default=None)
 @click.option("--budget-depth", type=int, default=12, show_default=True)
 @click.option("--horizon", type=int, default=64, show_default=True)
 @click.pass_context
-def main(ctx, json_out, csv_out, seed, threads, budget_depth, horizon):
+def main(ctx, json_out, csv_out, seed, budget_depth, horizon):
     """Spectrality toolkit for infinite convolution measures."""
     ctx.obj = {
         "json_out": json_out,
         "csv_out": csv_out,
         "seed": seed,
-        "threads": threads,
         "budget_depth": budget_depth,
         "horizon": horizon,
     }
@@ -397,11 +390,11 @@ def validate_spec(data) -> tuple[Optional[dict], list[dict]]:
                                 "reason": "each pair needs n and b"})
             continue
         try:
-            scale = int(entry["n"])
-            digits = tuple(int(b) for b in entry["b"])
+            scale = parse_int(entry["n"])
+            digits = tuple(map(parse_int, entry["b"]))
             spectrum = entry.get("l")
             if spectrum is not None:
-                spectrum = tuple(int(l) for l in spectrum)
+                spectrum = tuple(map(parse_int, spectrum))
                 pair = AdmissiblePair(scale, digits, spectrum)
             else:
                 found = first_spectrum(scale, digits)

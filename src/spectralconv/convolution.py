@@ -41,6 +41,7 @@ from .measures import (
     frac_str,
     mixture,
     parse_frac,
+    parse_int,
     pushforward,
 )
 from .words import EnumerationTail, PeriodicTail, SymbolicWord
@@ -246,18 +247,18 @@ def exponents_from_json(data: Optional[dict]) -> ExponentRule:
     if not isinstance(data, dict):
         raise ValueError("exponent rule must be a JSON object")
     if "const" in data:
-        return ConstantExponents(int(data["const"]))
+        return ConstantExponents(parse_int(data["const"]))
     if "list" in data:
         return ExplicitExponents(
-            tuple(int(v) for v in data["list"]), int(data.get("then", 1))
+            tuple(map(parse_int, data["list"])), parse_int(data.get("then", 1))
         )
     if "periodic" in data:
-        return PeriodicExponents(tuple(int(v) for v in data["periodic"]))
+        return PeriodicExponents(tuple(map(parse_int, data["periodic"])))
     if "unbounded" in data:
         u = data["unbounded"] or {}
         if not isinstance(u, dict):
             raise ValueError("unbounded exponent rule must be a JSON object")
-        return UnboundedExponents(int(u.get("offset", 1)), int(u.get("shift", 0)))
+        return UnboundedExponents(parse_int(u.get("offset", 1)), parse_int(u.get("shift", 0)))
     raise ValueError(f"unknown exponent rule: {sorted(data)}")
 
 
@@ -859,10 +860,10 @@ class SparseInsertionSpec:
     @classmethod
     def from_json(cls, data: dict) -> "SparseInsertionSpec":
         return cls(
-            scale=int(data["scale"]),
-            regular_digits=tuple(int(b) for b in data["regular"]),
-            fixed_part=tuple(int(b) for b in data["fixed"]),
+            scale=parse_int(data["scale"]),
+            regular_digits=tuple(map(parse_int, data["regular"])),
+            fixed_part=tuple(map(parse_int, data["fixed"])),
             target=parse_frac(str(data["target"])),
-            divisor=int(data["divisor"]),
-            spectrum=tuple(int(l) for l in data["spectrum"]),
+            divisor=parse_int(data["divisor"]),
+            spectrum=tuple(map(parse_int, data["spectrum"])),
         )

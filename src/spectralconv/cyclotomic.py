@@ -130,8 +130,9 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def _eval_at_primitive_root(coeffs: Sequence[int], n: int) -> tuple[complex, float]:
-    """Evaluate at exp(-2*pi*i/n) with a certified error bound."""
+def _nonzero_at_primitive_root(coeffs: Sequence[int], n: int) -> bool:
+    """Float test that the value at exp(-2*pi*i/n) is clearly nonzero, so
+    Phi_n does not divide; False leaves the question to exact division."""
     zeta = cmath.exp(-2j * cmath.pi / n)
     scale = 0
     # Horner on the folded exponents keeps arguments small.
@@ -143,8 +144,8 @@ def _eval_at_primitive_root(coeffs: Sequence[int], n: int) -> tuple[complex, flo
     for c in reversed(folded):
         acc = acc * zeta + c
         scale += abs(c)
-    # each fold step: one complex mul (unit modulus) and one add
-    return acc, 4e-15 * (scale + n)
+    # error bound: each fold step is one complex mul (unit modulus) and one add
+    return abs(acc) > max(1e-9, 10 * (4e-15 * (scale + n)))
 
 
 def exponent_sum_vanishes(n: int, exponents: Iterable[int]) -> bool:
@@ -162,8 +163,7 @@ def exponent_sum_vanishes(n: int, exponents: Iterable[int]) -> bool:
         count += 1
     if count == 0:
         return True
-    value, err = _eval_at_primitive_root(coeffs, n)
-    if abs(value) > max(1e-9, 10 * err):
+    if _nonzero_at_primitive_root(coeffs, n):
         return False
     _, rem = poly_divmod(coeffs, list(cyclotomic(n)))
     return not rem
@@ -194,8 +194,7 @@ def cyclotomic_orders(coeffs: Sequence[int]) -> tuple[list[int], list[int]]:
             if degree(residual) == 0:
                 break
             continue
-        value, err = _eval_at_primitive_root(original, n)
-        if abs(value) > max(1e-9, 10 * err):
+        if _nonzero_at_primitive_root(original, n):
             continue
         phi_n = list(cyclotomic(n))
         quot, rem = poly_divmod(residual, phi_n)

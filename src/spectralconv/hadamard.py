@@ -19,26 +19,21 @@ from typing import Optional
 import numpy as np
 
 from .cyclotomic import exponent_sum_vanishes
-from .measures import AffineMap
+from .measures import AffineMap, parse_int
 
 FIND_SPECTRA_SCALE_LIMIT = 64
 
 
 def _validated_scale(scale: int) -> int:
-    if not isinstance(scale, int) or isinstance(scale, bool):
-        raise TypeError("scale must be an int")
-    if abs(scale) < 2:
+    if abs(parse_int(scale)) < 2:
         raise ValueError("scale must satisfy |scale| >= 2, got %r" % (scale,))
     return scale
 
 
 def _validated_digits(digits) -> tuple:
-    out = tuple(sorted(digits))
+    out = tuple(sorted(map(parse_int, digits)))
     if len(out) < 2:
         raise ValueError("need at least two digits, got %r" % (digits,))
-    for d in out:
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise TypeError("digits must be ints, got %r" % (d,))
     if len(set(out)) != len(out):
         raise ValueError("digits must be distinct, got %r" % (digits,))
     return out

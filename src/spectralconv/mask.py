@@ -29,21 +29,20 @@ Rational = Union[Fraction, int]
 def eval_mask(digits: Sequence[int], x) -> complex:
     """Mean of exp(-2*pi*i*b*x) over the digit set.
 
-    Exact phase bookkeeping for Fraction input, float otherwise.  This
-    is the Fourier transform of the uniform atomic measure on the
+    x is taken at its exact rational value (a float too), and each phase
+    b*x is reduced modulo 1 exactly before one exponential is taken.
+    This is the Fourier transform of the uniform atomic measure on the
     digits, and scaling the argument by 1/scale gives the transfer
     factor each convolution level contributes.
     """
     digits = list(digits)
     if not digits:
         raise ValueError("digit set must be nonempty")
-    if isinstance(x, Fraction):
-        total = 0 + 0j
-        for b in digits:
-            total += phase_unit(frac_mod1(b * x))
-        return total / len(digits)
-    total = np.exp(-2j * np.pi * np.asarray(digits, dtype=float) * float(x)).sum()
-    return complex(total / len(digits))
+    x = Fraction(x)
+    total = 0 + 0j
+    for b in digits:
+        total += phase_unit(frac_mod1(b * x))
+    return total / len(digits)
 
 
 # np.cos is taken to be within this many ulps of cos and inside [-1, 1];

@@ -52,6 +52,13 @@ def parse_frac(text: str) -> Fraction:
         raise ValueError("zero denominator in %r" % text) from None
 
 
+def parse_int(value) -> int:
+    """A JSON integer; a float (4.0 too), a bool or a string raises."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError("expected an integer, got %r" % (value,))
+    return value
+
+
 def frac_str(x: Fraction) -> str:
     """Canonical "num/den" form, denominator omitted when it is 1."""
     return _ratio_str(*Fraction(x).as_integer_ratio())

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -27,7 +26,7 @@ from .convolution import (
     detect_special,
     zero_set_window,
 )
-from .cyclotomic import cyclotomic_orders, degree, unit_circle_angles
+from .cyclotomic import cyclotomic_orders, unit_circle_angles
 from .hadamard import AdmissiblePair, first_spectrum, FIND_SPECTRA_SCALE_LIMIT
 from .mask import IrrationalZeroPresent, eval_mask, mask_abs2, mask_zero_set
 from .measures import TWO_PI_UPPER, AtomicMeasure, frac_str
@@ -45,6 +44,10 @@ _BLOCK_ENTRIES = 1 << 15
 # q_partial multiplies at most this many tail levels past depth n; the
 # radius stays certified when the tail bound has not reached tol/2 by then.
 _MAX_TAIL = 64
+
+# the least value and the largest radius at which grid Q counts as evidence
+_EVIDENCE_Q_MIN = 1.0 - 1e-3
+_EVIDENCE_RADIUS_MAX = 1e-6
 
 # The residue-cover sieve gives up once the modulus |c_J| passes this cap,
 # which bounds its list of open residues.
@@ -117,16 +120,11 @@ def q_exact_discrete(scale: int, digits: Sequence[int],
 
     Equals 1 for every xi whenever (scale, digits, spectrum) is
     admissible; that identity is what makes the level-by-level tree in
-    q_partial conserve mass.
+    q_partial conserve mass.  A float xi is taken at its exact value.
     """
-    total = 0.0
-    for l in spectrum:
-        if isinstance(xi, (int, Fraction)):
-            arg = Fraction(Fraction(xi) + l, scale)
-        else:
-            arg = (float(xi) + l) / scale
-        total += abs(eval_mask(digits, arg)) ** 2
-    return total
+    xi = Fraction(xi)
+    return sum(abs(eval_mask(digits, (xi + l) / scale)) ** 2
+               for l in spectrum)
 
 
 @dataclass(frozen=True)
@@ -268,8 +266,7 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
 
 
 def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
-              tol: float = 1e-6, budget_atoms: int = 16384,
-              threads: Optional[int] = None) -> QReport:
+              tol: float = 1e-6, budget_atoms: int = 16384) -> QReport:
     """Q_n on a grid: certified enclosures q +- r of the completeness sum
 
         Q_n(xi) = sum over lambda in candidate_spectrum(spec, n) of
@@ -279,8 +276,8 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
     cosine series |m_B(y)|^2 = 1/#B + sum_{d>0} (2 mult(d)/#B^2) cos(2 pi d y).
     Each radius covers the pruned mass (at most budget_atoms branches per
     point are kept), the quadratic tail bound 2 pi^2 y^2 diam^2 (at most
-    tol/4 of the mass) and float rounding; see ``_q_partial_block``.  The grid is cut into point blocks of about
-    _BLOCK_ENTRIES branches, run on `threads` threads when that is above 1.
+    tol/4 of the mass) and float rounding; see ``_q_partial_block``.  Point
+    blocks of about _BLOCK_ENTRIES branches run in turn.
     """
     if n < 1:
         raise ValueError("depth must be at least 1")
@@ -294,17 +291,8 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
     if len(xs) == 0:
         return QReport((), n, (), (), 0.0, 0.0, 0.0)
     per_block = max(1, _BLOCK_ENTRIES // widest)
-    blocks = np.array_split(xs, max(-(-len(xs) // per_block),
-                                    min(threads or 1, len(xs))))
-
-    def run(block):
-        return _q_partial_block(spec, n, block, tol, budget_atoms)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, blocks))
-    else:
-        parts = [run(block) for block in blocks]
+    parts = [_q_partial_block(spec, n, block, tol, budget_atoms)
+             for block in np.array_split(xs, -(-len(xs) // per_block))]
     value = np.concatenate([v for v, _ in parts])
     radius = np.concatenate([r for _, r in parts])
     return QReport(
@@ -371,7 +359,7 @@ def iz_finite(m: AtomicMeasure) -> IZVerdict:
             NONEMPTY_WITNESS, witness=witness,
             reason="transform has period %d and vanishes on %s plus every "
                    "integer offset 0..%d" % (D, frac_str(witness), D - 1))
-    if _has_unit_circle_residual(residual):
+    if unit_circle_angles(residual):
         return IZVerdict(
             UNDECIDED,
             reason="support polynomial keeps non-cyclotomic unit-circle "
@@ -380,12 +368,6 @@ def iz_finite(m: AtomicMeasure) -> IZVerdict:
         EMPTY_CERTIFIED,
         reason="no residue class modulo the period %d consists entirely "
                "of transform zeros" % D)
-
-
-def _has_unit_circle_residual(residual) -> bool:
-    if degree(residual) <= 0:
-        return False
-    return len(unit_circle_angles(residual)) > 0
 
 
 def _zero_candidates(spec: ConvolutionSpec) -> list[Fraction]:
@@ -698,17 +680,14 @@ class VerdictBudget:
     horizon: int = 64
     tol: float = 1e-6
     budget_atoms: int = 16384
-    threads: Optional[int] = None
     window: Optional[tuple[Rational, Rational]] = None
-    q_min: float = 1.0 - 1e-3
-    radius_max: float = 1e-6
 
 
 def budget_q_partial(spec: ConvolutionSpec, budget: VerdictBudget) -> QReport:
     """q_partial at the budget's depth on its grid j/grid, j = 0..grid-1."""
     grid = [Fraction(j, budget.grid) for j in range(budget.grid)]
     return q_partial(spec, budget.depth, grid, tol=budget.tol,
-                     budget_atoms=budget.budget_atoms, threads=budget.threads)
+                     budget_atoms=budget.budget_atoms)
 
 
 @dataclass(frozen=True)
@@ -914,8 +893,8 @@ def spectral_verdict(spec, budget: Optional[VerdictBudget] = None
             trace.append("grid Q at depth %d: min %.6f, max radius %.2e"
                          % (q_report.depth, q_report.min_q,
                             q_report.tail_radius))
-            if (q_report.min_q >= budget.q_min
-                    and q_report.tail_radius <= budget.radius_max):
+            if (q_report.min_q >= _EVIDENCE_Q_MIN
+                    and q_report.tail_radius <= _EVIDENCE_RADIUS_MAX):
                 return SpectralReport("SpectralEvidence", "q-grid-evidence",
                                       tuple(trace), {}, q_report, iz)
         except ValueError as exc:

@@ -14,11 +14,13 @@ Letters are 1-based: a word over m letters uses symbols 1..m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence, Union
 
-from .measures import frac_str, parse_frac
+from .measures import frac_str, parse_frac, parse_int
 
 _MASK64 = (1 << 64) - 1
 # splitmix64 constants (Steele, Lea, Flood; also used by Java's
@@ -43,28 +45,22 @@ class BernoulliSpec:
 
     probs: tuple[Fraction, ...]
     seed: int = 0
+    # ceil((p_1 + ... + p_j) * 2^64) for each j: a draw r/2^64 is below
+    # that partial sum exactly when r is below its bound
+    _bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = tuple(Fraction(p) for p in self.probs)
         object.__setattr__(self, "probs", probs)
         if any(p < 0 for p in probs) or sum(probs) != 1:
             raise ValueError("probabilities must be nonnegative and sum to 1")
-
-    def cumulative(self) -> tuple[Fraction, ...]:
-        out = []
-        acc = Fraction(0)
-        for p in self.probs:
-            acc += p
-            out.append(acc)
-        return tuple(out)
+        object.__setattr__(self, "_bounds", tuple(
+            -((-acc.numerator << 64) // acc.denominator) for acc in accumulate(probs)))
 
     def symbol(self, index: int) -> int:
-        """Letter at 0-based index, by exact inversion of one 64-bit draw."""
-        r = Fraction(splitmix64(self.seed, index), 1 << 64)
-        for j, c in enumerate(self.cumulative(), start=1):
-            if r < c:
-                return j
-        return len(self.probs)
+        """Letter at 0-based index: the first j whose partial sum exceeds
+        the draw r/2^64, found exactly among the integer bounds."""
+        return bisect_right(self._bounds, splitmix64(self.seed, index)) + 1
 
 
 class TailRule:
@@ -174,13 +170,13 @@ def tail_from_json(data: dict) -> TailRule:
     if not isinstance(data, dict):
         raise ValueError("tail rule must be a JSON object")
     if "periodic" in data:
-        return PeriodicTail(tuple(int(x) for x in data["periodic"]))
+        return PeriodicTail(tuple(map(parse_int, data["periodic"])))
     if "bernoulli" in data:
         b = data["bernoulli"]
-        spec = BernoulliSpec(tuple(parse_frac(p) for p in b["p"]), int(b.get("seed", 0)))
-        return BernoulliTail(spec, int(b.get("offset", 0)))
+        spec = BernoulliSpec(tuple(parse_frac(p) for p in b["p"]), parse_int(b.get("seed", 0)))
+        return BernoulliTail(spec, parse_int(b.get("offset", 0)))
     if "enumerate" in data:
-        return EnumerationTail(int(data["enumerate"]), int(data.get("offset", 0)))
+        return EnumerationTail(parse_int(data["enumerate"]), parse_int(data.get("offset", 0)))
     raise ValueError(f"unknown tail rule: {sorted(data)}")
 
 
@@ -239,7 +235,7 @@ class SymbolicWord:
     def from_json(cls, data: dict) -> "SymbolicWord":
         if not isinstance(data, dict):
             raise ValueError("word must be a JSON object")
-        return cls(tuple(int(x) for x in data.get("prefix", ())), tail_from_json(data["tail"]))
+        return cls(tuple(map(parse_int, data.get("prefix", ()))), tail_from_json(data["tail"]))
 
 
 def sample_word(spec: BernoulliSpec, length: int) -> tuple[int, ...]:

@@ -162,13 +162,12 @@ def test_q_csv_bytes_are_deterministic(runner, jp_file, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_q_command_threads_option(runner, jp_file):
-    a = runner.invoke(main, ["q", jp_file, "--depth", "6",
-                             "--grid-size", "8"])
-    b = runner.invoke(main, ["--threads", "2", "q", jp_file, "--depth", "6",
-                             "--grid-size", "8"])
-    assert a.exit_code == b.exit_code == 0
-    assert _payload(a) == _payload(b)
+def test_threads_option_is_a_usage_error(runner, jp_file):
+    result = runner.invoke(main, ["--threads", "2", "q", jp_file,
+                                  "--depth", "6", "--grid-size", "8"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "No such option" in result.stderr and "--threads" in result.stderr
 
 
 def test_iz_command_witness(runner, tmp_path):
@@ -311,11 +310,18 @@ MALFORMED = [
     ("iz {long_weights}", {}, "bad-input", 2),
     ("iz {int_position}", {}, "bad-input", 2),
     ("conv ft {zero_weight} 1/3", {}, "bad-input", 2),
+    ("validate {float_scale}", {}, "bad-input", 2),
+    ("verdict --no-q {float_scale}", {}, "bad-input", 2),
+    ("verdict --no-q {float_exponent}", {}, "bad-input", 2),
+    ("verdict --no-q {float_prefix}", {}, "bad-input", 2),
+    ("verdict --no-q {float_periodic}", {}, "bad-input", 2),
+    ("verdict --no-q {bool_enumerate}", {}, "bad-input", 2),
+    ("verdict --no-q {float_insertion}", {}, "bad-input", 2),
 ]
 
 # A huge enumeration tail must be refused before its letters are listed,
-# and atom lists are checked for positive weights summing to 1 and for
-# string positions.
+# atom lists are checked for positive weights summing to 1 and for string
+# positions, and integers in specs are never truncated from other numbers.
 MALFORMED_FILES = {
     "enum_1e300": {"alphabet": [{"n": 4, "b": [0, 2]}],
                    "word": {"tail": {"enumerate": 1e300}}},
@@ -326,6 +332,17 @@ MALFORMED_FILES = {
     "short_weights": [{"x": "0", "w": "1/2"}, {"x": "1/3", "w": "1/3"}],
     "long_weights": [{"x": "0", "w": "1/2"}, {"x": "1/3", "w": "2/3"}],
     "int_position": [{"x": 0, "w": "1/2"}, {"x": "1", "w": "1/2"}],
+    "float_scale": {"alphabet": [{"n": 4.5, "b": [0, 2]}]},
+    "float_exponent": {"alphabet": [{"n": 4, "b": [0, 2]}],
+                       "exponents": {"const": 1.9}},
+    "float_prefix": {"alphabet": [{"n": 4, "b": [0, 2]}],
+                     "word": {"prefix": [1.7], "tail": {"periodic": [1]}}},
+    "float_periodic": {"alphabet": [{"n": 4, "b": [0, 2]}],
+                       "word": {"tail": {"periodic": [1.2]}}},
+    "bool_enumerate": {"alphabet": [{"n": 4, "b": [0, 2]}],
+                       "word": {"tail": {"enumerate": True}}},
+    "float_insertion": {"scale": 6, "regular": [0, 2, 4], "fixed": [2, 4],
+                        "target": "5/6", "divisor": 3.0, "spectrum": [0, 2, 4]},
 }
 
 # seconds one malformed case may take before it counts as a hang

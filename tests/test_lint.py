@@ -1,6 +1,7 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -9,6 +10,8 @@ import spectralconv
 
 SRC = os.path.dirname(spectralconv.__file__)
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracing.py")
 
 
 def unused_imports(source):
@@ -95,3 +98,28 @@ def test_every_private_module_level_name_is_referenced():
         with open(os.path.join(SRC, module)) as handle:
             sources[module] = handle.read()
     assert unreferenced_private_names(sources) == []
+
+
+def traced_targets(source):
+    """The TARGETS tuple of (module, attribute) pairs in the benchmark's
+    tracer, read from its source without importing it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TARGETS assignment found")
+
+
+def test_every_traced_function_exists():
+    """A rename in src/ must not leave the benchmark's per-layer spans empty."""
+    with open(TRACING) as handle:
+        targets = traced_targets(handle.read())
+    assert len(targets) > 0
+    missing = []
+    for module, attr in targets:
+        owner = importlib.import_module("spectralconv." + module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append((module, attr))
+    assert missing == []

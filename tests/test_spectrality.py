@@ -23,6 +23,7 @@ from spectralconv.hadamard import (
 )
 from spectralconv.mask import mask_zero_set
 from spectralconv.measures import AtomicMeasure
+from spectralconv import spectrality
 from spectralconv.spectrality import (
     _COVER_MODULUS_CAP,
     _residue_cover,
@@ -105,6 +106,17 @@ def test_partial_functional_on_the_quarter_spec(jp):
     r12 = q_partial(jp, 12, frac_grid(16))
     assert abs(r12.min_q - 0.9999993428158269) < 1e-9
     assert r12.min_q >= r8.min_q - 1e-9
+
+
+def test_point_blocks_do_not_change_the_report(jp, monkeypatch):
+    whole = q_partial(jp, 8, frac_grid(16))
+    sizes = []
+    block = spectrality._q_partial_block
+    monkeypatch.setattr(spectrality, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(spectrality, "_q_partial_block",
+                        lambda *args: sizes.append(len(args[2])) or block(*args))
+    assert q_partial(jp, 8, frac_grid(16)) == whole
+    assert sizes == [1] * 16
 
 
 def test_partial_functional_empty_grid(jp):
@@ -480,4 +492,4 @@ def test_verdict_serializes_with_stable_keys(jp):
 def test_budget_defaults():
     b = VerdictBudget()
     assert b.run_q and b.depth == 12 and b.grid == 64
-    assert b.horizon == 64 and b.q_min == 0.999
+    assert b.horizon == 64 and spectrality._EVIDENCE_Q_MIN == 0.999

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from spectralconv import words
 from spectralconv.words import (
     BernoulliSpec,
     BernoulliTail,
@@ -52,6 +53,43 @@ def test_letter_draws_are_deterministic_and_exhaustive():
 def test_degenerate_distribution_draws_one_letter():
     spec = BernoulliSpec((Fraction(0), Fraction(1)), seed=3)
     assert {spec.symbol(i) for i in range(64)} == {2}
+
+
+def reference_symbol(spec, index):
+    """The letter drawn by comparing r/2^64 with each partial sum of the
+    probabilities in Fraction arithmetic."""
+    r, acc = Fraction(words.splitmix64(spec.seed, index), 1 << 64), Fraction(0)
+    for j, p in enumerate(spec.probs, start=1):
+        acc += p
+        if r < acc:
+            return j
+    return len(spec.probs)
+
+
+@pytest.mark.parametrize("probs", [
+    ("1/2", "1/2"), ("1/3", "2/3"), ("0", "1/7", "0", "6/7"),
+    ("1/5", "0", "0", "4/5", "0"), ("1", "0"), ("1/1000003", "1000002/1000003"),
+])
+def test_letter_draws_match_the_fraction_reference(probs):
+    spec = BernoulliSpec(tuple(Fraction(p) for p in probs), seed=41)
+    assert [spec.symbol(i) for i in range(500)] == [
+        reference_symbol(spec, i) for i in range(500)]
+
+
+# (probabilities, draw, letter): 2^63/2^64 = 1/2 is not below the partial
+# sum 1/2; floor(2^64/3)/2^64 is just below 1/3, and one more is above it
+EDGE_DRAWS = [
+    ((Fraction(1, 2), Fraction(1, 2)), 1 << 63, 2),
+    ((Fraction(1, 3), Fraction(2, 3)), (1 << 64) // 3, 1),
+    ((Fraction(1, 3), Fraction(2, 3)), (1 << 64) // 3 + 1, 2),
+]
+
+
+@pytest.mark.parametrize("probs,draw,letter", EDGE_DRAWS)
+def test_a_draw_at_a_partial_sum_is_placed_exactly(monkeypatch, probs, draw, letter):
+    monkeypatch.setattr(words, "splitmix64", lambda seed, index: draw)
+    spec = BernoulliSpec(probs)
+    assert spec.symbol(0) == letter == reference_symbol(spec, 0)
 
 
 def test_word_indexing_is_one_based():
