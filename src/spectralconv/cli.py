@@ -13,9 +13,11 @@ computation (kinds "depth-limit" and "irrational-zeros").
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import click
@@ -85,9 +87,45 @@ def _load_target(path: str):
     return ConvolutionSpec.from_json(data)
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+# the C encoder, breaking lines between items at the indent of a level
+_encoder = functools.lru_cache(lambda level: json.JSONEncoder(
+    sort_keys=True, separators=(",\n" + "  " * level, ": ")).encode)
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """The stdlib's sorted-key, two-space-indent JSON of a string-keyed tree.
+
+    Scalar-only containers, and lists of non-empty scalar-only containers
+    of one kind, go to the C encoder whole: ensure_ascii strings hold no
+    raw newline, so every ",\n" it writes is a separator."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return _encoder(0)(obj)
+    o, c = "{}" if isinstance(obj, dict) else "[]"
+    if not obj:
+        return o + c
+    pad, inner, deep = "  " * level, "  " * (level + 1), "  " * (level + 2)
+    kinds = set(map(type, obj.values() if o == "{" else obj))
+    co, cc = "{}" if dict in kinds else "[]"
+    if kinds <= _SCALARS:
+        body = _encoder(level + 1)(obj)[1:-1]
+    elif (o == "[" and (kinds <= {list, tuple} or kinds == {dict})
+          and all(map(len, obj)) and set(map(type, chain.from_iterable(
+              map(dict.values, obj) if co == "{" else obj))) <= _SCALARS):
+        gap = "\n" + inner + cc + ",\n" + inner + co + "\n" + deep
+        body = (co + "\n" + deep + _encoder(level + 2)(obj)[2:-2].replace(
+            cc + ",\n" + deep + co, gap) + "\n" + inner + cc)
+    elif o == "[":
+        body = (",\n" + inner).join(_dumps(m, level + 1) for m in obj)
+    else:
+        body = (",\n" + inner).join(_encoder(0)(k) + ": " + _dumps(v, level + 1)
+                                   for k, v in sorted(obj.items()))
+    return o + "\n" + inner + body + "\n" + pad + c
+
+
 def _emit(ctx: click.Context, payload: dict) -> None:
     """Write the payload to --json-out, then print it."""
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = _dumps(payload)
     json_out = ctx.obj.get("json_out")
     if json_out:
         with open(json_out, "w") as handle:
@@ -194,7 +232,7 @@ def hadamard_search(ctx, scale, digits, limit):
     _emit(ctx, {
         "scale": scale,
         "digits": list(digits),
-        "spectra": [list(s) for s in spectra],
+        "spectra": spectra,
         "admissible": bool(spectra),
     })
 

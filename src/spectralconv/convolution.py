@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import floor, gcd
+from math import floor, gcd, inf
 from typing import Iterator, Optional, Union
 
 from .hadamard import AdmissiblePair
@@ -464,7 +464,7 @@ class ConvolutionSpec:
         rational phases.  Raises DepthLimitError with the needed depth
         when tol demands more levels than the cap allows.
         """
-        if tol <= 0:
+        if not 0 < tol < inf:
             raise ValueError("tolerance must be positive")
         x = Fraction(xi)
         if x == 0:

@@ -281,8 +281,10 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
     """
     if n < 1:
         raise ValueError("depth must be at least 1")
-    if tol <= 0:
+    if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive")
+    if budget_atoms < 1:
+        raise ValueError("budget_atoms must be at least 1")
     widest = columns = 1
     for k in range(1, n + 1):
         columns = min(columns, budget_atoms) * len(_level_spectrum(spec.pair_at(k)))
@@ -685,6 +687,8 @@ class VerdictBudget:
 
 def budget_q_partial(spec: ConvolutionSpec, budget: VerdictBudget) -> QReport:
     """q_partial at the budget's depth on its grid j/grid, j = 0..grid-1."""
+    if budget.grid < 1:
+        raise ValueError("grid must be nonempty")
     grid = [Fraction(j, budget.grid) for j in range(budget.grid)]
     return q_partial(spec, budget.depth, grid, tol=budget.tol,
                      budget_atoms=budget.budget_atoms)

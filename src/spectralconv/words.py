@@ -302,6 +302,10 @@ def monte_carlo_spectrality(
     from .convolution import ConstantExponents, ConvolutionSpec
     from .spectrality import spectral_verdict, VerdictBudget
 
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if length < 1:
+        raise ValueError("length must be at least 1")
     probs = tuple(Fraction(p) for p in probs)
     if len(probs) != len(alphabet):
         raise ValueError("need one probability per alphabet letter")

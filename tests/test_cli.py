@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import sys
 import pytest
 from click.testing import CliRunner
 from conftest import time_limit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralconv.catalog import (
     insertion_target_five_sixths,
@@ -16,7 +19,7 @@ from spectralconv.catalog import (
     scale4_spec,
 )
 import spectralconv
-from spectralconv.cli import main, validate_spec
+from spectralconv.cli import _dumps, main, validate_spec
 
 
 @pytest.fixture
@@ -317,11 +320,35 @@ MALFORMED = [
     ("verdict --no-q {float_periodic}", {}, "bad-input", 2),
     ("verdict --no-q {bool_enumerate}", {}, "bad-input", 2),
     ("verdict --no-q {float_insertion}", {}, "bad-input", 2),
+    ("conv ft {jp} 1/3 --tol inf", {}, "bad-input", 2),
+    ("conv ft {jp} 1/3 --tol nan", {}, "bad-input", 2),
+    ("q {jp} --tol inf", {}, "bad-input", 2),
+    ("q {jp} --tol nan", {}, "bad-input", 2),
+    ("q {jp} --budget-atoms 0", {}, "bad-input", 2),
+    ("q {jp} --budget-atoms -1", {}, "bad-input", 2),
+    ("q {jp} --grid-size 0", {}, "bad-input", 2),
+    ("q {jp} --grid-size -3", {}, "bad-input", 2),
+    ("mc {alphabet} --trials 0", {}, "bad-input", 2),
+    ("mc {alphabet} --trials -1", {}, "bad-input", 2),
+    ("mc {alphabet} --length 0", {}, "bad-input", 2),
+    ("mc {alphabet} --length -1", {}, "bad-input", 2),
 ]
+
+# Bad option values are refused up front with a message of their own,
+# not with whatever a deeper layer (numpy, a pattern count) would say.
+MALFORMED_DETAILS = {
+    "conv ft {jp} 1/3 --tol nan": "tolerance must be positive",
+    "q {jp} --tol inf": "tolerance must be positive",
+    "q {jp} --budget-atoms 0": "budget_atoms must be at least 1",
+    "q {jp} --grid-size 0": "grid must be nonempty",
+    "mc {alphabet} --trials -1": "trials must be at least 1",
+    "mc {alphabet} --length -1": "length must be at least 1",
+}
 
 # A huge enumeration tail must be refused before its letters are listed,
 # atom lists are checked for positive weights summing to 1 and for string
 # positions, and integers in specs are never truncated from other numbers.
+# "alphabet" is a well-formed `mc` alphabet, for the bad option values.
 MALFORMED_FILES = {
     "enum_1e300": {"alphabet": [{"n": 4, "b": [0, 2]}],
                    "word": {"tail": {"enumerate": 1e300}}},
@@ -343,6 +370,8 @@ MALFORMED_FILES = {
                        "word": {"tail": {"enumerate": True}}},
     "float_insertion": {"scale": 6, "regular": [0, 2, 4], "fixed": [2, 4],
                         "target": "5/6", "divisor": 3.0, "spectrum": [0, 2, 4]},
+    "alphabet": {"alphabet": [{"n": 2, "b": [0, 1], "l": [0, 1]},
+                              {"n": 2, "b": [0, 3], "l": [0, 1]}]},
 }
 
 # seconds one malformed case may take before it counts as a hang
@@ -369,6 +398,8 @@ def test_malformed_input_gets_one_json_error(runner, jp_file, tmp_path,
     payload = json.loads(result.stdout)
     assert sorted(payload) == ["detail", "error"]
     assert payload["error"] == kind
+    if command in MALFORMED_DETAILS:
+        assert payload["detail"] == MALFORMED_DETAILS[command]
 
 
 # 8**7 spectra: the admissibility checks must stop at the first one
@@ -458,6 +489,70 @@ def test_float_free_stdout_is_pinned(runner, jp_file, mixed_file, command,
     result = runner.invoke(main, argv)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+# Strings that look like the emitter's separators or brackets, escapes,
+# control, non-ASCII and astral characters.
+_TRICKY_TEXT = st.lists(st.one_of(
+    st.sampled_from(["],\n", "}, {", "[", "]", "{", "}", ",\n    [", '"',
+                     "\\", "\x00", "\x1f", "\u00e9", "\U0001F600"]),
+    st.text(max_size=3)), max_size=4).map("".join)
+_SCALAR_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+    st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf]),
+    _TRICKY_TEXT)
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def _with_empty(uniform):
+    """An otherwise uniform list with one empty member spliced in."""
+    return st.tuples(uniform, st.sampled_from([[], (), {}]),
+                     st.integers(0, 4)).map(
+        lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+
+
+_LEAF_LISTS = st.lists(_SCALAR_VALUES, min_size=1, max_size=3)
+_LEAF_DICTS = st.dictionaries(_TRICKY_TEXT, _SCALAR_VALUES, min_size=1,
+                              max_size=3)
+_UNIFORM = st.one_of(st.lists(_LEAF_LISTS, min_size=1, max_size=4),
+                     st.lists(_LEAF_LISTS.map(tuple), min_size=1, max_size=4),
+                     st.lists(_LEAF_DICTS, min_size=1, max_size=4))
+
+
+def _containers(children):
+    lists = st.lists(children, max_size=4)
+    dicts = st.dictionaries(_TRICKY_TEXT, children, max_size=4)
+    return st.one_of(lists, lists.map(tuple), lists.map(_List), dicts,
+                     dicts.map(_Dict))
+
+
+JSON_TREES = st.recursive(
+    st.one_of(_SCALAR_VALUES, _UNIFORM, _with_empty(_UNIFORM)), _containers,
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_TREES)
+def test_emitter_matches_json_dumps(tree):
+    assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_json_out_file_equals_stdout_for_16384_spectra(runner, tmp_path):
+    out = tmp_path / "spectra.json"
+    result = runner.invoke(main, ["--json-out", str(out), "hadamard", "search",
+                                  "32", "20,24,32,40,68,76,80,92"])
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert len(payload["spectra"]) == 16384
+    assert result.stdout == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert out.read_text() == result.stdout
 
 
 def test_module_entry_point_prints_the_group_help():
