@@ -17,13 +17,12 @@ that lives here.
 from __future__ import annotations
 
 import os
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import floor, gcd, inf
+from math import floor, gcd, inf, isqrt
 from typing import Iterator, Optional, Union
 
 from .hadamard import AdmissiblePair
@@ -55,10 +54,6 @@ DEFAULT_MAX_DEPTH = 4096
 
 # levels that tail_sum_interval encloses exactly before the geometric bound
 _TAIL_TERMS = 48
-
-# serializes the extension of every spec's cached prefix products
-_PREFIX_LOCK = threading.Lock()
-
 
 class DepthLimitError(RuntimeError):
     """An evaluation would need more convolution levels than allowed."""
@@ -307,16 +302,20 @@ class ConvolutionSpec:
         """Signed product of the first k level scales; 1 for k = 0.
 
         Every c_k in the package comes from here.  Prefix products are
-        kept per spec and only ever appended to, under a lock, so walking
-        k levels costs k multiplications and readers need no lock.
+        kept per spec, so walking k levels costs k multiplications.  An
+        extension writes the products at their own positions in one slice
+        assignment, so concurrent walks can only write equal values.
         """
         if k <= 0:
             return 1
         prefix = self.__dict__.setdefault("_prefix_scales", [1])
-        if k >= len(prefix):
-            with _PREFIX_LOCK:
-                for i in range(len(prefix), k + 1):
-                    prefix.append(prefix[-1] * self.level_scale(i))
+        n = len(prefix)
+        if k >= n:
+            c, products = prefix[n - 1], []
+            for i in range(n, k + 1):
+                c *= self.level_scale(i)
+                products.append(c)
+            prefix[n:k + 1] = products
         return prefix[k]
 
     def levels(self) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -758,11 +757,7 @@ def _is_triangular(k: int) -> Optional[int]:
     if k < 1:
         return None
     disc = 8 * k + 1
-    r = int(disc**0.5)
-    while r * r < disc:
-        r += 1
-    while r * r > disc:
-        r -= 1
+    r = isqrt(disc)
     if r * r != disc:
         return None
     return (r - 1) // 2

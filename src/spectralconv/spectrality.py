@@ -49,10 +49,6 @@ _MAX_TAIL = 64
 _EVIDENCE_Q_MIN = 1.0 - 1e-3
 _EVIDENCE_RADIUS_MAX = 1e-6
 
-# The residue-cover sieve gives up once the modulus |c_J| passes this cap,
-# which bounds its list of open residues.
-_COVER_MODULUS_CAP = 4096
-
 
 def _level_spectrum(pair: AdmissiblePair) -> tuple[int, ...]:
     """Chosen spectrum of a pair, translated so it contains 0."""
@@ -285,13 +281,13 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
         raise ValueError("tolerance must be positive")
     if budget_atoms < 1:
         raise ValueError("budget_atoms must be at least 1")
+    xs = np.array([float(x) for x in grid], dtype=float)
+    if len(xs) == 0:
+        raise ValueError("grid must be nonempty")
     widest = columns = 1
     for k in range(1, n + 1):
         columns = min(columns, budget_atoms) * len(_level_spectrum(spec.pair_at(k)))
         widest = max(widest, columns)
-    xs = np.array([float(x) for x in grid], dtype=float)
-    if len(xs) == 0:
-        return QReport((), n, (), (), 0.0, 0.0, 0.0)
     per_block = max(1, _BLOCK_ENTRIES // widest)
     parts = [_q_partial_block(spec, n, block, tol, budget_atoms)
              for block in np.array_split(xs, -(-len(xs) // per_block))]
@@ -372,52 +368,33 @@ def iz_finite(m: AtomicMeasure) -> IZVerdict:
                "of transform zeros" % D)
 
 
-def _zero_candidates(spec: ConvolutionSpec) -> list[Fraction]:
-    window = zero_set_window(spec, 0, Fraction(1))
-    return [z for z in window if 0 < z < 1]
-
-
-def _residue_cover(spec: ConvolutionSpec, f: Fraction,
-                   horizon: int) -> Optional[tuple[int, str]]:
-    """Look for a periodic certificate that every translate of f is a zero.
-
-    Level k covers residue r when (f + r)/c_k lies in the level mask's
-    zero set.  That set has period 1, so the answer depends only on
-    r mod |c_k| and level k then covers the whole class r + c_k Z.  A
-    sieve keeps the residues modulo M = |c_J| that no level up to J
-    covers: each step lifts them to the next modulus and drops those
-    level J covers.  Once none is left, every translate of f is a zero,
-    and the certificate names the levels that covered some residue
-    first.  Meant for survivors of the translate check only: on other
-    candidates the open list grows before it shrinks.
-    """
-    open_residues, covering, prev = [0], [], 1
-    for J in range(1, horizon + 1):
-        c = spec.cumulative_scale(J)
-        M = abs(c)
-        if M > _COVER_MODULUS_CAP:
-            return None
-        zeros = mask_zero_set(spec.pair_at(J).digits).rational
-        lifted = [r + prev * t for t in range(M // prev) for r in open_residues]
-        open_residues = [r for r in lifted if not zeros.contains(Fraction(f + r, c))]
-        if len(open_residues) < len(lifted):
-            covering.append(J)
-        if not open_residues:
-            return M, "levels %s cover residues 0..%d modulo %d" % (
-                ",".join(map(str, covering)), M - 1, M)
-        prev = M
-    return None
+def _spread(dead: dict, parents: dict) -> dict:
+    """Run deaths back along the edges of the zero graph, in place.  A
+    child dead at translate k' kills each parent node at k = base + s k',
+    with base = r - s floor((xi + r)/s), so that (xi + k)/s = child + k'.
+    A child without a killer (a frontier assumed dead) passes on none."""
+    queue = list(dead)
+    for child in queue:
+        for node, base, s in parents.get(child, ()):
+            if node not in dead:
+                dead[node] = None if dead[child] is None else base + s * dead[child]
+                queue.append(node)
+    return dead
 
 
 def iz_weak_limit(spec_or_measure, horizon: int = 64) -> IZVerdict:
     """Integral periodic zero set of an infinite convolution (or atom list).
 
-    Candidates are the transform's rational zeros inside (0, 1), a finite
-    exact set.  A candidate dies as soon as one integer translate is
-    certified nonzero; every candidate dying is a complete emptiness
-    proof because zeros of the infinite product only occur on the scaled
-    level zero sets.  A survivor is promoted to a witness only when a
-    periodic residue cover certifies all of its translates at once.
+    xi in (0, 1) is in Z(nu) iff for every r mod |s|, s the first level
+    scale, the first mask vanishes at (xi + r)/s or frac((xi + r)/s) is in
+    Z(tail(1)).  Nodes (tail state, xi), states compared by equality, form
+    a graph that is finite for eventually periodic words and exponents; Z
+    is its greatest fixed point.  The roots are the rational zeros in
+    (0, 1); a child that is 0 or no zero of its tail dies at translate 0,
+    and deaths unwind to explicit translates.  Members are certified by the
+    fixed point itself, a closed set of nodes.  Tails that never repeat stop
+    at depth ``horizon``: kills found with that frontier alive, and members
+    closed with it dead, are certified.
     """
     if isinstance(spec_or_measure, AtomicMeasure):
         return iz_finite(spec_or_measure)
@@ -427,7 +404,7 @@ def iz_weak_limit(spec_or_measure, horizon: int = 64) -> IZVerdict:
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     try:
-        candidates = _zero_candidates(spec)
+        candidates = [z for z in zero_set_window(spec, 0, Fraction(1)) if 0 < z < 1]
     except IrrationalZeroPresent as exc:
         return IZVerdict(
             UNDECIDED,
@@ -438,39 +415,66 @@ def iz_weak_limit(spec_or_measure, horizon: int = 64) -> IZVerdict:
             EMPTY_CERTIFIED,
             reason="the transform has no zeros inside (0, 1), so no "
                    "residue class can consist of zeros")
-    kills: list[str] = []
-    survivors: list[Fraction] = []
-    for f in candidates:
-        killer = None
-        for k in range(1, horizon + 1):
-            if not spec.transform_zero_at(f + k):
-                killer = k
+    repeats = isinstance(spec.word.tail, PeriodicTail) and spec.exponents.bounded()
+    # specs[i] is tail i; succ[i] indexes the first state equal to tail i + 1
+    specs, index, succ = [spec], {spec: 0}, []
+    kills, parents = {}, {}
+    todo = [(0, f) for f in candidates]
+    seen = set(todo)
+    for node in todo:
+        i, xi = node
+        if i >= horizon and not repeats:
+            continue
+        if i == len(succ):
+            specs.append(specs[i].tail(1))
+            succ.append(index.setdefault(specs[-1], i + 1))
+        j, s = succ[i], specs[i].level_scale(1)
+        zeros = mask_zero_set(specs[i].pair_at(1).digits).rational
+        out = []
+        for r in range(abs(s)):
+            y = (xi + r) / s
+            if zeros.contains(y):
+                continue
+            fl = math.floor(y)
+            child = (j, y - fl)
+            if child not in seen and (fl == y or not specs[j].transform_zero_at(y - fl)):
+                kills[node] = r - s * fl
                 break
-            if not spec.transform_zero_at(f - k):
-                killer = -k
-                break
-        if killer is None:
-            survivors.append(f)
+            out.append((child, r - s * fl))
         else:
-            kills.append("%s dies at translate %+d" % (frac_str(f), killer))
-    if not survivors:
+            for child, base in out:
+                parents.setdefault(child, []).append((node, base, s))
+                if child not in seen:
+                    seen.add(child)
+                    todo.append(child)
+    killed = _spread(kills, parents)
+    frontier = dict.fromkeys(n for n in seen if n[0] >= horizon and not repeats)
+    closed = sorted(seen - _spread({**frontier, **killed}, parents).keys())
+    members = [x for i, x in closed if i == 0]
+    if members:
+        groups: dict[int, list[str]] = {}
+        for i, x in closed:
+            groups.setdefault(i, []).append(frac_str(x))
         return IZVerdict(
-            EMPTY_CERTIFIED,
-            reason="every candidate has a certified nonzero translate: "
-                   + "; ".join(kills))
-    for f in survivors:
-        cover = _residue_cover(spec, f, horizon)
-        if cover is not None:
-            modulus, description = cover
-            return IZVerdict(
-                NONEMPTY_WITNESS, witness=f,
-                reason="all translates of %s are zeros: %s"
-                       % (frac_str(f), description))
+            NONEMPTY_WITNESS, witness=members[0],
+            reason="all translates of %s are zeros: the nodes %s are closed "
+                   "under x -> frac((x + r)/s) into the next tail, for every "
+                   "r mod |s| at which the tail's first mask (scale s) misses "
+                   "(x + r)/s" % (frac_str(members[0]), ", ".join(
+                       "{%s} at tail %d" % (", ".join(xs), i)
+                       for i, xs in groups.items())))
+    undecided = [frac_str(f) for f in candidates if (0, f) not in killed]
+    if undecided:
+        return IZVerdict(
+            EMPTY_UP_TO_HORIZON, horizon=horizon,
+            reason="candidates %s are neither killed nor closed within %d "
+                   "tail levels; membership undecided"
+                   % (", ".join(undecided), horizon))
     return IZVerdict(
-        EMPTY_UP_TO_HORIZON, horizon=horizon,
-        reason="candidates %s survive every translate check up to %d but "
-               "admit no periodic cover certificate; membership undecided"
-               % (", ".join(frac_str(f) for f in survivors), horizon))
+        EMPTY_CERTIFIED,
+        reason="every candidate has a certified nonzero translate: "
+               + "; ".join("%s dies at translate %+d" % (frac_str(f), killed[0, f])
+                           for f in candidates))
 
 
 def _letter_difference_gcd(spec: ConvolutionSpec,
@@ -687,8 +691,6 @@ class VerdictBudget:
 
 def budget_q_partial(spec: ConvolutionSpec, budget: VerdictBudget) -> QReport:
     """q_partial at the budget's depth on its grid j/grid, j = 0..grid-1."""
-    if budget.grid < 1:
-        raise ValueError("grid must be nonempty")
     grid = [Fraction(j, budget.grid) for j in range(budget.grid)]
     return q_partial(spec, budget.depth, grid, tol=budget.tol,
                      budget_atoms=budget.budget_atoms)

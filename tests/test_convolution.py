@@ -23,6 +23,7 @@ from spectralconv.convolution import (
     ExplicitExponents,
     PeriodicExponents,
     SparseInsertionSpec,
+    _is_triangular,
     UnboundedExponents,
     density_consecutive,
     depth_cap,
@@ -251,8 +252,11 @@ def test_translate_walk_computes_each_letter_gap_once(monkeypatch):
     convolution._alphabet_zero_gap.cache_clear()
     monkeypatch.setattr(RationalZeroSet, "min_abs_nonzero", counted)
     verdict = iz_weak_limit(spec, horizon=64)
-    # candidates 1/3 and 2/3 survive all 2 x 64 translates
-    assert verdict.kind == "empty-up-to-horizon"
+    # every node's children are tested with transform_zero_at on two
+    # tail states, and the letter gaps are still computed once
+    assert (verdict.kind, verdict.witness) == ("nonempty-witness", Fraction(1, 3))
+    assert ("the nodes {1/3, 2/3} at tail 0, {1/3, 2/3} at tail 1 are closed"
+            in verdict.reason)
     assert len(gaps) == 3
 
 
@@ -359,6 +363,14 @@ def test_insertion_happens_at_triangular_levels():
     assert ins.digits_at(6) == (2, 4, 180)
     assert ins.digits_at(10) == (2, 4, 1080)
     assert ins.digits_at(4) == (0, 2, 4)
+
+
+def test_triangular_index_is_exact_past_float_range():
+    # 8k + 1 is far above 1e308 here, where a float square root overflows
+    j = 10 ** 200
+    k = j * (j + 1) // 2
+    assert _is_triangular(k) == j
+    assert _is_triangular(k + 1) is None
 
 
 def test_insertion_pairs_stay_admissible():

@@ -1,9 +1,13 @@
 """Spectrality machinery: candidate spectra, the discrete quadratic
 functional, integer-zero verdicts, windows, and the top-level verdict."""
 
+import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_word, frac_grid, single_pair_spec
 from spectralconv.catalog import (
@@ -14,19 +18,18 @@ from spectralconv.catalog import (
 from spectralconv.convolution import (
     ConstantExponents,
     ConvolutionSpec,
+    PeriodicExponents,
     UnboundedExponents,
+    zero_set_window,
 )
 from spectralconv.hadamard import (
     FIND_SPECTRA_SCALE_LIMIT,
     AdmissiblePair,
     find_spectra,
 )
-from spectralconv.mask import mask_zero_set
 from spectralconv.measures import AtomicMeasure
 from spectralconv import spectrality
 from spectralconv.spectrality import (
-    _COVER_MODULUS_CAP,
-    _residue_cover,
     EquiPositivityCertificate,
     EquiPositivityFailure,
     VerdictBudget,
@@ -42,7 +45,13 @@ from spectralconv.spectrality import (
     tail_difference_gcd,
     translate_disjoint_window,
 )
-from spectralconv.words import PeriodicTail, SymbolicWord, splitmix64
+from spectralconv.words import (
+    BernoulliSpec,
+    BernoulliTail,
+    PeriodicTail,
+    SymbolicWord,
+    splitmix64,
+)
 
 
 def one_then_twos():
@@ -120,8 +129,8 @@ def test_point_blocks_do_not_change_the_report(jp, monkeypatch):
 
 
 def test_partial_functional_empty_grid(jp):
-    r = q_partial(jp, 4, [])
-    assert r.q_values == () and r.min_q == 0.0
+    with pytest.raises(ValueError, match="grid must be nonempty"):
+        q_partial(jp, 4, [])
 
 
 def test_partial_functional_prunes_soundly_under_a_tight_budget(jp):
@@ -202,24 +211,37 @@ def test_mixed_word_limit_has_no_integer_zeros(mixed17):
 
 
 def test_pure_scaled_word_is_only_horizon_clear():
+    """Every translate 1/3 + k = (1 + 3k)/3 is a zero of (2, {0,3})^inf, at
+    level v2(1 + 3k) + 1, so no finite residue cover exists; the closed set
+    {1/3, 2/3} decides it."""
     spec = ConvolutionSpec(
         (AdmissiblePair(2, (0, 1), (0, 1)), AdmissiblePair(2, (0, 3), (0, 1))),
         constant_word(2), ConstantExponents(1))
     v = iz_weak_limit(spec, horizon=64)
-    assert v.kind == "empty-up-to-horizon"
-    assert v.reason.startswith("candidates 1/3, 2/3 survive every translate check")
+    assert v.kind == "nonempty-witness" and v.horizon is None
+    assert v.witness == Fraction(1, 3)
+    assert v.reason.startswith(
+        "all translates of 1/3 are zeros: the nodes {1/3, 2/3} at tail 0 "
+        "are closed under x -> frac((x + r)/s)")
+    assert all(spec.transform_zero_at(Fraction(1, 3) + k)
+               for k in range(-200, 201))
 
 
-def test_witness_spec_has_a_certified_integer_zero():
-    spec = ConvolutionSpec(
+def witness_spec():
+    """(4, {0,4}) once, then (4, {0,1,2,3}) forever: the first mask
+    vanishes at (1/2 + r)/4 for every r mod 4."""
+    return ConvolutionSpec(
         (AdmissiblePair(4, (0, 4), None),
          AdmissiblePair(4, (0, 1, 2, 3), (0, 1, 2, 3))),
         one_then_twos(), ConstantExponents(1))
-    v = iz_weak_limit(spec, horizon=64)
+
+
+def test_witness_spec_has_a_certified_integer_zero():
+    v = iz_weak_limit(witness_spec(), horizon=64)
     assert v.kind == "nonempty-witness"
     assert v.witness == Fraction(1, 2)
-    assert v.reason == ("all translates of 1/2 are zeros: "
-                        "levels 1 cover residues 0..3 modulo 4")
+    assert v.reason.startswith("all translates of 1/2 are zeros: the nodes "
+                               "{1/2} at tail 0 are closed")
 
 
 def three_level_witness_spec():
@@ -234,55 +256,81 @@ def test_three_level_witness_needs_every_level_of_the_cover():
     v = iz_weak_limit(three_level_witness_spec(), horizon=64)
     assert v.kind == "nonempty-witness"
     assert v.witness == Fraction(1, 2)
-    assert v.reason == ("all translates of 1/2 are zeros: "
-                        "levels 1,2,3 cover residues 0..17 modulo 18")
+    assert v.reason.startswith(
+        "all translates of 1/2 are zeros: the nodes {1/2} at tail 0, "
+        "{1/2} at tail 1, {1/2} at tail 2 are closed")
 
 
-def rescanned_residue_cover(spec, f, horizon):
-    """Reference cover: for every modulus M = |c_J|, give each residue
-    0..M-1 the least level 1..J whose zero set holds (f + r)/c_k."""
-    for J in range(1, horizon + 1):
-        M = abs(spec.cumulative_scale(J))
-        if M > _COVER_MODULUS_CAP:
-            return None
-        assignments = []
-        for r in range(M):
-            found = None
-            for k in range(1, J + 1):
-                c = spec.cumulative_scale(k)
-                mz = mask_zero_set(spec.pair_at(k).digits).rational
-                if not mz.phases:
-                    continue
-                if Fraction(M, abs(c)) % mz.period != 0:
-                    continue
-                if mz.contains(Fraction(f + r, c)):
-                    found = k
-                    break
-            if found is None:
-                break
-            assignments.append(found)
-        else:
-            return M, "levels %s cover residues 0..%d modulo %d" % (
-                ",".join(str(k) for k in sorted(set(assignments))), M - 1, M)
-    return None
-
-
-@pytest.mark.parametrize("spec, f, expected", [
-    (ConvolutionSpec(
-        (AdmissiblePair(4, (0, 4), None),
-         AdmissiblePair(4, (0, 1, 2, 3), (0, 1, 2, 3))),
-        SymbolicWord((1,), PeriodicTail((2,))), ConstantExponents(1)),
-     Fraction(1, 2), (4, "levels 1 cover residues 0..3 modulo 4")),
+@pytest.mark.parametrize("spec, members", [
+    (witness_spec(), [Fraction(1, 2)]),
     (ConvolutionSpec(
         (AdmissiblePair(2, (0, 1), (0, 1)), AdmissiblePair(2, (0, 3), (0, 1))),
         constant_word(2), ConstantExponents(1)),
-     Fraction(1, 3), None),
-    (three_level_witness_spec(), Fraction(1, 2),
-     (18, "levels 1,2,3 cover residues 0..17 modulo 18")),
-])
-def test_residue_sieve_matches_the_rescan(spec, f, expected):
-    assert rescanned_residue_cover(spec, f, 64) == expected
-    assert _residue_cover(spec, f, 64) == expected
+     [Fraction(1, 3), Fraction(2, 3)]),
+    (three_level_witness_spec(), [Fraction(1, 2)]),
+], ids=["one-level-cover", "two-adic", "three-level-cover"])
+def test_fixed_point_decides_the_cover_specs(spec, members):
+    """The specs of the former residue-cover sieve: the smallest member is
+    the witness at every horizon, and every candidate outside the members
+    has a nonzero translate."""
+    for horizon in (1, 64):
+        v = iz_weak_limit(spec, horizon=horizon)
+        assert (v.kind, v.witness) == ("nonempty-witness", members[0])
+    candidates = [z for z in zero_set_window(spec, 0, 1) if 0 < z < 1]
+    for f in candidates:
+        zeros = [spec.transform_zero_at(f + k) for k in range(-64, 65)]
+        assert all(zeros) == (f in members)
+
+
+@st.composite
+def small_specs(draw):
+    """Eventually periodic or Bernoulli specs over 1-3 small pairs, with
+    the period C = c_p (p the prefix plus one period of word and
+    exponents; two tail levels for a Bernoulli tail) at most 32."""
+    m = draw(st.integers(1, 3))
+    alphabet = tuple(
+        AdmissiblePair(draw(st.sampled_from((2, 3, 4, -2, -3, -4))),
+                       tuple(sorted(draw(st.sets(st.integers(0, 9),
+                                                 min_size=2, max_size=3)))))
+        for _ in range(m))
+    letters = st.integers(1, m)
+    prefix = tuple(draw(st.lists(letters, max_size=1)))
+    exponents = draw(st.sampled_from(
+        (ConstantExponents(1), ConstantExponents(2), PeriodicExponents((1, 2)))))
+    if draw(st.booleans()):
+        pattern = tuple(draw(st.lists(letters, min_size=1, max_size=2)))
+        tail, period = PeriodicTail(pattern), lcm(len(pattern), len(getattr(
+            exponents, "pattern", (1,))))
+    else:
+        weights = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+        tail = BernoulliTail(BernoulliSpec(
+            tuple(Fraction(w, sum(weights)) for w in weights),
+            draw(st.integers(0, 99))))
+        period = 2
+    spec = ConvolutionSpec(alphabet, SymbolicWord(prefix, tail), exponents)
+    c = abs(spec.cumulative_scale(len(prefix) + period))
+    return spec, c
+
+
+@given(small_specs())
+@settings(max_examples=60, deadline=None)
+def test_fixed_point_certificates_hold_on_random_specs(drawn):
+    """Members have every translate within +-C^2 a zero, and a removed
+    candidate xi is no zero at xi + k for its stated k."""
+    spec, c = drawn
+    v = iz_weak_limit(spec, horizon=16)
+    periodic = isinstance(spec.word.tail, PeriodicTail)
+    assert v.kind != "empty-up-to-horizon" or not periodic
+    if v.kind == "nonempty-witness":
+        roots = re.search(r"the nodes \{([^}]*)\} at tail 0\b", v.reason)
+        members = [Fraction(x) for x in roots.group(1).split(", ")]
+        assert members[0] == v.witness
+        for f in members:
+            assert all(spec.transform_zero_at(f + k)
+                       for k in range(-c * c, c * c + 1))
+    for f, k in re.findall(r"(\S+) dies at translate ([+-]\d+)", v.reason):
+        assert spec.transform_zero_at(Fraction(f))
+        assert not spec.transform_zero_at(Fraction(f) + int(k))
 
 
 def test_finite_measure_dispatch(mixed17):
@@ -468,7 +516,8 @@ def test_verdict_budget_exhaustion_keeps_the_evidence():
     rep = spectral_verdict(spec)
     assert rep.verdict == "Inconclusive"
     assert rep.reason == "budget-exhausted"
-    assert rep.iz is not None and rep.iz.kind == "empty-up-to-horizon"
+    assert rep.iz is not None and rep.iz.kind == "nonempty-witness"
+    assert rep.iz.witness == Fraction(1, 3)
     assert rep.q_report is not None
     assert rep.q_report.min_q == pytest.approx(0.10558795811082669)
 
