@@ -10,18 +10,18 @@ leftover factor with roots on the unit circle is reported instead of being
 silently approximated.
 
 Polynomials are plain lists of ints, lowest degree first, trailing zeros
-trimmed.  A cheap certified numeric prefilter rejects the overwhelming
-majority of candidate orders before any exact division happens; acceptance
-is always confirmed exactly, so the floating point step can never flip a
-verdict.
+trimmed.  A modular prefilter rejects almost every candidate order before
+any exact division: for a prime p = 1 (mod n) and omega of order n in F_p,
+Phi_n(omega) = 0 in F_p, so a nonzero f(omega) mod p proves that Phi_n does
+not divide f.  Orders it keeps are confirmed by exact division, so no
+verdict rests on floating point.
 """
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,12 @@ import numpy as np
 # ~1.3e16 (the primorial where prod p/(p-1) first exceeds 7), far past desk
 # scale.  Used to bound the candidate scan.
 _PHI_SLACK = 7
+
+# The order prefilter takes blocks of about _BLOCK_ENTRIES (order, support
+# exponent) entries per numpy pass, with primes in (2^20, 2^31): a false
+# pass has odds about 1/p, and products of residues stay below 2^62.
+_BLOCK_ENTRIES = 1 << 13
+_P_LOW, _P_HIGH = 1 << 20, 1 << 31
 
 
 def trim(coeffs: Sequence[int]) -> list[int]:
@@ -55,14 +61,15 @@ def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list
     if len(rem) - 1 < d:
         return [], trim(rem)
     quot = [0] * (len(rem) - d)
+    terms = [(j, dj) for j, dj in enumerate(den) if dj]
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
         if c == 0:
             continue
         quot[i - d] = c
-        for j, dj in enumerate(den):
+        for j, dj in terms:
             rem[i - d + j] -= c * dj
-    return trim(quot), trim(rem)
+    return trim(quot), trim(rem[:d])  # the steps zero every rem[i], i >= d
 
 
 def divisors(n: int) -> list[int]:
@@ -97,55 +104,81 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-_SPF: np.ndarray = np.zeros(2, dtype=np.int64)  # smallest prime factor sieve
+_PHI: np.ndarray = np.arange(2, dtype=np.int64)  # Euler phi sieve
 
 
 def _grow_sieve(limit: int) -> None:
-    global _SPF
-    if len(_SPF) > limit:
+    global _PHI
+    if len(_PHI) > limit:
         return
-    size = max(limit + 1, 2 * len(_SPF), 1 << 10)
-    spf = np.zeros(size, dtype=np.int64)
-    for p in range(2, size):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
-    _SPF = spf
+    phi = np.arange(max(limit + 1, 2 * len(_PHI), 1 << 10), dtype=np.int64)
+    for p in range(2, len(phi)):
+        if phi[p] == p:  # untouched, so prime
+            phi[p::p] -= phi[p::p] // p
+    _PHI = phi
 
 
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("phi is defined for positive integers")
-    if n == 1:
-        return 1
     _grow_sieve(n)
-    phi = 1
-    m = n
-    while m > 1:
-        p = int(_SPF[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
+    return int(_PHI[n])
 
 
-def _nonzero_at_primitive_root(coeffs: Sequence[int], n: int) -> bool:
-    """Float test that the value at exp(-2*pi*i/n) is clearly nonzero, so
-    Phi_n does not divide; False leaves the question to exact division."""
-    zeta = cmath.exp(-2j * cmath.pi / n)
-    scale = 0
-    # Horner on the folded exponents keeps arguments small.
-    folded = [0] * n
-    for e, c in enumerate(coeffs):
-        if c:
-            folded[e % n] += c
-    acc = 0j
-    for c in reversed(folded):
-        acc = acc * zeta + c
-        scale += abs(c)
-    # error bound: each fold step is one complex mul (unit modulus) and one add
-    return abs(acc) > max(1e-9, 10 * (4e-15 * (scale + n)))
+def _is_prime(p: int) -> bool:
+    """Strong probable prime to bases 2, 7 and 61: exact for 61 < p < 4,759,123,141."""
+    if gcd(p, 30030) > 1:
+        return False
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    for a in (2, 7, 61):
+        x = pow(a, (p - 1) >> s, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _order_root(n: int) -> Optional[tuple[int, int]]:
+    """(p, omega): the least prime p = 1 (mod n) in (2^20, 2^31) and the
+    first g^((p-1)/n), g = 2, 3, ..., of exact order n mod p; None if no
+    such prime exists."""
+    for k in range(-(-_P_LOW // n), (_P_HIGH - 2) // n + 1):
+        if _is_prime(p := k * n + 1):
+            ds = divisors(n)  # a prime divisor has no smaller divisor above 1
+            primes = [q for i, q in enumerate(ds) if i and all(q % r for r in ds[1:i])]
+            for g in range(2, p):
+                omega = pow(g, k, p)
+                if all(pow(omega, n // q, p) != 1 for q in primes):
+                    return p, omega
+    return None
+
+
+def _may_vanish(exps: np.ndarray, coeffs: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+    """Per order n, False when sum_j c_j zeta_n^(e_j) is proved nonzero: its
+    image under zeta_n -> omega in F_p is nonzero.  Powers come four exponent
+    bits at a time from a per-order table of base^0..base^15; an order
+    without a pair gets p = 1 and is always kept.  coeffs is int64, or
+    object past int64."""
+    pairs = np.array([_order_root(n) or (1, 0) for n in orders], dtype=np.int64)
+    p, base = pairs.reshape(-1, 2).T[:, :, None]  # (orders, 1) columns
+    e = exps % np.array(orders, dtype=np.int64)[:, None]
+    power, rows = np.ones_like(e), np.arange(len(orders))[:, None]
+    table = np.ones((len(orders), 16), dtype=np.int64)
+    while e.any():
+        for k in (1, 2, 4, 8):  # table[:, j] = base^j
+            table[:, k:2 * k] = table[:, :k] * base % p
+            base = base * base % p
+        power *= table[rows, e & 15]
+        power %= p
+        e >>= 4
+    power *= (coeffs % p).astype(np.int64, copy=False)
+    return (power % p).sum(axis=1) % p[:, 0] == 0
 
 
 def exponent_sum_vanishes(n: int, exponents: Iterable[int]) -> bool:
@@ -156,15 +189,15 @@ def exponent_sum_vanishes(n: int, exponents: Iterable[int]) -> bool:
     n = abs(n)
     if n == 0:
         raise ValueError("order must be nonzero")
-    coeffs = [0] * n
-    count = 0
-    for e in exponents:
-        coeffs[e % n] += 1
-        count += 1
-    if count == 0:
+    exps = [e % n for e in exponents]
+    if not exps:
         return True
-    if _nonzero_at_primitive_root(coeffs, n):
+    p, omega = _order_root(n) or (1, 0)  # for one order, pow beats _may_vanish's numpy setup
+    if sum(pow(omega, e, p) for e in exps) % p:
         return False
+    coeffs = [0] * n
+    for e in exps:
+        coeffs[e] += 1
     _, rem = poly_divmod(coeffs, list(cyclotomic(n)))
     return not rem
 
@@ -174,8 +207,9 @@ def cyclotomic_orders(coeffs: Sequence[int]) -> tuple[list[int], list[int]]:
 
     Returns (orders, residual) where residual is coeffs with every
     cyclotomic factor (and any power of x) divided out.  The scan covers
-    every n with phi(n) <= deg, using the numeric prefilter before any
-    exact division.
+    every n with phi(n) <= deg in increasing order, in blocks that go through
+    the modular prefilter together; the orders it keeps are divided exactly,
+    one by one, until the residual is a constant.
     """
     residual = trim(coeffs)
     if not residual:
@@ -186,27 +220,30 @@ def cyclotomic_orders(coeffs: Sequence[int]) -> tuple[list[int], list[int]]:
     if d <= 0:
         return [], residual
     orders: list[int] = []
-    original = list(residual)
+    support = [e for e, c in enumerate(residual) if c]
+    values = [residual[e] for e in support]
+    exps = np.array(support, dtype=np.int64)
+    values = np.array(values, dtype=np.int64 if max(map(abs, values)) < 1 << 63 else object)
     n_max = _PHI_SLACK * d
     _grow_sieve(n_max)
-    for n in range(1, n_max + 1):
-        if euler_phi(n) > degree(residual):
-            if degree(residual) == 0:
-                break
-            continue
-        if _nonzero_at_primitive_root(original, n):
-            continue
-        phi_n = list(cyclotomic(n))
-        quot, rem = poly_divmod(residual, phi_n)
-        if rem:
-            continue
-        orders.append(n)
-        residual = quot
-        while True:  # strip multiplicity; the zero set does not care, the residual does
+    candidates = np.flatnonzero(_PHI[1:n_max + 1] <= d) + 1
+    per_block = max(1, _BLOCK_ENTRIES // len(support))
+    for start in range(0, len(candidates), per_block):
+        block = candidates[start:start + per_block]
+        block = block[_PHI[block] <= degree(residual)].tolist()
+        for n, kept in zip(block, _may_vanish(exps, values, block)):
+            if not kept or _PHI[n] > degree(residual):
+                continue
+            phi_n = list(cyclotomic(n))
             quot, rem = poly_divmod(residual, phi_n)
-            if rem or not quot:
-                break
-            residual = quot
+            if rem:
+                continue
+            orders.append(n)
+            while not rem:  # strip multiplicity; the zero set does not care, the residual does
+                residual = quot
+                quot, rem = poly_divmod(residual, phi_n)
+            if degree(residual) == 0:
+                return orders, residual
     return orders, residual
 
 

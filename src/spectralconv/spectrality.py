@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -347,12 +348,14 @@ def iz_finite(m: AtomicMeasure) -> IZVerdict:
     for n, w in zip(m.nums, m.weights):
         coeffs[n - pmin] = w
     orders, residual = cyclotomic_orders(coeffs)
-    # zeros in [0, D): D * j / order for the primitive order-th roots
-    zeros = {Fraction(D * j, order) % D for order in orders
-             for j in range(1, order + 1) if gcd(j, order) == 1}
-    complete = sorted(f for f in zeros if f < 1 and all(f + i in zeros for i in range(1, D)))
+    # the zeros D j / order in [0, D), j prime to order, are distinct; over
+    # L = lcm(orders), a class mod 1 is all zeros when it holds D numerators
+    L = math.lcm(*orders)
+    counts = Counter(D * j * (L // order) % L for order in orders
+                     for j in range(1, order + 1) if gcd(j, order) == 1)
+    complete = [r for r, count in counts.items() if count == D]
     if complete:
-        witness = complete[0]
+        witness = Fraction(min(complete), L)
         return IZVerdict(
             NONEMPTY_WITNESS, witness=witness,
             reason="transform has period %d and vanishes on %s plus every "

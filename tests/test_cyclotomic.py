@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectralconv.cyclotomic import (
+    _may_vanish,
+    _order_root,
     cyclotomic,
     cyclotomic_orders,
     degree,
@@ -174,3 +177,117 @@ def test_gcd_divides_both_inputs(a, b, c):
     assert degree(g) >= degree(trim(c))
     assert _divides_exactly(left, g)
     assert _divides_exactly(right, g)
+
+
+def exact_quotient(num, den):
+    """num / den for a monic den by integer long division; None when den
+    does not divide num."""
+    num, den = trim(num), trim(den)
+    d = len(den) - 1
+    if len(num) - 1 < d:
+        return None
+    quot = [0] * (len(num) - d)
+    for i in range(len(num) - 1, d - 1, -1):
+        c = num[i]
+        quot[i - d] = c
+        for j, dj in enumerate(den):
+            num[i - d + j] -= c * dj
+    return None if any(num) else trim(quot)
+
+
+def ref_cyclotomic_orders(coeffs):
+    """cyclotomic_orders without any prefilter: exact division by every
+    Phi_n with phi(n) <= deg, scanning n up to 2 deg^2 because
+    phi(n) >= sqrt(n / 2)."""
+    residual = trim(coeffs)
+    while residual[0] == 0:
+        residual = residual[1:]
+    d = degree(residual)
+    orders = []
+    for n in range(1, 2 * d * d + 1):
+        if euler_phi(n) > d:
+            continue
+        quot = exact_quotient(residual, cyclotomic(n))
+        if quot is None:
+            continue
+        orders.append(n)
+        while quot is not None:
+            residual, quot = quot, exact_quotient(quot, cyclotomic(n))
+    return orders, residual
+
+
+BIG = 2 ** 70
+
+coefficients = st.one_of(st.integers(-5, 5), st.integers(-BIG, BIG),
+                         st.integers(2 ** 63 - 3, 2 ** 63 + 3).map(lambda c: c if c % 2 else -c))
+
+
+@given(st.lists(st.tuples(st.integers(1, 60), st.integers(1, 3)), max_size=4),
+       st.lists(coefficients, min_size=1, max_size=8),
+       st.integers(0, 2))
+@settings(max_examples=80, deadline=None)
+def test_orders_match_exact_division_by_every_candidate(factors, cofactor, shift):
+    """Products of cyclotomic factors with multiplicity, times a random
+    cofactor with negative and beyond-int64 coefficients and a power of x."""
+    if not trim(cofactor):
+        cofactor = [1]
+    poly = [0] * shift + trim(cofactor)
+    for n, mult in factors:
+        if degree(poly) + mult * euler_phi(n) > 48:
+            continue
+        for _ in range(mult):
+            poly = poly_mul(poly, list(cyclotomic(n)))
+    assert cyclotomic_orders(poly) == ref_cyclotomic_orders(poly)
+
+
+def test_coefficients_past_int64_are_reduced_exactly():
+    a, b = 2 ** 70 + 1, 3  # (1 + z)(a + b z^2)
+    assert cyclotomic_orders(poly_mul([1, 1], [a, 0, b])) == ([2], [a, 0, b])
+    assert cyclotomic_orders(poly_mul([1, 1, 1], [-a, 0, 0, a + 1])) == ([3], [-a, 0, 0, a + 1])
+
+
+@st.composite
+def exponent_sums(draw):
+    """A random exponent list mod n, or a union of cosets of subgroups of
+    Z/n, whose root-of-unity sum vanishes."""
+    n = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        return n, draw(st.lists(st.integers(-3 * n, 3 * n), max_size=12))
+    exps = []
+    for _ in range(draw(st.integers(1, 3))):
+        step = n // draw(st.sampled_from([d for d in divisors(n) if d > 1] or [1]))
+        start = draw(st.integers(-n, n))
+        exps += [start + k * step for k in range(n // step)]
+    return n, exps
+
+
+@given(exponent_sums())
+@settings(max_examples=150, deadline=None)
+def test_exponent_sum_vanishing_matches_exact_division(case):
+    n, exps = case
+    folded = [0] * n
+    for e in exps:
+        folded[e % n] += 1
+    expected = not trim(folded) or exact_quotient(folded, cyclotomic(n)) is not None
+    assert exponent_sum_vanishes(n, exps) == expected
+    assert exponent_sum_vanishes(-n, exps) == expected
+
+
+def test_prefilter_pairs_have_exact_order():
+    """Every cached (p, omega) for n <= 5000: p prime by trial division,
+    p = 1 (mod n), 2^20 < p < 2^31, omega^n = 1 and omega^(n/q) != 1 for
+    each prime q | n."""
+    sieve = np.ones(46342, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, 216):
+        sieve[q * q::q] = False
+    small_primes = np.flatnonzero(sieve)
+    for n in range(1, 5001):
+        p, omega = _order_root(n)
+        assert 2 ** 20 < p < 2 ** 31 and (p - 1) % n == 0
+        assert np.all(p % small_primes[small_primes * small_primes <= p] != 0)
+        assert pow(omega, n, p) == 1
+        factors = small_primes[small_primes <= n]
+        assert all(pow(omega, n // int(q), p) != 1 for q in factors[n % factors == 0])
+    assert _order_root(2 ** 31) is None
+    assert _may_vanish(np.array([0, 1]), np.array([1, 1]), [2 ** 31, 3]).tolist() == [True, False]
