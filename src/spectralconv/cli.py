@@ -171,8 +171,7 @@ class _ErrorDocumentGroup(click.Group):
 
 
 def _budget(ctx: click.Context, **overrides) -> VerdictBudget:
-    base = {"depth": ctx.obj["budget_depth"], "horizon": ctx.obj["horizon"]}
-    return VerdictBudget(**{**base, **overrides})
+    return VerdictBudget(**{"depth": ctx.obj["budget_depth"], **overrides})
 
 
 @click.group(cls=_ErrorDocumentGroup)

@@ -637,24 +637,6 @@ class PiecewiseConstantDensity:
         positives = {v for v in self.values if v > 0}
         return len(positives) == 1
 
-    def value_at(self, x: Rational) -> Fraction:
-        x = Fraction(x)
-        for v, a, b in zip(self.values, self.breakpoints, self.breakpoints[1:]):
-            if a <= x < b:
-                return v
-        return Fraction(0)
-
-    def mass_in(self, lo: Rational, hi: Rational) -> Fraction:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise ValueError("empty interval")
-        total = Fraction(0)
-        for v, a, b in zip(self.values, self.breakpoints, self.breakpoints[1:]):
-            left, right = max(a, lo), min(b, hi)
-            if left < right:
-                total += v * (right - left)
-        return total
-
     def to_json(self) -> dict:
         return {
             "breakpoints": [frac_str(b) for b in self.breakpoints],

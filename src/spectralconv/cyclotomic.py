@@ -195,9 +195,19 @@ def exponent_sum_vanishes(n: int, exponents: Iterable[int]) -> bool:
     p, omega = _order_root(n) or (1, 0)  # for one order, pow beats _may_vanish's numpy setup
     if sum(pow(omega, e, p) for e in exps) % p:
         return False
-    coeffs = [0] * n
+    # Exact reductions, so no list of length n is built: a shift multiplies the
+    # sum by a root of unity, zeta_n^g is a primitive (n/g)-th root for g =
+    # gcd(n, differences), and the widest cyclic gap closes the window [0, top].
+    g = gcd(n, *(e - exps[0] for e in exps))
+    n, exps = n // g, [(e - exps[0]) % n // g for e in exps]
+    points = sorted(set(exps))
+    gap, start = max((b - a, b) for a, b in zip(points, points[1:] + [points[0] + n]))
+    top = n - gap
+    if 2 * top * top < n:  # Phi_n | f needs phi(n) <= top, and phi(n) >= sqrt(n / 2)
+        return False
+    coeffs = [0] * (top + 1)
     for e in exps:
-        coeffs[e] += 1
+        coeffs[(e - start) % n] += 1
     _, rem = poly_divmod(coeffs, list(cyclotomic(n)))
     return not rem
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from .cyclotomic import exponent_sum_vanishes
-from .measures import AffineMap, parse_int
+from .measures import parse_int
 
 FIND_SPECTRA_SCALE_LIMIT = 64
 
@@ -81,14 +81,10 @@ def is_admissible(scale: int, digits, spectrum) -> bool:
             raise TypeError("spectrum entries must be ints, got %r" % (l,))
     if len(ls) != len(ds):
         return False
-    if len(set(ls)) != len(ls):
-        return False
-    good = good_differences(scale, ds)
-    for i in range(len(ls)):
-        for j in range(i + 1, len(ls)):
-            if (ls[j] - ls[i]) % n not in good:
-                return False
-    return True
+    # the sum at -delta is the conjugate of the one at delta; 0 is a repeated residue
+    deltas = {min(d, n - d) for d in ((b - a) % n for a, b in combinations(ls, 2))}
+    return 0 not in deltas and all(
+        exponent_sum_vanishes(n, [(b * d) % n for b in ds]) for d in deltas)
 
 
 @dataclass(frozen=True)
@@ -204,63 +200,3 @@ def first_spectrum(scale: int, digits,
     """The first spectrum ``find_spectra`` would list, or None when there
     is none; the walk stops at the first clique."""
     return next(_cliques(scale, digits, limit), None)
-
-
-def transform_pair(pair: AdmissiblePair, kind: str, value: int) -> AdmissiblePair:
-    """Rebuild a pair under one of the three spectrum-preserving moves.
-
-    ``translate`` by an integer b sends the digits to B - b and keeps
-    the spectrum.  ``divide`` by a divisor d of gcd(B) sends the digits
-    to B/d and the spectrum to d L.  ``scale`` by a nonzero integer t
-    sends the scale to t N and the spectrum to t L.
-    """
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError("transform value must be an int, got %r" % (value,))
-    if kind == "translate":
-        return AdmissiblePair(
-            pair.scale,
-            tuple(b - value for b in pair.digits),
-            pair.spectrum,
-        )
-    if kind == "divide":
-        g = math.gcd(*pair.digits)
-        if value <= 0 or g == 0 or g % value != 0:
-            raise ValueError(
-                "divide value %r must be a positive divisor of gcd(digits) = %r"
-                % (value, g)
-            )
-        return AdmissiblePair(
-            pair.scale,
-            tuple(b // value for b in pair.digits),
-            None if pair.spectrum is None else tuple(value * l for l in pair.spectrum),
-        )
-    if kind == "scale":
-        if value == 0:
-            raise ValueError("scale value must be nonzero")
-        return AdmissiblePair(
-            value * pair.scale,
-            pair.digits,
-            None if pair.spectrum is None else tuple(value * l for l in pair.spectrum),
-        )
-    raise ValueError("unknown transform kind %r" % (kind,))
-
-
-def normalize_pair(pair: AdmissiblePair):
-    """Translate the digits to start at 0 and divide out their gcd.
-
-    Returns the normalized pair together with the affine map T such
-    that the infinite self-similar measure of the original pair is the
-    image under T of the one built from the normalized pair.  The
-    spectrum, when present, rides along as d L, so spectra of the
-    original measure are spectra of the normalized one shrunk by 1/d.
-    """
-    b0 = pair.digits[0]
-    shifted = tuple(b - b0 for b in pair.digits)
-    d = math.gcd(*shifted)
-    normalized = AdmissiblePair(
-        pair.scale,
-        tuple(b // d for b in shifted),
-        None if pair.spectrum is None else tuple(d * l for l in pair.spectrum),
-    )
-    carry = AffineMap(Fraction(d), Fraction(b0, pair.scale - 1))
-    return normalized, carry

@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .cyclotomic import cyclotomic_orders, unit_circle_angles
-from .measures import TWO_PI_UPPER, frac_mod1, frac_str, parse_frac, phase_unit
+from .measures import TWO_PI_UPPER, frac_mod1, frac_str, phase_unit
 
 Rational = Union[Fraction, int]
 
@@ -189,10 +189,6 @@ class RationalZeroSet:
             "period": frac_str(self.period),
             "phases": [frac_str(p) for p in self.phases],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalZeroSet":
-        return cls(parse_frac(data["period"]), tuple(parse_frac(p) for p in data["phases"]))
 
 
 @dataclass(frozen=True)

@@ -176,10 +176,9 @@ class AtomicMeasure:
     def support_max(self) -> Fraction:
         return Fraction(self.nums[-1], self.den)
 
-    def mass_in(self, lo: Fraction, hi: Fraction, open_interval: bool = True) -> Fraction:
-        """Total weight of atoms inside the interval (lo, hi) (or [lo, hi])."""
-        left, right = (bisect_right, bisect_left) if open_interval else (bisect_left, bisect_right)
-        inside = self.weights[left(self.nums, lo * self.den):right(self.nums, hi * self.den)]
+    def mass_in(self, lo: Fraction, hi: Fraction) -> Fraction:
+        """Total weight of atoms inside the open interval (lo, hi)."""
+        inside = self.weights[bisect_right(self.nums, lo * self.den):bisect_left(self.nums, hi * self.den)]
         return Fraction(sum(inside), self.total)
 
     def ft(self, xi: Union[int, Fraction]) -> complex:
@@ -192,9 +191,6 @@ class AtomicMeasure:
             groups[theta] = groups.get(theta, 0) + w
         return sum(w / self.total * phase_unit(Fraction(theta, period))
                    for theta, w in groups.items())
-
-    def ft_interval(self, xi: Union[int, Fraction]) -> ComplexInterval:
-        return ComplexInterval(self.ft(xi), (len(self.nums) + 2) * 1e-15)
 
     def to_json(self) -> list[dict]:
         return [{"x": _ratio_str(n, self.den), "w": _ratio_str(w, self.total)}

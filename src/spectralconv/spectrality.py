@@ -491,19 +491,6 @@ def _letter_difference_gcd(spec: ConvolutionSpec,
     return g
 
 
-def tail_difference_gcd(spec: ConvolutionSpec, k: int) -> int:
-    """gcd of all digit differences over letters used at positions >= k."""
-    if k < 1:
-        raise ValueError("positions are 1-based")
-    shifted = spec.word.shift(k - 1)
-    letters = sorted(shifted.occurring_letters())
-    return _letter_difference_gcd(spec, letters)
-
-
-def gcd_condition(spec: ConvolutionSpec, k: int) -> bool:
-    return tail_difference_gcd(spec, k) == 1
-
-
 @dataclass(frozen=True)
 class WindowCertificate:
     ok: bool
@@ -572,85 +559,6 @@ def translate_disjoint_window(approx: AtomicMeasure,
         % (frac_str(mass), len(checked)))
 
 
-@dataclass(frozen=True)
-class EquiPositivityCertificate:
-    epsilon: float
-    delta: float
-    assignments: tuple[tuple[Fraction, tuple[int, ...]], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "assignments": [
-                [frac_str(x), list(ks)] for x, ks in self.assignments],
-        }
-
-
-@dataclass(frozen=True)
-class EquiPositivityFailure:
-    worst_x: Fraction
-    worst_tail: int
-    best_lower: float
-    reason: str
-
-
-def _tail_ft_lower(tail, xi: Fraction) -> float:
-    """Certified lower bound on |transform| at xi for one family member."""
-    if isinstance(tail, AtomicMeasure):
-        return tail.ft_interval(xi).abs_lower()
-    return tail.ft_infinite(xi, tol=1e-9).abs_lower()
-
-
-def equi_positive_check(tails: Sequence, x_grid: Sequence[Rational],
-                        y_grid: Sequence[Rational],
-                        k_window: Sequence[int]):
-    """Grid search for a uniform transform lower bound across a family.
-
-    For each grid point x and family member, picks the integer shift k in
-    the window maximizing the minimum certified |transform(x + y + k)|
-    over the y grid, with k forced to 0 at x = 0.  Ties prefer smaller
-    |k|, then the smaller k.  Success needs one positive bound uniform in
-    (x, member); failure pinpoints the worst pair and is only a grid
-    statement, not a disproof.
-    """
-    if not tails:
-        raise ValueError("need at least one family member")
-    xs = sorted({Fraction(x) % 1 for x in x_grid})
-    ys = sorted(Fraction(y) for y in y_grid)
-    ks = sorted(set(int(k) for k in k_window), key=lambda k: (abs(k), k))
-    if not xs or not ys or not ks:
-        raise ValueError("grids must be nonempty")
-    delta = float(max(abs(ys[0]), abs(ys[-1])))
-    epsilon = math.inf
-    worst: Optional[tuple[Fraction, int, float]] = None
-    assignments = []
-    for x in xs:
-        row = []
-        for idx, tail in enumerate(tails):
-            candidates = [0] if x == 0 else ks
-            best_k = candidates[0]
-            best_val = -1.0
-            for k in candidates:
-                low = min(_tail_ft_lower(tail, x + y + k) for y in ys)
-                if low > best_val:
-                    best_val = low
-                    best_k = k
-            row.append(best_k)
-            if best_val < epsilon:
-                epsilon = best_val
-                worst = (x, idx, best_val)
-        assignments.append((x, tuple(row)))
-    if epsilon > 0:
-        return EquiPositivityCertificate(float(epsilon), delta,
-                                         tuple(assignments))
-    x, idx, val = worst
-    return EquiPositivityFailure(
-        x, idx, val,
-        "no shift in the window keeps member %d bounded away from zero "
-        "near x = %s" % (idx, frac_str(x)))
-
-
 SPECTRAL = "Spectral"
 NOT_SPECTRAL = "NotSpectral"
 
@@ -683,10 +591,14 @@ def classify_special(t: int, base: int, step: int, word: SymbolicWord,
 
 @dataclass(frozen=True)
 class VerdictBudget:
+    """``run_q`` gates the Q grid of ``spectral_verdict`` and of a catalog
+    example; ``depth``, ``grid``, ``tol`` and ``budget_atoms`` go to
+    ``q_partial``; ``depth`` (capped to 2..6) and ``window`` set the
+    sparse-insertion window certificate.  No exact branch reads them."""
+
     run_q: bool = True
     depth: int = 12
     grid: int = 64
-    horizon: int = 64
     tol: float = 1e-6
     budget_atoms: int = 16384
     window: Optional[tuple[Rational, Rational]] = None
@@ -889,7 +801,7 @@ def spectral_verdict(spec, budget: Optional[VerdictBudget] = None
 
     limit_spec, note = _limit_tail_spec(spec)
     trace.append(note)
-    iz = iz_weak_limit(limit_spec, budget.horizon)
+    iz = iz_weak_limit(limit_spec)
     trace.append("zero set of the limit tail: %s (%s)" % (iz.kind, iz.reason))
     if iz.kind == EMPTY_CERTIFIED:
         return SpectralReport("SpectralCertified", "empty-periodic-zero-set",

@@ -253,11 +253,6 @@ def _pattern_windows(prefix: Sequence[int], pattern: Sequence[int]) -> tuple[int
     return hits, n - m + 1
 
 
-def pattern_frequency(prefix: Sequence[int], pattern: Sequence[int]) -> Fraction:
-    """Fraction of contiguous windows of the prefix equal to the pattern."""
-    return Fraction(*_pattern_windows(prefix, pattern))
-
-
 @dataclass
 class MonteCarloSummary:
     trials: int

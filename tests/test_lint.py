@@ -123,3 +123,95 @@ def test_every_traced_function_exists():
         if not callable(owner):
             missing.append((module, attr))
     assert missing == []
+
+
+# Definitions that only tests reach, kept on purpose: qualified name -> reason.
+TEST_ONLY_ALLOWED = {
+    "hadamard.digit_sum_vanishes": "acceptance criterion 1 checks admissibility with it",
+    "spectrality.q_exact_discrete": "acceptance criterion 2 evaluates Q of one level with it",
+    "spectrality.candidate_spectrum": "the reference of the Q oracle",
+    "measures.AtomicMeasure.ft": "the transform oracle of the measure tests",
+    "measures.AtomicMeasure.uniform": "the tests' constructor of uniform measures",
+    "measures.AtomicMeasure.point": "the tests' constructor of point masses",
+    "measures.convolve": "perfbench/tracing.py wraps it",
+    "cyclotomic.euler_phi": "the degree of the cyclotomic polynomials in the order tests",
+    "convolution.SparseInsertionSpec.digits_at": "the spec's definition of its own levels",
+}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_click_command(node):
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def _is_override(node):
+    """A method that calls ``super().<its own name>``: the base class, not
+    this package, is what reaches it (``click.Group.invoke``)."""
+    return any(isinstance(n, ast.Attribute) and n.attr == node.name
+               and isinstance(n.value, ast.Call) and isinstance(n.value.func, ast.Name)
+               and n.value.func.id == "super" for n in ast.walk(node))
+
+
+def _checked_definitions(tree):
+    """(qualified name, node) of module-level functions and classes and of
+    methods, less dunder methods, overrides and click commands."""
+    for node in tree.body:
+        if isinstance(node, _FUNCTIONS + (ast.ClassDef,)) and not _is_click_command(node):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, _FUNCTIONS) and not _is_click_command(sub)
+                        and not _is_override(sub)
+                        and not (sub.name.startswith("__") and sub.name.endswith("__"))):
+                    yield node.name + "." + sub.name, sub
+
+
+def _names_read(node, enclosing, out):
+    """Append (name, ids of the enclosing definitions) for every name read,
+    by name or as an attribute, in the tree under ``node``."""
+    if isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+        enclosing = enclosing | {id(node)}
+    if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store):
+        out.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(enclosing)
+    for child in ast.iter_child_nodes(node):
+        _names_read(child, enclosing, out)
+
+
+def definitions_reached_only_by_tests(sources):
+    """Sorted ``module.qualname`` of every checked definition that no module
+    but ``__init__.py`` names outside the definition itself."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {}
+    for module, tree in trees.items():
+        if module != "__init__.py":
+            _names_read(tree, frozenset(), read)
+    return sorted("%s.%s" % (module[:-3], qualname)
+                  for module, tree in trees.items()
+                  for qualname, node in _checked_definitions(tree)
+                  if all(id(node) in enclosing for enclosing in read.get(node.name, ())))
+
+
+def test_the_checker_sees_a_test_only_definition():
+    sources = {
+        "__init__.py": "from .a import spare, used\n",
+        "a.py": "import click\ndef used():\n    return 1\ndef spare(n):\n    return spare(n - 1)\n"
+                "class Box:\n    def __init__(self):\n        self.open()\n"
+                "    def open(self):\n        pass\n    def shut(self):\n        pass\n"
+                "class Loud(click.Group):\n    def invoke(self, ctx):\n"
+                "        return super().invoke(ctx)\n"
+                "@click.group()\ndef main():\n    pass\n"
+                "@main.command('go')\ndef go():\n    pass\n",
+        "b.py": "from .a import Box, Loud, used\nx = used() + Box() + Loud()\n",
+    }
+    assert definitions_reached_only_by_tests(sources) == ["a.Box.shut", "a.spare"]
+
+
+def test_no_definition_is_reached_only_by_tests():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as handle:
+            sources[module] = handle.read()
+    found = definitions_reached_only_by_tests(sources)
+    assert sorted(set(found) - set(TEST_ONLY_ALLOWED)) == []
+    assert sorted(set(TEST_ONLY_ALLOWED) - set(found)) == []

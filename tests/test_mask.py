@@ -107,12 +107,6 @@ def test_min_abs_nonzero():
     assert RationalZeroSet(Fraction(2), ()).min_abs_nonzero() == 2
 
 
-def test_json_roundtrip():
-    z = rational_zeros((0, 2, 4))
-    again = RationalZeroSet.from_json(z.to_json())
-    assert again.members_in(-2, 2) == z.members_in(-2, 2)
-
-
 def test_mask_with_only_irrational_zeros_is_flagged():
     """1 + z + z^3 + z^5 + z^6 never vanishes at a root of unity, yet
     has unimodular roots; the flag carries their angles."""

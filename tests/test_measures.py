@@ -73,7 +73,6 @@ def test_uniform_weights_are_exact():
 def test_mass_in_interval_endpoint_conventions():
     m = AtomicMeasure.uniform((0, Fraction(1, 2), 1))
     assert m.mass_in(0, 1) == Fraction(1, 3)  # open by default
-    assert m.mass_in(0, 1, open_interval=False) == 1
     assert m.support_min() == 0 and m.support_max() == 1
 
 
@@ -141,14 +140,6 @@ def test_interval_bounds():
     iv = ComplexInterval(3 + 4j, 0.5)
     assert iv.abs_lower() == 4.5
     assert iv.abs_upper() == 5.5
-
-
-def test_certified_transform_encloses_the_point_value():
-    m = AtomicMeasure.uniform((0, Fraction(1, 8), Fraction(5, 8)))
-    xi = Fraction(2, 3)
-    iv = m.ft_interval(xi)
-    assert abs(iv.value - m.ft(xi)) <= iv.radius
-    assert iv.radius < 1e-12
 
 
 @given(small_measures())

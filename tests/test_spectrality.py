@@ -30,19 +30,14 @@ from spectralconv.hadamard import (
 from spectralconv.measures import AtomicMeasure
 from spectralconv import spectrality
 from spectralconv.spectrality import (
-    EquiPositivityCertificate,
-    EquiPositivityFailure,
     VerdictBudget,
     candidate_spectrum,
     classify_special,
-    equi_positive_check,
-    gcd_condition,
     iz_finite,
     iz_weak_limit,
     q_exact_discrete,
     q_partial,
     spectral_verdict,
-    tail_difference_gcd,
     translate_disjoint_window,
 )
 from spectralconv.words import (
@@ -339,22 +334,6 @@ def test_finite_measure_dispatch(mixed17):
 
 
 # ---------------------------------------------------------------------------
-# digit difference gcds
-
-def test_tail_gcd_of_the_quarter_spec(jp):
-    assert tail_difference_gcd(jp, 1) == 2
-    assert tail_difference_gcd(jp, 5) == 2
-    assert not gcd_condition(jp, 1)
-
-
-def test_tail_gcd_of_the_mixed_word(mixed17):
-    assert tail_difference_gcd(mixed17, 1) == 1
-    assert tail_difference_gcd(mixed17, 2) == 3
-    assert gcd_condition(mixed17, 1)
-    assert not gcd_condition(mixed17, 2)
-
-
-# ---------------------------------------------------------------------------
 # window certificates
 
 def _two_atom_approx():
@@ -388,38 +367,6 @@ def test_window_certificate_serializes():
     data = cert.to_json()
     assert data["ok"] is True
     assert data["mass_lower"] == "1/3"
-
-
-# ---------------------------------------------------------------------------
-# equi-positivity of shifted transforms
-
-def test_equi_positivity_fails_without_usable_shifts():
-    members = [AtomicMeasure.uniform((0, 1))]
-    res = equi_positive_check(members, frac_grid(16),
-                              [Fraction(k, 64) for k in range(-4, 5)],
-                              range(-3, 4))
-    assert isinstance(res, EquiPositivityFailure)
-    assert res.worst_x == Fraction(7, 16)
-    assert res.best_lower == 0.0
-
-
-def test_equi_positivity_holds_for_quarter_spec_tails(jp):
-    tails = [jp.tail(k) for k in range(3)]
-    res = equi_positive_check(tails, frac_grid(16),
-                              [Fraction(k, 64) for k in range(-4, 5)],
-                              range(-3, 4))
-    assert isinstance(res, EquiPositivityCertificate)
-    assert res.epsilon == pytest.approx(0.6179724705571884)
-    assert res.delta == Fraction(1, 16)
-    assert len(res.assignments) == 16
-    assert res.assignments[0] == (Fraction(0), (0, 0, 0))
-
-
-def test_equi_positivity_rejects_empty_grids(jp):
-    with pytest.raises(ValueError):
-        equi_positive_check([jp.tail(0)], [], [0], range(-1, 2))
-    with pytest.raises(ValueError):
-        equi_positive_check([], frac_grid(4), [0], range(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -541,4 +488,4 @@ def test_verdict_serializes_with_stable_keys(jp):
 def test_budget_defaults():
     b = VerdictBudget()
     assert b.run_q and b.depth == 12 and b.grid == 64
-    assert b.horizon == 64 and spectrality._EVIDENCE_Q_MIN == 0.999
+    assert spectrality._EVIDENCE_Q_MIN == 0.999

@@ -13,7 +13,6 @@ from spectralconv.words import (
     PeriodicTail,
     SymbolicWord,
     monte_carlo_spectrality,
-    pattern_frequency,
     sample_word,
     splitmix64,
     tail_from_json,
@@ -167,12 +166,6 @@ def test_word_json_roundtrip():
     again = SymbolicWord.from_json(w.to_json())
     assert [again.symbol(k) for k in range(1, 10)] == \
            [w.symbol(k) for k in range(1, 10)]
-
-
-def test_sliding_window_pattern_frequency():
-    assert pattern_frequency((1, 2, 1, 2), (1, 2)) == Fraction(2, 3)
-    assert pattern_frequency((1, 1, 1, 1), (1, 2)) == 0
-    assert pattern_frequency((2, 2), (2, 2)) == 1
 
 
 def test_sample_word_length_and_determinism():
