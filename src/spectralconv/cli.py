@@ -21,6 +21,7 @@ from itertools import chain
 from typing import Optional
 
 import click
+import numpy as np
 
 from .catalog import example_ids, run_example
 from .convolution import (
@@ -31,7 +32,7 @@ from .convolution import (
     overlap_mass,
     zero_set_window,
 )
-from .hadamard import find_spectra, first_spectrum, is_admissible, AdmissiblePair
+from .hadamard import first_spectrum, is_admissible, spectrum_rows, AdmissiblePair
 from .mask import IrrationalZeroPresent, mask_zero_set
 from .measures import AtomicMeasure, frac_str, parse_frac, parse_int
 from .spectrality import (
@@ -93,12 +94,39 @@ _encoder = functools.lru_cache(lambda level: json.JSONEncoder(
     sort_keys=True, separators=(",\n" + "  " * level, ": ")).encode)
 
 
+def _rows(arr: np.ndarray, level: int) -> str:
+    """A 2-D integer array as the list of its rows, one number per line.
+
+    Every cell's text, with the row opener in the first column and the
+    row closer in the last, is looked up in a table over [min, max], so
+    the rows never become Python lists."""
+    if arr.ndim != 2 or arr.dtype.kind not in "iu":
+        raise TypeError("only 2-D integer arrays are printed, got a %d-D %s array"
+                        % (arr.ndim, arr.dtype))
+    if not arr.size:
+        return _dumps(arr.tolist(), level)
+    pad, inner, deep = "  " * level, "  " * (level + 1), "  " * (level + 2)
+    lo = int(arr.min())
+    values = np.array(list(map(str, range(lo, int(arr.max()) + 1))), dtype=object)
+    opener, closer = inner + "[\n" + deep, "\n" + inner + "],\n"
+    table = np.stack([opener + values + ",\n", deep + values + ",\n",
+                      deep + values + closer, opener + values + closer])
+    kind = [3] if arr.shape[1] == 1 else [0] + [1] * (arr.shape[1] - 2) + [2]
+    cells = table[kind, arr - lo].ravel().tolist()
+    cells[0] = "[\n" + cells[0]
+    cells[-1] = cells[-1][:-2] + "\n" + pad + "]"  # one cell may be both
+    return "".join(cells)
+
+
 def _dumps(obj, level: int = 0) -> str:
     """The stdlib's sorted-key, two-space-indent JSON of a string-keyed tree.
 
     Scalar-only containers, and lists of non-empty scalar-only containers
     of one kind, go to the C encoder whole: ensure_ascii strings hold no
-    raw newline, so every ",\n" it writes is a separator."""
+    raw newline, so every ",\n" it writes is a separator.  A 2-D integer
+    ndarray prints as the list of its rows."""
+    if isinstance(obj, np.ndarray):
+        return _rows(obj, level)
     if not isinstance(obj, (dict, list, tuple)):
         return _encoder(0)(obj)
     o, c = "{}" if isinstance(obj, dict) else "[]"
@@ -120,7 +148,7 @@ def _dumps(obj, level: int = 0) -> str:
     else:
         body = (",\n" + inner).join(_encoder(0)(k) + ": " + _dumps(v, level + 1)
                                    for k, v in sorted(obj.items()))
-    return o + "\n" + inner + body + "\n" + pad + c
+    return "".join((o, "\n", inner, body, "\n", pad, c))  # one copy of a long body
 
 
 def _emit(ctx: click.Context, payload: dict) -> None:
@@ -227,12 +255,12 @@ def hadamard_check(ctx, scale, digits, spectrum):
 @click.pass_context
 def hadamard_search(ctx, scale, digits, limit):
     digits = _parse_ints(digits)
-    spectra = find_spectra(scale, digits, limit)
+    spectra = spectrum_rows(scale, digits, limit)
     _emit(ctx, {
         "scale": scale,
         "digits": list(digits),
         "spectra": spectra,
-        "admissible": bool(spectra),
+        "admissible": len(spectra) > 0,
     })
 
 

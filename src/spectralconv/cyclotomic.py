@@ -181,6 +181,16 @@ def _may_vanish(exps: np.ndarray, coeffs: np.ndarray, orders: Sequence[int]) -> 
     return (power % p).sum(axis=1) % p[:, 0] == 0
 
 
+def _nonzero_at_root(coeffs: Sequence[int], n: int) -> bool:
+    """True when f(omega) != 0 in F_p for the (p, omega) of order n, which
+    proves that Phi_n does not divide f; False without such a pair."""
+    p, omega = _order_root(n) or (1, 0)
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * omega + c) % p
+    return value != 0
+
+
 def exponent_sum_vanishes(n: int, exponents: Iterable[int]) -> bool:
     """Exact test of sum_e zeta_n^e == 0 for zeta_n a primitive n-th root.
 
@@ -249,9 +259,13 @@ def cyclotomic_orders(coeffs: Sequence[int]) -> tuple[list[int], list[int]]:
             if rem:
                 continue
             orders.append(n)
-            while not rem:  # strip multiplicity; the zero set does not care, the residual does
-                residual = quot
+            residual = quot
+            # strip multiplicity; the zero set does not care, the residual does
+            while not _nonzero_at_root(residual, n):
                 quot, rem = poly_divmod(residual, phi_n)
+                if rem:
+                    break
+                residual = quot
             if degree(residual) == 0:
                 return orders, residual
     return orders, residual

@@ -151,21 +151,63 @@ class AdmissiblePair:
         return cls(data["n"], tuple(data["b"]), tuple(data["l"]) if "l" in data else None)
 
 
-def _cliques(scale: int, digits, limit: int):
-    """Spectra of the pair inside {0, ..., |scale|-1} that contain 0,
-    in increasing order.
-
-    A clique of the good-difference graph grows from {0} by intersecting
-    the compatibility masks of its members, lowest candidate bit first,
-    so the cliques come out sorted without a sort.
-    """
+def _enumerable(scale: int, digits, limit: int) -> tuple[int, tuple, frozenset]:
+    """|scale|, the sorted digits and the good differences of a pair whose
+    spectra may be enumerated."""
     n = abs(_validated_scale(scale))
     ds = _validated_digits(digits)
     if n > limit:
         raise ValueError("scale %r exceeds the enumeration limit %r" % (scale, limit))
+    return n, ds, good_differences(n, ds)
+
+
+def spectrum_rows(scale: int, digits, limit: int = FIND_SPECTRA_SCALE_LIMIT) -> np.ndarray:
+    """``find_spectra`` as a (count, #digits) matrix of the smallest
+    unsigned dtype that holds |scale| - 1, one spectrum per row.
+
+    A level sweep: every partial spectrum carries its candidate row, the
+    residues above its last member that differ from each member by a good
+    difference.  A level extends each row by each of its candidates, and
+    the nonzero cells of the candidate matrix come row-major, so the rows
+    stay in lexicographic order without a sort.  Rows left with fewer candidates than they
+    still need are dropped.  A child's row is its parent's, less the
+    residues up to v, and good at w - v: the good-difference row shifted
+    by v.  Row v of a window over that row, padded with |scale| zeros,
+    is that shift, so no |scale|-by-|scale| table is built and indexing
+    gathers only the rows of the residues the sweep reaches.
+    """
+    n, ds, good = _enumerable(scale, digits, limit)
     k = len(ds)
-    good = good_differences(n, ds)
-    compat = [sum(1 << w for w in range(n) if (w - v) % n in good) for v in range(n)]
+    padded = np.zeros(2 * n, dtype=bool)
+    padded[[n + d for d in good]] = True
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
+    rows = np.zeros((1, 1), dtype=np.min_scalar_type(n - 1))
+    cand = shifted[[0]]
+    for size in range(1, k):
+        # take and compress copy whole rows, where fancy indexing goes cell by cell
+        parent, v = np.divmod(np.flatnonzero(cand), n)
+        rows = np.column_stack((rows.take(parent, axis=0), v.astype(rows.dtype)))
+        if size == k - 1:
+            break
+        cand = cand.take(parent, axis=0) & shifted.take(v, axis=0)
+        keep = np.count_nonzero(cand, axis=1) >= k - size - 1
+        rows, cand = rows.compress(keep, axis=0), cand.compress(keep, axis=0)
+    return rows
+
+
+def _cliques(scale: int, digits, limit: int):
+    """Spectra of the pair inside {0, ..., |scale|-1} that contain 0,
+    in increasing order, one by one.
+
+    A clique of the good-difference graph grows from {0} by intersecting
+    the compatibility masks of its members, lowest candidate bit first,
+    so the cliques come out sorted without a sort.  Every candidate left
+    lies above v, so the mask of v is the good-difference mask shifted by
+    v, as in ``spectrum_rows``.
+    """
+    n, ds, good = _enumerable(scale, digits, limit)
+    k = len(ds)
+    good = sum(1 << d for d in good)
 
     def walk(clique, cand):
         # stop once too few candidates are left to fill the clique
@@ -176,9 +218,9 @@ def _cliques(scale: int, digits, limit: int):
             if len(clique) == k - 1:
                 yield clique + (v,)
             else:
-                yield from walk(clique + (v,), cand & compat[v])
+                yield from walk(clique + (v,), cand & (good << v))
 
-    yield from walk((0,), compat[0])
+    yield from walk((0,), good)
 
 
 def find_spectra(scale: int, digits, limit: int = FIND_SPECTRA_SCALE_LIMIT) -> tuple:
@@ -189,10 +231,11 @@ def find_spectra(scale: int, digits, limit: int = FIND_SPECTRA_SCALE_LIMIT) -> t
     gives another spectrum, so this anchored list is a complete set of
     representatives.  The list is in increasing lexicographic order, so
     its first entry is what ``first_spectrum`` returns.  Enumeration
-    walks cliques of the good-difference graph and is refused for |scale|
-    above ``limit``.
+    sweeps cliques of the good-difference graph level by level
+    (``spectrum_rows``) and is refused for |scale| above ``limit``.
     """
-    return tuple(_cliques(scale, digits, limit))
+    rows = spectrum_rows(scale, digits, limit)
+    return tuple(zip(*(c.tolist() for c in rows.T)))
 
 
 def first_spectrum(scale: int, digits,

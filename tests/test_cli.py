@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from conftest import time_limit
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spectralconv.catalog import (
     insertion_target_five_sixths,
@@ -564,15 +566,38 @@ def _containers(children):
                      dicts.map(_Dict))
 
 
+_ROW_SHAPES = st.tuples(st.integers(0, 4), st.integers(1, 4))
+# 2-D integer arrays, as `hadamard search` prints its spectra
+_ROW_ARRAYS = st.one_of(arrays(np.uint8, _ROW_SHAPES, elements=st.integers(0, 255)),
+                        arrays(np.int64, _ROW_SHAPES, elements=st.integers(-3, 300)))
 JSON_TREES = st.recursive(
-    st.one_of(_SCALAR_VALUES, _UNIFORM, _with_empty(_UNIFORM)), _containers,
+    st.one_of(_SCALAR_VALUES, _UNIFORM, _with_empty(_UNIFORM), _ROW_ARRAYS), _containers,
     max_leaves=30)
 
 
 @settings(max_examples=200, deadline=None)
 @given(JSON_TREES)
 def test_emitter_matches_json_dumps(tree):
-    assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2)
+    """Every array is compared as its .tolist()."""
+    assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2,
+                                      default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("array", [np.zeros((2, 2), dtype=bool), np.zeros((2, 2)),
+                                   np.zeros(3, dtype=int), np.zeros((1, 2, 2), dtype=int)])
+def test_emitter_refuses_arrays_that_are_not_integer_rows(array):
+    with pytest.raises(TypeError):
+        _dumps({"spectra": array})
+
+
+def test_search_with_a_huge_limit_builds_no_table_of_its_size(runner):
+    """One good difference, 50000, at scale 100000: only the residues the
+    sweep reaches get a compatibility row."""
+    with time_limit(MALFORMED_CASE_LIMIT_S):
+        result = runner.invoke(main, ["hadamard", "search", "--limit", "100000", "100000", "0,1"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == json.dumps({"admissible": True, "digits": [0, 1], "scale": 100000,
+                                        "spectra": [[0, 50000]]}, indent=2) + "\n"
 
 
 def test_json_out_file_equals_stdout_for_16384_spectra(runner, tmp_path):

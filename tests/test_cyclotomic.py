@@ -1,5 +1,6 @@
 """Exact integer polynomial arithmetic underneath everything else."""
 
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +245,24 @@ def test_coefficients_past_int64_are_reduced_exactly():
     a, b = 2 ** 70 + 1, 3  # (1 + z)(a + b z^2)
     assert cyclotomic_orders(poly_mul([1, 1], [a, 0, b])) == ([2], [a, 0, b])
     assert cyclotomic_orders(poly_mul([1, 1, 1], [-a, 0, 0, a + 1])) == ([3], [-a, 0, 0, a + 1])
+
+
+def test_multiplicity_strip_skips_the_division_that_would_fail(monkeypatch):
+    """Phi_3^2 * Phi_5 * (x + 2): two divisions by Phi_3 and one by Phi_5.
+    The quotient left after each strip is nonzero at the order's F_p root,
+    which proves the next division would leave a remainder."""
+    phi3, phi5 = list(cyclotomic(3)), list(cyclotomic(5))  # built before counting
+    poly = poly_mul(poly_mul(poly_mul(phi3, phi3), phi5), [2, 1])
+    divisions = []
+
+    def counting(num, den):
+        divisions.append(len(den) - 1)
+        return poly_divmod(num, den)
+
+    # the package exports a function named cyclotomic, so import the module by path
+    monkeypatch.setattr(importlib.import_module("spectralconv.cyclotomic"), "poly_divmod", counting)
+    assert cyclotomic_orders(poly) == ([3, 5], [2, 1])
+    assert divisions == [2, 2, 4]
 
 
 @st.composite

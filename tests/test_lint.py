@@ -128,6 +128,7 @@ def test_every_traced_function_exists():
 # Definitions that only tests reach, kept on purpose: qualified name -> reason.
 TEST_ONLY_ALLOWED = {
     "hadamard.digit_sum_vanishes": "acceptance criterion 1 checks admissibility with it",
+    "hadamard.find_spectra": "the library's tuple API; acceptance criteria 1 and 2 list spectra with it",
     "spectrality.q_exact_discrete": "acceptance criterion 2 evaluates Q of one level with it",
     "spectrality.candidate_spectrum": "the reference of the Q oracle",
     "measures.AtomicMeasure.ft": "the transform oracle of the measure tests",

@@ -1,7 +1,8 @@
 """Bitmask spectrum search and the integer gcd against their references.
 
-`find_spectra` walks cliques of the good-difference graph on bitmasks,
-lowest candidate first, and `first_spectrum` stops at the first clique.
+`spectrum_rows` (and `find_spectra` through it) sweeps cliques of the
+good-difference graph level by level, and `first_spectrum` walks them on
+bitmasks, lowest candidate first, stopping at the first clique.
 `poly_gcd` runs the primitive pseudo-remainder sequence over the
 integers.  The references below are the code they replaced: the
 `all()`-based clique extension with a final sort, and the Euclid over
@@ -12,13 +13,14 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import time_limit
 
 from spectralconv.cyclotomic import cyclotomic_orders, poly_gcd, trim
-from spectralconv.hadamard import find_spectra, first_spectrum, good_differences
+from spectralconv.hadamard import find_spectra, first_spectrum, good_differences, spectrum_rows
 
 # ---------------------------------------------------------------------------
 # the references
@@ -99,13 +101,16 @@ def reverse(coeffs):
 
 @st.composite
 def pairs(draw):
-    """Signed scales 2-40 and 2-9 digits up to 3|N|: admissible pairs,
-    inadmissible ones, and pairs with more digits than |N|."""
-    n = draw(st.integers(2, 40))
+    """Signed scales 2-40 and 65-100 and 2-9 digits up to 3|N|: admissible
+    pairs, inadmissible ones, and pairs with more digits than |N|.  Rows
+    of the wider scales span more than 64 residues."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(65, 100)))
     scale = n * draw(st.sampled_from([1, -1]))
     if draw(st.booleans()):
-        # digits j*m + n*t (j < k) with k | n: m**(k-1) spectra
-        k = draw(st.sampled_from([k for k in range(2, 10) if n % k == 0] or [2]))
+        # digits j*m + n*t (j < k) with k | n: m**(k-1) spectra, at most
+        # 2**14 at the wider scales, where the reference is slow
+        k = draw(st.sampled_from([k for k in range(2, 10) if n % k == 0
+                                  and (n <= 40 or (n // k) ** (k - 1) <= 2 ** 14)] or [2]))
         digits = {j * (n // k) + n * draw(st.integers(0, 2)) for j in range(k)}
     else:
         size = draw(st.integers(2, min(9, 3 * n + 1)))
@@ -121,9 +126,16 @@ def pairs(draw):
 @settings(max_examples=300, deadline=None)
 def test_bitmask_search_matches_the_reference(pair):
     scale, digits = pair
+    n = abs(scale)
     reference = ref_find_spectra(scale, digits)
-    assert find_spectra(scale, digits) == reference
-    assert first_spectrum(scale, digits) == (reference[0] if reference else None)
+    rows = spectrum_rows(scale, digits, limit=n)
+    assert rows.tolist() == [list(s) for s in reference]
+    assert rows.shape == (len(reference), len(digits))
+    assert rows.dtype == np.uint8  # the smallest unsigned dtype for residues below 100
+    spectra = find_spectra(scale, digits, limit=n)
+    assert spectra == reference
+    assert all(type(x) is int for s in spectra for x in s)
+    assert first_spectrum(scale, digits, limit=n) == (reference[0] if reference else None)
 
 
 @pytest.mark.parametrize("search", [find_spectra, first_spectrum])
