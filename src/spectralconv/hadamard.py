@@ -205,9 +205,9 @@ def _cliques(scale: int, digits, limit: int):
     lies above v, so the mask of v is the good-difference mask shifted by
     v, as in ``spectrum_rows``.
     """
-    n, ds, good = _enumerable(scale, digits, limit)
+    _, ds, good = _enumerable(scale, digits, limit)
     k = len(ds)
-    good = sum(1 << d for d in good)
+    mask = sum(1 << d for d in good)
 
     def walk(clique, cand):
         # stop once too few candidates are left to fill the clique
@@ -218,9 +218,9 @@ def _cliques(scale: int, digits, limit: int):
             if len(clique) == k - 1:
                 yield clique + (v,)
             else:
-                yield from walk(clique + (v,), cand & (good << v))
+                yield from walk(clique + (v,), cand & (mask << v))
 
-    yield from walk((0,), good)
+    yield from walk((0,), mask)
 
 
 def find_spectra(scale: int, digits, limit: int = FIND_SPECTRA_SCALE_LIMIT) -> tuple:
