@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cyclotomic import exponent_sum_vanishes
+from .cyclotomic import divisors, exponent_sum_vanishes
 from .measures import parse_int
 
 FIND_SPECTRA_SCALE_LIMIT = 64
@@ -57,17 +57,18 @@ def good_differences(scale: int, digits) -> frozenset:
 
     A set L of integers, pairwise distinct mod scale, is a spectrum
     exactly when every pairwise difference lands in this set mod |scale|.
-    The set is closed under negation mod |scale| because the sum at
-    -delta is the conjugate of the sum at delta.
+    For gcd(delta, n) = d, n = |scale|, zeta_n^delta is a primitive
+    (n/d)-th root of unity; all of those are Galois conjugates, so the sum
+    vanishes at one exactly when it vanishes at all.  One exact test per
+    divisor d decides the whole class {d k : gcd(k, n/d) = 1}.
     """
     n = abs(_validated_scale(scale))
     ds = _validated_digits(digits)
     good = set()
-    for delta in range(1, n):
-        if (n - delta) in good:
-            good.add(delta)
-        elif exponent_sum_vanishes(n, [(b * delta) % n for b in ds]):
-            good.add(delta)
+    for d in divisors(n)[:-1]:
+        m = n // d
+        if exponent_sum_vanishes(m, [b % m for b in ds]):
+            good.update(d * k for k in range(1, m) if math.gcd(k, m) == 1)
     return frozenset(good)
 
 

@@ -12,6 +12,7 @@ decisions).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -96,6 +97,25 @@ class MaskAbs2:
         f = c * b1
         f += self.coeffs[0] - b2
         return np.clip(f, 0.0, 1.0, out=f)
+
+    def deficit(self, y: float) -> float:
+        """1 - |m_B(y)|^2 = sum_{k>0} 2 coeffs[k] sin^2(pi k g y) at a float y.
+
+        Every term is nonnegative, so when pi k g |y| <= 1 for every k the
+        result is within (30 + len(coeffs)) u of the true value relatively,
+        u = 2**-53: the argument is off by at most 4u relatively (pi, the
+        products by g, k and y), which moves the sine by at most
+        4u/sin(1) < 4.8u of itself; the sine adds COS_ULPS ulps of at most
+        2u each, the coefficient and the three products 3u, and the sum
+        of positive terms u per term.
+        """
+        half = self.step / 2.0
+        total = 0.0
+        for k in range(1, len(self.coeffs)):
+            if self.coeffs[k]:
+                s = math.sin(half * k * y)
+                total += 2.0 * self.coeffs[k] * s * s
+        return total
 
 
 @lru_cache(maxsize=None)

@@ -42,9 +42,18 @@ _U = 2.0 ** -53
 # entries.
 _BLOCK_ENTRIES = 1 << 15
 
-# q_partial multiplies at most this many tail levels past depth n; the
-# radius stays certified when the tail bound has not reached tol/2 by then.
+# q_partial multiplies at most this many tail levels past depth n before it
+# takes |nu^|^2 from the tail fit; a branch still outside the fit's interval
+# after them counts as [0, p], so the radius stays certified.
 _MAX_TAIL = 64
+
+# the tail fit interpolates at this many Chebyshev points in s = y^2, and
+# multiplies at most _NODE_LEVELS levels per node value; (2/pi) log N + 1,
+# below 2.47 at N = 10, bounds the Lebesgue constant of N first-kind points
+# (Rivlin, An Introduction to the Approximation of Functions, 1969)
+_FIT_NODES = 10
+_NODE_LEVELS = 256
+_LEBESGUE = 2.5
 
 # the least value and the largest radius at which grid Q counts as evidence
 _EVIDENCE_Q_MIN = 1.0 - 1e-3
@@ -146,8 +155,153 @@ class QReport:
         }
 
 
+@dataclass(frozen=True)
+class _TailFit:
+    """F_m(y) = |nu_m^(y)|^2 on |y| <= y0 as 1 - s P(s), s = y^2.
+
+    nu_m is the measure of the levels after m, P a polynomial in powers
+    of s (``coeffs``, highest first, for Horner's rule).  If the computed
+    y is within delta of the true one and Y = |y| + delta <= y0, the value
+    F from ``__call__`` is within quad * Y^2 + lip * delta * Y + u F of
+    F_m(y), with ``lip`` the spec's (4 pi h)^2 from ``_TailFits`` and u F
+    the rounding of the last subtraction.
+    """
+    coeffs: tuple[float, ...]
+    quad: float
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        """F_m at the branches whose squared positions are ``s``."""
+        f = s * self.coeffs[0]
+        f += self.coeffs[1]
+        for c in self.coeffs[2:]:
+            f *= s
+            f += c
+        f *= s
+        np.subtract(1.0, f, out=f)
+        return np.clip(f, 0.0, 1.0, out=f)
+
+
+class _TailFits:
+    """The tail fits of one spec, built once per level m on first use.
+
+    With h = support_halfwidth(), every tail measure nu_m lies in an
+    interval of length 2h, so rho = nu_m * nu_m~ is a symmetric
+    probability measure on [-2h, 2h] and F_m(y) = int cos(2 pi y t) drho.
+    Write F_m = 1 - y^2 R(y^2).  From 1 - cos a = a^2 int_0^1 (1-r) cos(ra) dr,
+    the even function R(y^2) has k-th derivative at most
+    lip^(k/2+1)/((k+1)(k+2)) with lip = (4 pi h)^2.  P interpolates R at
+    _FIT_NODES Chebyshev points of the first kind in s on [0, y0^2], the
+    squares of 2 _FIT_NODES Chebyshev points in y on [-y0, y0].  At
+    y0 = 1/(2 pi h) their node polynomial is at most 2 (y0/2)^(2N) in y,
+    so |R - P| <= 2 lip/(2N+2)!.  ``quad`` adds, in order:
+
+    * the node errors times the Lebesgue constant of N first-kind points;
+      a node error covers the rounding of the deficit product (each level
+      deficit from ``MaskAbs2.deficit`` is relatively accurate, so the
+      product 1 - prod(1 - d_k) is too), the levels left out after it
+      (1 - |nu^(z)|^2 <= 2 pi^2 z^2 (2h)^2 <= lip z^2) and the rounding
+      of the node itself (|R'| <= lip^2/18 on [0, y0^2]);
+    * the rounding of the Chebyshev coefficients (each within its
+      cosines' error times the node values) and of converting them
+      exactly to powers of s and then to floats;
+    * Horner's rounding, gamma_2N times sum |c_i| y0^(2i), and the
+      rounding of s = y^2 (|d(sR)/ds| <= lip).
+
+    The Lipschitz term lip * delta * Y bounds F_m(y) - F_m(yhat), as
+    |F_m'(y)| <= (2 pi)^2 (2h)^2 |y|.
+    """
+
+    def __init__(self, spec: ConvolutionSpec):
+        self.spec = spec
+        h = spec.support_halfwidth()
+        # y0 rounded down and lip rounded up; a branch stops at y_stop, so
+        # that its |y| + delta and its rounded y^2 stay inside the fit
+        self.y0 = math.nextafter(float(1 / (TWO_PI_UPPER * h)), 0.0)
+        self.y_stop = self.y0 * (1.0 - 4.0 * _U)
+        self.lip = math.nextafter(float((2 * TWO_PI_UPPER * h) ** 2), math.inf)
+        self._fits: dict[int, _TailFit] = {}
+
+    def __call__(self, m: int) -> _TailFit:
+        if m not in self._fits:
+            self._fits[m] = self._build(m)
+        return self._fits[m]
+
+    def _build(self, m: int) -> _TailFit:
+        spec, y0, lip, u, size = self.spec, self.y0, self.lip, _U, _FIT_NODES
+        ys = [y0 * math.cos(math.pi * (2 * j + 1) / (4 * size))
+              for j in range(size)]
+        ratios = [y.as_integer_ratio() for y in ys]
+        deficits = [0.0] * size
+        scale, depth, term_ulps = 1, 0, 0
+        while True:
+            depth += 1
+            scale *= abs(spec.level_scale(m + depth))
+            kernel = mask_abs2(spec.pair_at(m + depth).digits)
+            term_ulps = max(term_ulps, 30 + len(kernel.coeffs))
+            rest = []
+            for j, (a, b) in enumerate(ratios):
+                # z = y_j / scale correctly rounded; pi span |z| < 1, as
+                # |z| <= y0/s, y0 <= 1/(2 pi h) and span <= 2 max|digit|
+                # = 2 h (s - 1) for the least level scale s
+                z = a / (b * scale)
+                d = deficits[j]
+                deficits[j] = d + kernel.deficit(z) * (1.0 - d)
+                rest.append(lip * z * z)
+            if depth == _NODE_LEVELS or all(
+                    r <= u * d for r, d in zip(rest, deficits)):
+                break
+        # each step of D <- D + d (1 - D) adds at most its rounding of D
+        # and its term's relative error times the term, and the terms sum
+        # to D; y^2 and the division by it add two more
+        rel = 1.01 * (term_ulps + depth + 8) * u
+        values = [d / (y * y) for d, y in zip(deficits, ys)]
+        node_err = max(v * rel + 1.01 * r / (y * y) + 7.0 * lip * u
+                       for v, r, y in zip(values, rest, ys))
+        # a_k = (2/N) sum_j R_j T_k(t_j), halved for k = 0, with
+        # T_k(t_j) = cos(pi k (2j+1)/(2N)) reduced to [0, pi/2] first,
+        # so each cosine is within 13u
+        cheb, coef_err = [], 0.0
+        total = math.fsum(abs(v) for v in values)
+        for k in range(size):
+            terms = []
+            for j, v in enumerate(values):
+                r = k * (2 * j + 1) % (4 * size)
+                r = min(r, 4 * size - r)
+                sign = 1.0
+                if r > size:
+                    r, sign = 2 * size - r, -1.0
+                terms.append(sign * v * math.cos(math.pi * r / (2 * size)))
+            a = (2.0 if k else 1.0) * math.fsum(terms) / size
+            cheb.append(a)
+            coef_err += 2.0 * 14.0 * u * total / size + 2.0 * u * abs(a)
+        # powers of s: T_k(2 s/s0 - 1), s0 = y0^2, by the three-term recurrence, exactly
+        s0 = Fraction(y0) ** 2
+        t = [Fraction(-1), 2 / s0]
+        prev, cur = [Fraction(1)], t
+        exact = [Fraction(cheb[0])] + [Fraction(0)] * (size - 1)
+        for k in range(1, size):
+            for i, c in enumerate(cur):
+                exact[i] += Fraction(cheb[k]) * c
+            nxt = [Fraction(0)] * (len(cur) + 1)
+            for i, c in enumerate(cur):
+                nxt[i] += 2 * t[0] * c
+                nxt[i + 1] += 2 * t[1] * c
+            for i, c in enumerate(prev):
+                nxt[i] -= c
+            prev, cur = cur, nxt
+        horner = float(sum(abs(c) * s0 ** i for i, c in enumerate(exact)))
+        chain = 2 * size * u / (1 - 2 * size * u)
+        quad = 1.01 * (2.0 * lip / math.factorial(2 * size + 2)
+                       + _LEBESGUE * node_err + coef_err + lip * u
+                       + (chain + 2.0 * u) * horner)
+        return _TailFit(tuple(float(c) for c in reversed(exact)), quad)
+
+
 def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
-                     tol: float, budget_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+                     tol: float, budget_atoms: int, levels: list,
+                     delta: np.ndarray, ybound: np.ndarray,
+                     kernel_err: np.ndarray, widest: int,
+                     tails: _TailFits) -> tuple[np.ndarray, np.ndarray]:
     """Certified Q_n enclosures (value, radius) for a block of grid points.
 
     Each branch carries its position y = (xi + lambda)/c_k, updated as
@@ -156,16 +310,21 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
 
         |m_B(y)|^2 = 1/#B + sum_{d>0} (2 mult(d)/#B^2) cos(2 pi d y),
 
-    clamped to [0, 1].  The true Q_n(xi) is the sum over leaves of p times
-    |nu^(y)|^2, with nu the measure of the levels after the last one
-    multiplied.  The radius has three parts:
+    clamped to [0, 1].  ``levels`` holds each level's (scale, offsets,
+    kernel), and ``delta``, ``ybound`` and ``kernel_err`` the points'
+    bounds at level n (see ``q_partial``).  The true Q_n(xi) is the sum
+    over leaves of p times F_m(y) = |nu_m^(y)|^2, with nu_m the measure of
+    the levels after the last one multiplied, m.  The radius has three
+    parts:
 
     * pruned mass: branches dropped to keep budget_atoms per point add
       their mass as an interval [0, p] of full width;
-    * tail: 1 - |nu^(y)|^2 <= 2 pi^2 y^2 diam(supp nu)^2, from
-      1 - cos t <= t^2/2, with diam <= 2h for h = support_halfwidth();
-      levels are multiplied per point until this is at most tol/2 on
-      every branch, so it takes at most a tol/2 share of the mass;
+    * tail: past level n, a point multiplies further levels until every
+      branch has |y| + delta <= y0 = 1/(2 pi h), h = support_halfwidth(),
+      and the bound of the fit there is at most tol/4; each branch then
+      takes F_m from the level-m ``_TailFit``, whose error bound enters
+      the radius.  A branch still past y0 after _MAX_TAIL levels adds its
+      mass as [0, p], like pruned mass;
     * rounding: every kernel value is within its ``MaskAbs2`` bound e_k,
       given the bound ``delta`` carried on the error of y.  A factor's
       error enters the result times the computed factors before it (at
@@ -182,30 +341,12 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
     npts = len(xs)
     y = xs.reshape(npts, 1).copy()
     p = np.ones_like(y)
-    # per point: bound on |true y|, bound on |computed y - true y|, summed
-    # kernel error bound and pruned mass
-    ybound = np.abs(xs) * (1.0 + 2.0 * _U)
-    delta = np.abs(xs) * (1.01 * _U)
-    kernel_err = np.zeros(npts)
+    delta, ybound, kernel_err = delta.copy(), ybound.copy(), kernel_err.copy()
     dropped = np.zeros(npts)
-    widest = 1
-    for k in range(1, n + 1):
-        pair = spec.pair_at(k)
-        scale = float(pair.scale ** spec.exponent_at(k))
-        spectrum = _level_spectrum(pair)
-        offsets = np.array(spectrum, dtype=float) / pair.scale
-        offset_max = max(spectrum) / abs(pair.scale)
+    for scale, offsets, kernel in levels:
         y = ((y / scale)[:, :, None] + offsets).reshape(npts, -1)
-        widest = max(widest, y.shape[1])
-        delta = delta / abs(scale) + 3.02 * _U * (
-            (ybound + delta) / abs(scale) + offset_max)
-        ybound = ybound / abs(scale) + offset_max
-        kernel = mask_abs2(pair.digits)
-        kernel_err += len(spectrum) * (
-            kernel.slope * (delta + 3.1 * _U * (ybound + delta))
-            + kernel.rounding * _U)
         factor = kernel(y)
-        factor.reshape(npts, -1, len(spectrum))[...] *= p[:, :, None]
+        factor.reshape(npts, -1, len(offsets))[...] *= p[:, :, None]
         p = factor
         if p.shape[1] > budget_atoms:
             cut = p.shape[1] - budget_atoms
@@ -214,22 +355,24 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
             dropped += p.take(order[:, :cut]).sum(axis=1)
             p = p.take(order[:, cut:])
             y = y.take(order[:, cut:])
-    # 2 pi^2 (2h)^2, rounded up past the three roundings of each use
-    tail_c = float(2 * TWO_PI_UPPER ** 2 * spec.support_halfwidth() ** 2) \
-        * (1.0 + 8.0 * _U)
     # largest |computed y| per point; dividing every y by a scale divides
     # it exactly the same way, since rounding is monotonic
     far = np.maximum(y.max(axis=1), -y.min(axis=1))
+    last = np.full(npts, n)
     rows = slice(None)
     m = n
-    while m < n + _MAX_TAIL:
+    while True:
         reach = far[rows] + delta[rows]
-        going = tail_c * reach * reach > tol / 2.0
-        if not going.any():
-            break
+        going = reach > tails.y_stop
+        if not going.all():
+            going |= reach * (tails(m).quad * reach + tails.lip * delta[rows]) \
+                > tol / 4.0
         if not going.all():
             rows = np.arange(npts)[rows][going]
+        if m == n + _MAX_TAIL or not going.any():
+            break
         m += 1
+        last[rows] = m
         pair = spec.pair_at(m)
         scale = float(pair.scale ** spec.exponent_at(m))
         kernel = mask_abs2(pair.digits)
@@ -242,23 +385,45 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
         kernel_err[rows] += (
             kernel.slope * (delta[rows] + 3.1 * _U * (ybound[rows] + delta[rows]))
             + kernel.rounding * _U)
-    shortfall = np.abs(y)
-    shortfall += delta[:, None]
-    shortfall *= shortfall
-    shortfall *= tail_c
-    np.minimum(shortfall, 1.0, out=shortfall)
-    shortfall *= p
-    shortfall = shortfall.sum(axis=1)
+    if going.any():
+        # past _MAX_TAIL: branches still outside the fit count as [0, p]
+        outside = np.abs(y[rows]) + delta[rows, None] > tails.y_stop
+        mass = p[rows]
+        dropped[rows] += np.where(outside, mass, 0.0).sum(axis=1)
+        mass[outside] = 0.0
+        p[rows] = mass
+        y[rows] = np.where(outside, 0.0, y[rows])
     inside = p.sum(axis=1)
+    fitted = np.empty(npts)
+    moment = np.empty(npts)
+    quad = np.empty(npts)
+    stops = set(last.tolist())
+    for stop in stops:
+        sel = slice(None) if len(stops) == 1 else np.flatnonzero(last == stop)
+        fit = tails(stop)
+        s = y[sel]
+        np.square(s, out=s)
+        mass = p[sel]
+        f = fit(s)
+        s *= mass
+        moment[sel] = s.sum(axis=1)
+        f *= mass
+        fitted[sel] = f.sum(axis=1)
+        quad[sel] = fit.quad
+    # sum p Y^2 <= sum p y^2 + delta (2 y0 + delta) sum p, as |y| <= y0;
+    # the 1% covers the rounding of the masses, the sums and this bound
+    tail = 1.01 * (quad * (moment + delta * (2.0 * tails.y0 + delta) * inside)
+                   + tails.lip * delta * tails.y0 * inside)
     # Higham's gamma_k = k u/(1 - k u) bounds k chained roundings: sums of
     # at most `widest` terms (the pruned ones also pass through n
-    # accumulations), m rounded products per branch, 8 final operations.
+    # accumulations), the rounded products per branch (one per level and
+    # one by F_m, whose own rounding adds one more), 8 final operations.
     # The 1% covers the rounding in computing the bound itself.
-    chain = 3 * widest + 2 * m + 8
+    chain = 3 * widest + 2 * (last + 1) + 8
     rounding = 1.01 * (kernel_err + chain * _U / (1.0 - chain * _U)
                        * (inside + dropped))
-    value = inside + (dropped - shortfall) / 2.0
-    radius = (dropped + shortfall) / 2.0 + rounding
+    value = fitted + dropped / 2.0
+    radius = dropped / 2.0 + tail + rounding
     return value, radius
 
 
@@ -272,9 +437,12 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
     which is nondecreasing in n and at most 1.  Each level factor is the
     cosine series |m_B(y)|^2 = 1/#B + sum_{d>0} (2 mult(d)/#B^2) cos(2 pi d y).
     Each radius covers the pruned mass (at most budget_atoms branches per
-    point are kept), the quadratic tail bound 2 pi^2 y^2 diam^2 (at most
-    tol/4 of the mass) and float rounding; see ``_q_partial_block``.  Point
-    blocks of about _BLOCK_ENTRIES branches run in turn.
+    point are kept), the tail (at most tol/4 of the mass: each branch
+    takes |nu_m^(y)|^2 from one certified polynomial fit per tail level m,
+    built once per call and shared by every point) and float rounding;
+    see ``_q_partial_block``.  The level constants and the points' error
+    bounds through level n are computed once for the grid; point blocks
+    of about _BLOCK_ENTRIES branches then run in turn.
     """
     if n < 1:
         raise ValueError("depth must be at least 1")
@@ -285,13 +453,37 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
     xs = np.array([float(x) for x in grid], dtype=float)
     if len(xs) == 0:
         raise ValueError("grid must be nonempty")
+    # per point: bound on |true y|, bound on |computed y - true y| and
+    # summed kernel error bound, all functions of |xi| alone
+    ybound = np.abs(xs) * (1.0 + 2.0 * _U)
+    delta = np.abs(xs) * (1.01 * _U)
+    kernel_err = np.zeros(len(xs))
+    levels = []
     widest = columns = 1
     for k in range(1, n + 1):
-        columns = min(columns, budget_atoms) * len(_level_spectrum(spec.pair_at(k)))
+        pair = spec.pair_at(k)
+        scale = float(pair.scale ** spec.exponent_at(k))
+        spectrum = _level_spectrum(pair)
+        offset_max = max(spectrum) / abs(pair.scale)
+        delta = delta / abs(scale) + 3.02 * _U * (
+            (ybound + delta) / abs(scale) + offset_max)
+        ybound = ybound / abs(scale) + offset_max
+        kernel = mask_abs2(pair.digits)
+        kernel_err += len(spectrum) * (
+            kernel.slope * (delta + 3.1 * _U * (ybound + delta))
+            + kernel.rounding * _U)
+        levels.append((scale, np.array(spectrum, dtype=float) / pair.scale,
+                       kernel))
+        columns = min(columns, budget_atoms) * len(spectrum)
         widest = max(widest, columns)
     per_block = max(1, _BLOCK_ENTRIES // widest)
-    parts = [_q_partial_block(spec, n, block, tol, budget_atoms)
-             for block in np.array_split(xs, -(-len(xs) // per_block))]
+    tails = _TailFits(spec)
+    parts = []
+    for block in np.array_split(np.arange(len(xs)), -(-len(xs) // per_block)):
+        cut = slice(block[0], block[-1] + 1)
+        parts.append(_q_partial_block(
+            spec, n, xs[cut], tol, budget_atoms, levels, delta[cut],
+            ybound[cut], kernel_err[cut], widest, tails))
     value = np.concatenate([v for v, _ in parts])
     radius = np.concatenate([r for _, r in parts])
     return QReport(

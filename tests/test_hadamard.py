@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from spectralconv.cyclotomic import exponent_sum_vanishes
 from spectralconv.hadamard import (
     FIND_SPECTRA_SCALE_LIMIT,
     AdmissiblePair,
@@ -26,6 +27,27 @@ def test_digit_sum_certificates():
 
 def test_good_differences_for_quarter_scale():
     assert sorted(good_differences(4, (0, 2))) == [1, 3]
+
+
+def _good_differences_per_residue(n, digits):
+    """The definition: one exact test per residue delta in [1, n)."""
+    return frozenset(delta for delta in range(1, n) if exponent_sum_vanishes(
+        n, [(b * delta) % n for b in digits]))
+
+
+@pytest.mark.parametrize("digits", [(0, 1), (0, 3), (0, 1, 2), (0, 2, 5),
+                                    (-3, 0, 4, 8), (0, 1, 3, 4, 6, 10)])
+def test_good_differences_by_divisor_match_the_residues(digits):
+    for n in range(2, 201):
+        assert good_differences(n, digits) == \
+            _good_differences_per_residue(n, digits), n
+        assert good_differences(-n, digits) == good_differences(n, digits)
+
+
+def test_good_differences_at_a_huge_scale():
+    assert good_differences(10 ** 6, (0, 1)) == frozenset({500000})
+    assert good_differences(10 ** 6, (0, 2, 4, 6)) == \
+        frozenset({125000, 250000, 375000, 625000, 750000, 875000})
 
 
 def test_admissibility_known_pairs():

@@ -13,8 +13,10 @@ from collections import Counter
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
+from spectralconv import spectrality
 from spectralconv.catalog import (
     mixed_word_spec,
     scale4_spec,
@@ -83,6 +85,20 @@ CASES = {
         (AdmissiblePair(6, (0, 1, 2), (0, 2, 4)),),
         SymbolicWord((), PeriodicTail((1,))), ConstantExponents(1)),
         3, {"budget_atoms": 4}),
+    # the names below sort after the ones above, so those keep their points
+    # a digit span of 30: h = 10 and y0 = 1/(20 pi), so several tail
+    # levels run before the fit
+    "wide-span": (lambda: ConvolutionSpec(
+        (AdmissiblePair(4, (0, 30), (0, 1)),),
+        SymbolicWord((), PeriodicTail((1,))), ConstantExponents(1)), 4, {}),
+    "negative-scale": (lambda: ConvolutionSpec(
+        (AdmissiblePair(-4, (0, 2), (0, 1)), AdmissiblePair(-6, (0, 3), (0, 1))),
+        SymbolicWord((), PeriodicTail((1, 2))), ConstantExponents(1)), 4, {}),
+    # at depth 1, xi/6 moves |y| across y0 = 1/(2 pi): the points of one
+    # block stop at different tail levels m, each with its own fit
+    "periodic-prefix": (lambda: ConvolutionSpec(
+        (AdmissiblePair(4, (0, 2), (0, 1)), AdmissiblePair(6, (0, 3), (0, 1))),
+        SymbolicWord((2,), PeriodicTail((1, 2, 1))), ConstantExponents(1)), 1, {}),
 }
 
 
@@ -115,3 +131,53 @@ def test_q_enclosure_contains_the_oracle(oracle_values, name, tol):
                     mpmath.nstr(hi, 20)))
     assert not misses, misses[:3]
 
+
+FIT_POINTS = 200
+
+
+def f_oracle(spec: ConvolutionSpec, m: int, y: Fraction):
+    """Interval around F_m(y) = |nu_m^(y)|^2, nu_m the levels after m, of
+    width at most ORACLE_TAIL, with the diameter bound of ``q_oracle``."""
+    span = max(max(p.digits) - min(p.digits) for p in spec.alphabet)
+    smin = min(p.modulus for p in spec.alphabet) ** spec.exponents.minimum()
+    bound = 20 * Fraction(span, smin - 1) ** 2 * y ** 2
+    mass = mpmath.mpf(1)
+    c = 1
+    k = m
+    while bound > ORACLE_TAIL * c * c:
+        k += 1
+        c *= abs(spec.level_scale(k))
+        mass *= _abs2(spec.pair_at(k).digits, y.numerator, y.denominator * c)
+    return mass * (1 - mpmath.mpf(bound.numerator) / (bound.denominator * c * c)), mass
+
+
+@pytest.mark.parametrize("name,m", [("jorgensen-pedersen", 8), ("example-1.7", 5),
+                                    ("wide-span", 4), ("negative-scale", 3),
+                                    ("periodic-prefix", 2), ("base6-pruned", 2)])
+def test_tail_fit_bound_holds_against_the_oracle(name, m):
+    """F_m from the tail fit is within quad * y^2, plus the rounding of its
+    last subtraction, of the 40-digit value at FIT_POINTS points across
+    [-y0, y0], and that bound stays below 1e-12."""
+    spec = CASES[name][0]()
+    fits = spectrality._TailFits(spec)
+    fit = fits(m)
+    assert 0 < fit.quad * fits.y0 ** 2 < 1e-12
+    ys = [fits.y_stop * (2 * i / (FIT_POINTS - 1) - 1) for i in range(FIT_POINTS)]
+    values = fit(np.array([y * y for y in ys]))
+    misses = []
+    with mpmath.workdps(DPS):
+        for y, value in zip(ys, values):
+            lo, hi = f_oracle(spec, m, Fraction(y))
+            bound = mpmath.mpf(fit.quad) * mpmath.mpf(y) ** 2 + 2.0 ** -53 * value
+            if lo < value - bound or hi > value + bound:
+                misses.append("F_%d(%r) = %r +- %r, oracle [%s, %s]" % (
+                    m, y, float(value), float(bound), mpmath.nstr(lo, 20),
+                    mpmath.nstr(hi, 20)))
+    assert not misses, misses[:3]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_q_is_exactly_one_at_zero(name):
+    build, n, options = CASES[name]
+    report = q_partial(build(), n, [0, Fraction(1, 3)], **options)
+    assert report.q_values[0] == 1.0
