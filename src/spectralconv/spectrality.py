@@ -202,8 +202,8 @@ class _TailFits:
       (1 - |nu^(z)|^2 <= 2 pi^2 z^2 (2h)^2 <= lip z^2) and the rounding
       of the node itself (|R'| <= lip^2/18 on [0, y0^2]);
     * the rounding of the Chebyshev coefficients (each within its
-      cosines' error times the node values) and of converting them
-      exactly to powers of s and then to floats;
+      cosines' error times the node values) and of converting them to
+      powers of s, exactly on integers, then once to floats;
     * Horner's rounding, gamma_2N times sum |c_i| y0^(2i), and the
       rounding of s = y^2 (|d(sR)/ds| <= lip).
 
@@ -274,27 +274,28 @@ class _TailFits:
             a = (2.0 if k else 1.0) * math.fsum(terms) / size
             cheb.append(a)
             coef_err += 2.0 * 14.0 * u * total / size + 2.0 * u * abs(a)
-        # powers of s: T_k(2 s/s0 - 1), s0 = y0^2, by the three-term recurrence, exactly
-        s0 = Fraction(y0) ** 2
-        t = [Fraction(-1), 2 / s0]
-        prev, cur = [Fraction(1)], t
-        exact = [Fraction(cheb[0])] + [Fraction(0)] * (size - 1)
-        for k in range(1, size):
+        # powers of s, exactly on integers: in t = s/s0, s0 = y0^2 = (a/b)^2,
+        # T_k(2t - 1) has integer coefficients (T_{k+1} = (4t - 2) T_k -
+        # T_{k-1}, with T_{-1} = T_1) and the a_k share one power-of-two
+        # denominator `den`, so with M_i = den sum_k a_k T_k[i] the
+        # coefficient of s^i is M_i b^2i/(den a^2i), rounded once by int / int
+        ratios = [c.as_integer_ratio() for c in cheb]
+        den = max(d for _, d in ratios)
+        exact = [0] * size
+        prev, cur = [-1, 2], [1]
+        for num, d in ratios:
             for i, c in enumerate(cur):
-                exact[i] += Fraction(cheb[k]) * c
-            nxt = [Fraction(0)] * (len(cur) + 1)
-            for i, c in enumerate(cur):
-                nxt[i] += 2 * t[0] * c
-                nxt[i + 1] += 2 * t[1] * c
-            for i, c in enumerate(prev):
-                nxt[i] -= c
-            prev, cur = cur, nxt
-        horner = float(sum(abs(c) * s0 ** i for i, c in enumerate(exact)))
+                exact[i] += num * (den // d) * c
+            prev, cur = cur, [4 * up - 2 * c - old for up, c, old in
+                              zip([0] + cur, cur + [0], prev + [0, 0])]
+        a, b = y0.as_integer_ratio()
+        horner = sum(abs(c) for c in exact) / den
         chain = 2 * size * u / (1 - 2 * size * u)
         quad = 1.01 * (2.0 * lip / math.factorial(2 * size + 2)
                        + _LEBESGUE * node_err + coef_err + lip * u
                        + (chain + 2.0 * u) * horner)
-        return _TailFit(tuple(float(c) for c in reversed(exact)), quad)
+        return _TailFit(tuple(exact[i] * b ** (2 * i) / (den * a ** (2 * i))
+                              for i in reversed(range(size))), quad)
 
 
 def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
@@ -328,10 +329,14 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
     * rounding: every kernel value is within its ``MaskAbs2`` bound e_k,
       given the bound ``delta`` carried on the error of y.  A factor's
       error enters the result times the computed factors before it (at
-      most its parent's mass, as they lie in [0, 1]) and the true factors
-      after it (summing to at most 1 over the branches below, as the
-      level factors over a spectrum sum to 1).  The masses of a level sum
-      to at most 1, so level k adds e_k * #L_k and a tail level e_k.
+      most its parent's mass, as they lie in [0, 1]) and the true sum
+      G_l in [0, 1] below its child l (the level factors over a spectrum
+      sum to 1).  By that identity the last child's factor is 1 minus the
+      others' sum, clamped at 0, with no kernel call: with eps_l their
+      errors and rho <= #L u the rounding, the parent's error is
+      sum eps_l (G_l - G_last) + rho G_last, and at most sum |eps_l| + rho
+      when the clamp fires.  The masses of a level sum to at most 1, so
+      level k adds (#L_k - 1) e_k + #L_k u and a tail level e_k.
       Products, sums and the final arithmetic add Higham's gamma bounds
       on the mass.
 
@@ -344,9 +349,16 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
     delta, ybound, kernel_err = delta.copy(), ybound.copy(), kernel_err.copy()
     dropped = np.zeros(npts)
     for scale, offsets, kernel in levels:
-        y = ((y / scale)[:, :, None] + offsets).reshape(npts, -1)
-        factor = kernel(y)
-        factor.reshape(npts, -1, len(offsets))[...] *= p[:, :, None]
+        # child-major: column l * width + j is child l of parent j
+        width = p.shape[1]
+        y = ((y / scale)[:, None, :] + offsets[:, None]).reshape(npts, -1)
+        factor = np.empty_like(y)
+        factor[:, :-width] = kernel(y[:, :-width])
+        last = factor[:, -width:]
+        factor[:, :-width].reshape(npts, -1, width).sum(axis=1, out=last)
+        np.subtract(1.0, last, out=last)
+        np.maximum(last, 0.0, out=last)
+        factor.reshape(npts, -1, width)[...] *= p[:, None, :]
         p = factor
         if p.shape[1] > budget_atoms:
             cut = p.shape[1] - budget_atoms
@@ -435,7 +447,8 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
                   |mu^(xi + lambda)|^2,
 
     which is nondecreasing in n and at most 1.  Each level factor is the
-    cosine series |m_B(y)|^2 = 1/#B + sum_{d>0} (2 mult(d)/#B^2) cos(2 pi d y).
+    cosine series |m_B(y)|^2 = 1/#B + sum_{d>0} (2 mult(d)/#B^2) cos(2 pi d y),
+    but a parent's last child takes 1 minus its siblings' factors.
     Each radius covers the pruned mass (at most budget_atoms branches per
     point are kept), the tail (at most tol/4 of the mass: each branch
     takes |nu_m^(y)|^2 from one certified polynomial fit per tail level m,
@@ -469,9 +482,9 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
             (ybound + delta) / abs(scale) + offset_max)
         ybound = ybound / abs(scale) + offset_max
         kernel = mask_abs2(pair.digits)
-        kernel_err += len(spectrum) * (
+        kernel_err += (len(spectrum) - 1) * (
             kernel.slope * (delta + 3.1 * _U * (ybound + delta))
-            + kernel.rounding * _U)
+            + kernel.rounding * _U) + len(spectrum) * _U
         levels.append((scale, np.array(spectrum, dtype=float) / pair.scale,
                        kernel))
         columns = min(columns, budget_atoms) * len(spectrum)

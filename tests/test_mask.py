@@ -1,10 +1,12 @@
 """Digit-set exponential sums and their zero sets."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from spectralconv.hadamard import AdmissiblePair
 from spectralconv.mask import (
     IrrationalZeroPresent,
     MaskZeros,
@@ -34,6 +36,34 @@ def test_vectorized_values_match_scalar():
         vec = mask_abs2(digits)(xs)
         for x, v in zip(xs, vec):
             assert abs(v - abs(eval_mask(digits, float(x))) ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("scale,digits,spectrum,exponent", [
+    (2, (0, 1), (0, 1), 1),
+    (-4, (0, 2), (0, 1), 2),
+    (6, (0, 1, 2), (0, 2, 4), 1),
+    (-6, (0, 1, 2), (0, 2, 4), 1),
+    (8, (0, 1, 2, 3), (0, 2, 4, 6), 1),
+    (4, (0, 1, 2, 3), (0, 1, 2, 3), 2),
+])
+def test_children_of_a_branch_sum_to_one(scale, digits, spectrum, exponent):
+    """For an admissible pair, sum_l |m_B(y/s^e + l/s)|^2 = 1 at every y,
+    which the Q tree uses to take the last child's factor from the others.
+    The computed children y/s^e + l/s are each within delta of the exact
+    children of the rounded y/s^e, so the kernel values sum to 1 within
+    #L times the kernel's own bound."""
+    u = 2.0 ** -53
+    pair = AdmissiblePair(scale, digits, spectrum)
+    kernel = mask_abs2(pair.digits)
+    offsets = np.array(pair.spectrum, dtype=float) / scale
+    reach = float(np.abs(offsets).max())
+    for j in range(200):
+        y = (splitmix64(16, j) / 2.0 ** 64 - 0.5) * 64.0
+        base = y / float(scale ** exponent)
+        values = kernel((base + offsets).reshape(1, -1))[0]
+        big = (abs(base) + reach) * (1.0 + 2.0 * u)
+        bound = kernel.slope * (2.01 * u * big + 3.1 * u * big) + kernel.rounding * u
+        assert abs(math.fsum(values) - 1.0) <= len(offsets) * bound, (y, values)
 
 
 def test_two_digit_zero_sets():

@@ -9,6 +9,7 @@ ORACLE_TAIL: 1 - |nu^(t)|^2 <= 2 pi^2 t^2 diam^2 and 2 pi^2 < 20.  The
 enclosure q +- r must contain the oracle's whole interval.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from spectralconv.catalog import (
 )
 from spectralconv.convolution import ConstantExponents, ConvolutionSpec
 from spectralconv.hadamard import AdmissiblePair
+from spectralconv.mask import mask_abs2
 from spectralconv.spectrality import candidate_spectrum, q_partial
 from spectralconv.words import PeriodicTail, SymbolicWord, splitmix64
 
@@ -99,6 +101,14 @@ CASES = {
     "periodic-prefix": (lambda: ConvolutionSpec(
         (AdmissiblePair(4, (0, 2), (0, 1)), AdmissiblePair(6, (0, 3), (0, 1))),
         SymbolicWord((2,), PeriodicTail((1, 2, 1))), ConstantExponents(1)), 1, {}),
+    # four children and then three per parent: the last child's factor is
+    # one minus the sum of three (or two), clamped at 0; 48 branches
+    # against a budget of 20 prune the last level
+    "wz-four-digit": (lambda: ConvolutionSpec(
+        (AdmissiblePair(8, (0, 1, 2, 3), (0, 2, 4, 6)),
+         AdmissiblePair(-6, (0, 1, 2), (0, 2, 4))),
+        SymbolicWord((), PeriodicTail((1, 2))), ConstantExponents(1)),
+        3, {"budget_atoms": 20}),
 }
 
 
@@ -130,6 +140,27 @@ def test_q_enclosure_contains_the_oracle(oracle_values, name, tol):
                     n, xi, float(q), float(r), mpmath.nstr(lo, 20),
                     mpmath.nstr(hi, 20)))
     assert not misses, misses[:3]
+
+
+def test_a_clamped_last_child_keeps_the_oracle_inside():
+    """Just off the even integers, the first three children of
+    (8, {0,1,2,3}) can sum past 1 in floats; the fourth child's factor is
+    then clamped at 0, and the enclosure must still hold the oracle."""
+    build, n, options = CASES["wz-four-digit"]
+    spec = build()
+    kernel = mask_abs2((0, 1, 2, 3))
+    offsets = np.array([0.0, 2.0, 4.0]) / 8
+    near = [2 * k + Fraction(j, 10 ** 9) for k in range(-4, 5) for j in range(-40, 41)]
+    points = [xi for xi in near
+              if kernel((float(xi) / 8.0 + offsets).reshape(1, -1)).sum() > 1.0]
+    assert points
+    with mpmath.workdps(DPS):
+        exact = [q_oracle(spec, n, xi) for xi in points]
+        for tol in (1e-6, 1e-12, 1e-15):
+            report = q_partial(spec, n, points, tol=tol, **options)
+            for (lo, hi), q, r in zip(exact, report.q_values, report.radii):
+                q, r = mpmath.mpf(q), mpmath.mpf(r)
+                assert q - r <= lo and hi <= q + r
 
 
 FIT_POINTS = 200
@@ -181,3 +212,73 @@ def test_q_is_exactly_one_at_zero(name):
     build, n, options = CASES[name]
     report = q_partial(build(), n, [0, Fraction(1, 3)], **options)
     assert report.q_values[0] == 1.0
+
+
+def fraction_fit(fits, m: int):
+    """The tail fit of level m as built with every power-of-s coefficient
+    an exact ``Fraction``: the reference for the integer conversion."""
+    spec, y0, lip, u, size = fits.spec, fits.y0, fits.lip, 2.0 ** -53, 10
+    ys = [y0 * math.cos(math.pi * (2 * j + 1) / (4 * size)) for j in range(size)]
+    ratios = [y.as_integer_ratio() for y in ys]
+    deficits = [0.0] * size
+    scale, depth, term_ulps = 1, 0, 0
+    while True:
+        depth += 1
+        scale *= abs(spec.level_scale(m + depth))
+        kernel = mask_abs2(spec.pair_at(m + depth).digits)
+        term_ulps = max(term_ulps, 30 + len(kernel.coeffs))
+        rest = []
+        for j, (a, b) in enumerate(ratios):
+            z = a / (b * scale)
+            d = deficits[j]
+            deficits[j] = d + kernel.deficit(z) * (1.0 - d)
+            rest.append(lip * z * z)
+        if depth == 256 or all(r <= u * d for r, d in zip(rest, deficits)):
+            break
+    rel = 1.01 * (term_ulps + depth + 8) * u
+    values = [d / (y * y) for d, y in zip(deficits, ys)]
+    node_err = max(v * rel + 1.01 * r / (y * y) + 7.0 * lip * u
+                   for v, r, y in zip(values, rest, ys))
+    cheb, coef_err = [], 0.0
+    total = math.fsum(abs(v) for v in values)
+    for k in range(size):
+        terms = []
+        for j, v in enumerate(values):
+            r = k * (2 * j + 1) % (4 * size)
+            r = min(r, 4 * size - r)
+            sign = 1.0
+            if r > size:
+                r, sign = 2 * size - r, -1.0
+            terms.append(sign * v * math.cos(math.pi * r / (2 * size)))
+        a = (2.0 if k else 1.0) * math.fsum(terms) / size
+        cheb.append(a)
+        coef_err += 2.0 * 14.0 * u * total / size + 2.0 * u * abs(a)
+    s0 = Fraction(y0) ** 2
+    t = [Fraction(-1), 2 / s0]
+    prev, cur = [Fraction(1)], t
+    exact = [Fraction(cheb[0])] + [Fraction(0)] * (size - 1)
+    for k in range(1, size):
+        for i, c in enumerate(cur):
+            exact[i] += Fraction(cheb[k]) * c
+        nxt = [Fraction(0)] * (len(cur) + 1)
+        for i, c in enumerate(cur):
+            nxt[i] += 2 * t[0] * c
+            nxt[i + 1] += 2 * t[1] * c
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    horner = float(sum(abs(c) * s0 ** i for i, c in enumerate(exact)))
+    chain = 2 * size * u / (1 - 2 * size * u)
+    quad = 1.01 * (2.0 * lip / math.factorial(2 * size + 2)
+                   + 2.5 * node_err + coef_err + lip * u + (chain + 2.0 * u) * horner)
+    return tuple(float(c) for c in reversed(exact)), quad
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_tail_fit_matches_the_fraction_conversion_bit_for_bit(name):
+    fits = spectrality._TailFits(CASES[name][0]())
+    for m in (1, 2, 5):
+        coeffs, quad = fraction_fit(fits, m)
+        fit = fits(m)
+        assert [c.hex() for c in fit.coeffs] == [c.hex() for c in coeffs]
+        assert fit.quad.hex() == quad.hex()

@@ -1,7 +1,9 @@
 """Spectrality machinery: candidate spectra, the discrete quadratic
 functional, integer-zero verdicts, windows, and the top-level verdict."""
 
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -26,6 +28,7 @@ from spectralconv.hadamard import (
     FIND_SPECTRA_SCALE_LIMIT,
     AdmissiblePair,
     find_spectra,
+    first_spectrum,
 )
 from spectralconv.measures import AtomicMeasure
 from spectralconv import spectrality
@@ -477,6 +480,49 @@ def test_verdict_budget_can_skip_the_grid():
     assert rep.verdict == "Inconclusive"
     assert rep.q_report is None
     assert rep.trace[-1] == "grid Q skipped by budget"
+
+
+def census_specs():
+    """1,500 specs over the admissible pairs found among 40 draws at each
+    of the scales 2, 3, 4, -2, -3, 4, 6, 8 (2-4 digits from 0..12,
+    including 0): 2-3 letters, a prefix of 0-3 letters, a periodic tail of
+    period 1-2, constant exponent 1."""
+    random.seed(11)
+    pairs = {}
+    for scale in (2, 3, 4, -2, -3, 4, 6, 8):
+        for _ in range(40):
+            digits = (0,) + tuple(sorted(random.sample(range(1, 13),
+                                                       random.randint(1, 3))))
+            spectrum = first_spectrum(scale, digits)
+            if spectrum is not None:
+                pairs.setdefault((scale, digits),
+                                 AdmissiblePair(scale, digits, spectrum))
+    pairs = list(pairs.values())
+    assert len(pairs) == 52
+    for _ in range(1500):
+        letters = tuple(random.sample(pairs, random.randint(2, 3)))
+        prefix = tuple(random.randint(1, len(letters))
+                       for _ in range(random.randint(0, 3)))
+        tail = tuple(random.randint(1, len(letters))
+                     for _ in range(random.randint(1, 2)))
+        yield ConvolutionSpec(letters, SymbolicWord(prefix, PeriodicTail(tail)),
+                              ConstantExponents(1))
+
+
+def test_verdict_census_counts_are_pinned():
+    """The exact branches' share of a fixed census.  A change that decides
+    more specs moves these pins on purpose; one that decides fewer fails."""
+    budget = VerdictBudget(run_q=False)
+    counts = Counter()
+    for spec in census_specs():
+        report = spectral_verdict(spec, budget)
+        counts[report.verdict, report.reason] += 1
+    assert counts == {
+        ("SpectralCertified", "tail-difference-gcd"): 1183,
+        ("SpectralCertified", "empty-periodic-zero-set"): 181,
+        ("SpectralCertified", "special-family-classifier"): 14,
+        ("Inconclusive", "budget-exhausted"): 122,
+    }
 
 
 def test_verdict_serializes_with_stable_keys(jp):
