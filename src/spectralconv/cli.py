@@ -118,15 +118,42 @@ def _rows(arr: np.ndarray, level: int) -> str:
     return "".join(cells)
 
 
+def _records(arr: np.ndarray, level: int) -> str:
+    """A 1-D structured array as the list of its records, each an object
+    of its fields.
+
+    Each field's column goes through the C encoder once, as a list of
+    scalars whose ensure_ascii text holds no raw newline, and each record's
+    text is joined once from the column texts."""
+    if arr.ndim != 1:
+        raise TypeError("only 1-D arrays of scalar records are printed")
+    if not arr.size:
+        return "[]"
+    pad, inner, deep = "  " * level, "  " * (level + 1), "  " * (level + 2)
+    names, columns = sorted(arr.dtype.names), []
+    for name in names:
+        column = arr[name].tolist()
+        if not set(map(type, column)) <= _SCALARS:
+            raise TypeError("only 1-D arrays of scalar records are printed")
+        columns.append(_encoder(0)(column)[1:-1].split(",\n"))
+    texts = columns[0]
+    for name, column in zip(names[1:], columns[1:]):
+        texts = list(map((",\n" + deep + _encoder(0)(name) + ": ").join, zip(texts, column)))
+    opener = inner + "{\n" + deep + _encoder(0)(names[0]) + ": "
+    return ("[\n" + opener + ("\n" + inner + "},\n" + opener).join(texts)
+            + "\n" + inner + "}\n" + pad + "]")
+
+
 def _dumps(obj, level: int = 0) -> str:
     """The stdlib's sorted-key, two-space-indent JSON of a string-keyed tree.
 
     Scalar-only containers, and lists of non-empty scalar-only containers
     of one kind, go to the C encoder whole: ensure_ascii strings hold no
     raw newline, so every ",\n" it writes is a separator.  A 2-D integer
-    ndarray prints as the list of its rows."""
+    ndarray prints as the list of its rows, and a structured one as the
+    list of its records."""
     if isinstance(obj, np.ndarray):
-        return _rows(obj, level)
+        return _records(obj, level) if obj.dtype.names else _rows(obj, level)
     if not isinstance(obj, (dict, list, tuple)):
         return _encoder(0)(obj)
     o, c = "{}" if isinstance(obj, dict) else "[]"
@@ -305,7 +332,7 @@ def conv():
 def conv_truncate(ctx, specfile, depth):
     spec = _load_convolution(specfile)
     measure = spec.truncate(depth)
-    _emit(ctx, {"depth": depth, "atoms": measure.to_json()})
+    _emit(ctx, {"depth": depth, "atoms": measure.to_records()})
 
 
 @conv.command("ft")

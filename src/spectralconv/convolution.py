@@ -17,13 +17,14 @@ that lives here.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import compress, count
 from math import floor, gcd, inf, isqrt
 from typing import Iterator, Optional, Union
+
+import numpy as np
 
 from .hadamard import AdmissiblePair
 from .mask import (
@@ -38,6 +39,7 @@ from .measures import (
     AtomicMeasure,
     ComplexInterval,
     frac_str,
+    int_dtype,
     mixture,
     parse_frac,
     parse_int,
@@ -381,23 +383,34 @@ class ConvolutionSpec:
     # -- truncation
 
     def truncate(self, q: int) -> AtomicMeasure:
-        """Exact atomic measure of the first q convolution levels."""
+        """Exact atomic measure of the first q convolution levels.
+
+        Numerators over |c_k| follow N_k = N_{k-1} * |c_k / c_{k-1}| +
+        sign(c_k) * b, one array per level, and equal numerators merge
+        after a stable sort.  The arrays are int64 when an exact bound on
+        every value they hold fits, and hold Python ints otherwise.
+        """
         if q < 0:
             raise ValueError("truncation depth must be nonnegative")
         cap = depth_cap()
         if q > cap:
             raise DepthLimitError(q, cap)
-        # numerators over |c_k|: N_k = N_{k-1} * |c_k / c_{k-1}| + sign(c_k) * b
-        acc, den = {0: 1}, 1
-        for _, (c, digits) in zip(range(q), self.levels()):
-            step, den, nxt = abs(c) // den, abs(c), {}
-            signed = digits if c > 0 else [-b for b in digits]
-            for n, w in acc.items():
-                base = n * step
-                for b in signed:
-                    nxt[base + b] = nxt.get(base + b, 0) + w
-            acc = nxt
-        return AtomicMeasure.from_lattice(den, acc)
+        levels = [(abs(c), digits if c > 0 else tuple(-b for b in digits))
+                  for _, (c, digits) in zip(range(q), self.levels())]
+        top, total, den = 0, 1, 1  # bounds on |N_k|, on every weight, and den
+        for c, signed in levels:
+            top, total, den = top * (c // den) + max(map(abs, signed)), total * len(signed), c
+        dtype = int_dtype(max(top, total, den))
+        nums, weights, den = np.zeros(1, dtype), np.ones(1, dtype), 1
+        for c, signed in levels:
+            nums = (nums[:, None] * (c // den) + np.array(signed, dtype)).ravel()
+            order = np.argsort(nums, kind="stable")
+            nums, weights, den = nums[order], np.repeat(weights, len(signed))[order], c
+            starts = np.flatnonzero(np.concatenate(([True], nums[1:] != nums[:-1])))
+            nums, weights = nums[starts], np.add.reduceat(weights, starts)
+        g, gw = gcd(den, int(np.gcd.reduce(nums))), int(np.gcd.reduce(weights))
+        return AtomicMeasure(den // g, tuple((nums // g).tolist()),
+                             tuple((weights // gw).tolist()), total // gw)
 
     def truncate_with_tail(self, q: int) -> tuple[AtomicMeasure, tuple[Fraction, Fraction]]:
         """Depth-q truncation plus an exact enclosure of the dropped tail.
@@ -713,11 +726,11 @@ def overlap_mass(spec: ConvolutionSpec, j: int, depth: int) -> Fraction:
     m, (tlo, thi) = spec.truncate_with_tail(depth)
     # all cover intervals have the same width, so atom x's interval meets
     # the translated cover iff some atom y has |x - y - j| <= width, that
-    # is |N_x - N_y - j*D| <= floor(width*D) for numerators N over D
-    reach, shift, nums = floor((thi - tlo) * m.den), j * m.den, m.nums
-    total = sum(w for n, w in zip(nums, m.weights)
-                if bisect_left(nums, n - shift - reach) < bisect_right(nums, n - shift + reach))
-    return Fraction(total, m.total)
+    # is N_y in [N_x - j*D - reach, N_x - j*D + reach], reach = floor(width*D)
+    reach, shift = floor((thi - tlo) * m.den), j * m.den
+    nums = np.array(m.nums, int_dtype(max(-m.nums[0], m.nums[-1]) + abs(shift) + reach + 1))
+    lo, hi = np.searchsorted(nums, np.stack((nums - shift - reach, nums - shift + reach + 1)))
+    return Fraction(sum(compress(m.weights, (lo < hi).tolist())), m.total)
 
 
 # ---------------------------------------------------------------------------

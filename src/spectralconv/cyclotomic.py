@@ -183,8 +183,12 @@ def _may_vanish(exps: np.ndarray, coeffs: np.ndarray, orders: Sequence[int]) -> 
 
 def _nonzero_at_root(coeffs: Sequence[int], n: int) -> bool:
     """True when f(omega) != 0 in F_p for the (p, omega) of order n, which
-    proves that Phi_n does not divide f; False without such a pair."""
+    proves that Phi_n does not divide f; False without such a pair.  As
+    omega^n = 1, a polynomial with more than 4n coefficients is first
+    folded to their n sums over the exponent classes mod n."""
     p, omega = _order_root(n) or (1, 0)
+    if len(coeffs) > 4 * n:
+        coeffs = [sum(coeffs[r::n]) for r in range(n)]
     value = 0
     for c in reversed(coeffs):
         value = (value * omega + c) % p

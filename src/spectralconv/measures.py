@@ -23,6 +23,8 @@ from math import gcd, lcm
 from operator import lt
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 Xi = Union[int, float, Fraction]
 
 # Strict rational upper bound for 2*pi; used wherever an evaluation depth
@@ -67,6 +69,23 @@ def frac_str(x: Fraction) -> str:
 def _ratio_str(n: int, d: int) -> str:  # frac_str(n / d) for d > 0, with one gcd
     g = gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _ratio_strs(nums: np.ndarray, d: int) -> np.ndarray:
+    """_ratio_str(n, d) for each n of an integer array, as an object array:
+    one vectorized gcd over the distinct values, one "/m" per distinct
+    reduced denominator m."""
+    values, index = np.unique(nums, return_inverse=True)
+    g = np.gcd(values, d)
+    dens, which = np.unique(d // g, return_inverse=True)
+    slash = np.array([f"/{m}" if m != 1 else "" for m in dens.tolist()], object)
+    return (np.array(list(map(str, (values // g).tolist())), object) + slash[which])[index]
+
+
+def int_dtype(top: int):
+    """int64 for integer arrays whose values never exceed top in size, when
+    that fits; object, holding Python ints, otherwise."""
+    return np.int64 if top < 1 << 63 else object
 
 
 def phase_unit(theta: Fraction) -> complex:
@@ -192,9 +211,16 @@ class AtomicMeasure:
         return sum(w / self.total * phase_unit(Fraction(theta, period))
                    for theta, w in groups.items())
 
+    def to_records(self) -> np.ndarray:
+        """The atoms as records of their reduced "w" and "x" strings."""
+        dtype = int_dtype(max(-self.nums[0], self.nums[-1], self.den, self.total))
+        out = np.empty(len(self.nums), [("w", object), ("x", object)])
+        out["w"] = _ratio_strs(np.array(self.weights, dtype), self.total)
+        out["x"] = _ratio_strs(np.array(self.nums, dtype), self.den)
+        return out
+
     def to_json(self) -> list[dict]:
-        return [{"x": _ratio_str(n, self.den), "w": _ratio_str(w, self.total)}
-                for n, w in zip(self.nums, self.weights)]
+        return [{"x": x, "w": w} for w, x in self.to_records().tolist()]
 
     @classmethod
     def from_json(cls, data: Sequence[dict]) -> "AtomicMeasure":

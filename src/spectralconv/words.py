@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence, Union
 
+import numpy as np
+
 from .measures import frac_str, parse_frac, parse_int
 
 _MASK64 = (1 << 64) - 1
@@ -239,8 +241,16 @@ class SymbolicWord:
 
 
 def sample_word(spec: BernoulliSpec, length: int) -> tuple[int, ...]:
-    """First `length` letters of the word determined by the seed."""
-    return tuple(spec.symbol(i) for i in range(length))
+    """First `length` letters of the word determined by the seed.
+
+    The splitmix64 draws 0..length-1 come from one wrapping uint64 sweep,
+    and each letter from a search among the bounds below 2^64: a draw is
+    below 2^64, so it never reaches a larger bound."""
+    z = np.uint64(spec.seed & _MASK64) + np.arange(1, length + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    z = (z ^ (z >> 30)) * np.uint64(_MIX1)
+    z = (z ^ (z >> 27)) * np.uint64(_MIX2)
+    bounds = np.array([b for b in spec._bounds if b <= _MASK64], np.uint64)
+    return tuple((np.searchsorted(bounds, z ^ (z >> 31), side="right") + 1).tolist())
 
 
 def _pattern_windows(prefix: Sequence[int], pattern: Sequence[int]) -> tuple[int, int]:

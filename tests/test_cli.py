@@ -43,6 +43,17 @@ def mixed_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def two_file(tmp_path):
+    """(4,{0,10}), (2,{0,3}) with the word (2 1 1)^inf."""
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({
+        "alphabet": [{"n": 4, "b": [0, 10], "l": [0, 1]}, {"n": 2, "b": [0, 3], "l": [0, 1]}],
+        "word": {"prefix": [], "tail": {"periodic": [2, 1, 1]}},
+        "exponents": {"const": 1}}))
+    return str(path)
+
+
 def _payload(result):
     assert result.output.strip(), result.output
     return json.loads(result.output)
@@ -481,9 +492,10 @@ def test_click_argument_errors_keep_the_usage_message(runner, jp_file):
     assert "Usage: " in result.stderr
 
 
-# SHA-256 of stdout for commands whose output holds no float, pinned so a
-# refactor of the exact layers cannot change a byte.  "{jp}" and "{mixed}"
-# stand for the catalog's jorgensen-pedersen and example-1.7 spec files.
+# SHA-256 of stdout for commands whose output holds no float but the
+# rounding of an exact fraction, pinned so a refactor of the exact layers
+# cannot change a byte.  "{jp}" and "{mixed}" stand for the catalog's
+# jorgensen-pedersen and example-1.7 spec files, "{two}" for two_file.
 GOLDEN_STDOUT = [
     ("example example-1.7 --no-q",
      "5553006bfa66df191ef96d240c8c14732bf8b16b9dc2834f0ffe4960fe49076b"),
@@ -511,14 +523,18 @@ GOLDEN_STDOUT = [
      "00ed4c2bb0c8454c00b0407b3a5e00e0bc5b1ffc50be0529dc3d21f9dbf33593"),
     ("iz {mixed}",
      "f508a4ffff06505fc8b4fa36e661fde4c433b95025bc5ceaa5edc3876d5c4c0a"),
+    ("conv truncate {two} --depth 13",
+     "cd4c1b1cb6011e6cf1bda953f64a1fff14147ca00b6487dbf7fdd6144c72e0ca"),
+    ("--seed 7 mc {two} --trials 200 --probs 1/3,2/3",
+     "a74e341802623fe1c4efc3add277107661c9a0dac9dba13af9af327ff1903c04"),
 ]
 
 
 @pytest.mark.parametrize("command,digest", GOLDEN_STDOUT,
                          ids=[c for c, _ in GOLDEN_STDOUT])
-def test_float_free_stdout_is_pinned(runner, jp_file, mixed_file, command,
+def test_float_free_stdout_is_pinned(runner, jp_file, mixed_file, two_file, command,
                                      digest):
-    argv = command.format(jp=jp_file, mixed=mixed_file).split()
+    argv = command.format(jp=jp_file, mixed=mixed_file, two=two_file).split()
     result = runner.invoke(main, argv)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
@@ -570,21 +586,43 @@ _ROW_SHAPES = st.tuples(st.integers(0, 4), st.integers(1, 4))
 # 2-D integer arrays, as `hadamard search` prints its spectra
 _ROW_ARRAYS = st.one_of(arrays(np.uint8, _ROW_SHAPES, elements=st.integers(0, 255)),
                         arrays(np.int64, _ROW_SHAPES, elements=st.integers(-3, 300)))
+
+
+@st.composite
+def _record_arrays(draw):
+    """1-D structured arrays of scalar fields, as `conv truncate` prints
+    its atoms."""
+    names = draw(st.lists(_TRICKY_TEXT.filter(len), min_size=1, max_size=3, unique=True))
+    rows = draw(st.lists(st.tuples(*[_SCALAR_VALUES] * len(names)), max_size=4))
+    out = np.empty(len(rows), [(name, object) for name in names])
+    out[:] = rows
+    return out
+
+
 JSON_TREES = st.recursive(
-    st.one_of(_SCALAR_VALUES, _UNIFORM, _with_empty(_UNIFORM), _ROW_ARRAYS), _containers,
+    st.one_of(_SCALAR_VALUES, _UNIFORM, _with_empty(_UNIFORM), _ROW_ARRAYS,
+              _record_arrays()), _containers,
     max_leaves=30)
+
+
+def _listed(arr):
+    """An array as a list: of its rows, or of its records as dicts."""
+    if arr.dtype.names:
+        return [dict(zip(arr.dtype.names, record)) for record in arr.tolist()]
+    return arr.tolist()
 
 
 @settings(max_examples=200, deadline=None)
 @given(JSON_TREES)
 def test_emitter_matches_json_dumps(tree):
-    """Every array is compared as its .tolist()."""
-    assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2,
-                                      default=np.ndarray.tolist)
+    """Every array is compared as the list of its rows or records."""
+    assert _dumps(tree) == json.dumps(tree, sort_keys=True, indent=2, default=_listed)
 
 
 @pytest.mark.parametrize("array", [np.zeros((2, 2), dtype=bool), np.zeros((2, 2)),
-                                   np.zeros(3, dtype=int), np.zeros((1, 2, 2), dtype=int)])
+                                   np.zeros(3, dtype=int), np.zeros((1, 2, 2), dtype=int),
+                                   np.zeros((2, 2), [("x", object)]),
+                                   np.zeros(2, [("x", int, (2,))])])
 def test_emitter_refuses_arrays_that_are_not_integer_rows(array):
     with pytest.raises(TypeError):
         _dumps({"spectra": array})

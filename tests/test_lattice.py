@@ -7,14 +7,19 @@ behind `ConvolutionSpec.truncate`, the support cover of
 `truncate_with_tail`, the bisect `overlap_mass`, the mixture behind
 `SparseInsertionSpec.limit_approximation`, `translate_disjoint_window`
 and `iz_finite` with its hand-built common denominators.  Every result
-must match it exactly.
+must match it exactly, and `conv truncate` must print what `json.dumps`
+prints of the reference atoms.
 """
 
 import json
 import math
+import os
+import tempfile
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
+import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +27,7 @@ from spectralconv.catalog import (
     insertion_target_five_sixths,
     insertion_target_one_half,
 )
+from spectralconv.cli import main
 from spectralconv.convolution import (
     ConvolutionSpec,
     PeriodicExponents,
@@ -265,6 +271,43 @@ def test_truncations_match_the_fraction_chain(spec, depth, window, touch):
               (x + ref_interval[0] - k - width, x + ref_interval[0] - k)):
         assert (translate_disjoint_window(m, interval, w)
                 == ref_window(ref, ref_interval, w))
+
+
+def cli_truncate(spec, depth):
+    """stdout of `spectral conv truncate` on the spec's JSON file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as handle:
+            json.dump(spec.to_json(), handle)
+        result = CliRunner().invoke(main, ["conv", "truncate", path, "--depth", str(depth)])
+    assert result.exit_code == 0, result.output
+    return result.stdout
+
+
+def ref_stdout(spec, depth):
+    payload = {"depth": depth, "atoms": ref_json(ref_truncate(spec, depth))}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@given(lattice_specs(), st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+@example(HUGE, 6)
+def test_truncate_prints_what_json_dumps_prints_of_the_reference(spec, depth):
+    assert cli_truncate(spec, depth) == ref_stdout(spec, depth)
+
+
+# (2, {0, d}) at depth 2 has the numerator 3d: 2^63 - 5 below the int64
+# edge for the first d, 2^63 + 1 past it for the second
+@pytest.mark.parametrize("digit", [3074457345618258601, 3074457345618258603])
+@pytest.mark.parametrize("scale,sign", [(2, 1), (2, -1), (-2, 1)])
+def test_numerators_at_the_int64_edge_stay_exact(digit, scale, sign):
+    spec = ConvolutionSpec((AdmissiblePair(scale, (0, sign * digit)),),
+                           SymbolicWord((), PeriodicTail((1,))), PeriodicExponents((1,)))
+    ref = ref_truncate(spec, 2)
+    assert spec.truncate(2).atoms == ref
+    assert cli_truncate(spec, 2) == ref_stdout(spec, 2)
+    for j in (1, -1):
+        assert overlap_mass(spec, j, 2) == ref_overlap(ref, ref_tail_interval(spec, 2), j)
 
 
 def test_the_huge_scale_example_passes_64_bit_numerators():

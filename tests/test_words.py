@@ -176,6 +176,18 @@ def test_sample_word_length_and_determinism():
     assert w1 == w2
 
 
+@pytest.mark.parametrize("probs", [
+    ("0", "1/3", "2/3"), ("1/4", "0", "3/4"), ("1/3", "2/3", "0"),
+    ("1/7", "0", "0", "6/7", "0"), ("0", "1", "0"), ("1", "0"), ("0", "1")])
+@pytest.mark.parametrize("seed", [0, 7, -5, 2**64 + 3, splitmix64(7, 199)])
+def test_sample_word_matches_symbol_index_by_index(probs, seed):
+    """Zero probabilities at the first, a middle and the last letter.  One
+    after the partial sums reach 1 puts a bound of 2^64 before the last
+    one, which no draw may reach."""
+    spec = BernoulliSpec(tuple(map(Fraction, probs)), seed)
+    assert sample_word(spec, 256) == tuple(spec.symbol(i) for i in range(256))
+
+
 def test_small_monte_carlo_run_is_deterministic():
     from spectralconv.hadamard import AdmissiblePair
 
