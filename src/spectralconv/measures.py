@@ -219,9 +219,6 @@ class AtomicMeasure:
         out["x"] = _ratio_strs(np.array(self.nums, dtype), self.den)
         return out
 
-    def to_json(self) -> list[dict]:
-        return [{"x": x, "w": w} for w, x in self.to_records().tolist()]
-
     @classmethod
     def from_json(cls, data: Sequence[dict]) -> "AtomicMeasure":
         return cls.from_pairs((parse_frac(d["x"]), parse_frac(d["w"])) for d in data)

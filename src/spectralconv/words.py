@@ -31,6 +31,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BLOCK_DRAWS = 1 << 16  # draws per block of `monte_carlo_spectrality`'s sweep
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -240,27 +241,26 @@ class SymbolicWord:
         return cls(tuple(map(parse_int, data.get("prefix", ()))), tail_from_json(data["tail"]))
 
 
-def sample_word(spec: BernoulliSpec, length: int) -> tuple[int, ...]:
-    """First `length` letters of the word determined by the seed.
+def _splitmix(seeds, indices: np.ndarray) -> np.ndarray:
+    """splitmix64 draws at `indices` of each uint64 seed's stream, one row each."""
+    z = seeds[..., None] + (indices + np.uint64(1)) * np.uint64(_GOLDEN)
+    z = (z ^ (z >> 30)) * np.uint64(_MIX1)
+    z = (z ^ (z >> 27)) * np.uint64(_MIX2)
+    return z ^ (z >> 31)
+
+
+def sample_word(spec: BernoulliSpec, length: int, seeds: np.ndarray | None = None):
+    """First `length` letters of the word determined by the seed, as a tuple;
+    given a uint64 array of seeds instead, one row of letters per seed.
 
     The splitmix64 draws 0..length-1 come from one wrapping uint64 sweep,
     and each letter from a search among the bounds below 2^64: a draw is
     below 2^64, so it never reaches a larger bound."""
-    z = np.uint64(spec.seed & _MASK64) + np.arange(1, length + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    z = (z ^ (z >> 30)) * np.uint64(_MIX1)
-    z = (z ^ (z >> 27)) * np.uint64(_MIX2)
+    streams = np.uint64(spec.seed & _MASK64) if seeds is None else seeds
     bounds = np.array([b for b in spec._bounds if b <= _MASK64], np.uint64)
-    return tuple((np.searchsorted(bounds, z ^ (z >> 31), side="right") + 1).tolist())
-
-
-def _pattern_windows(prefix: Sequence[int], pattern: Sequence[int]) -> tuple[int, int]:
-    """(windows equal to the pattern, contiguous windows of its length)."""
-    n, m = len(prefix), len(pattern)
-    if m == 0 or m > n:
-        raise ValueError("pattern must be nonempty and no longer than the prefix")
-    pat = tuple(pattern)
-    hits = sum(1 for i in range(n - m + 1) if tuple(prefix[i : i + m]) == pat)
-    return hits, n - m + 1
+    letters = np.searchsorted(bounds, _splitmix(streams, np.arange(length, dtype=np.uint64)),
+                              side="right") + 1
+    return tuple(letters.tolist()) if seeds is None else letters
 
 
 @dataclass
@@ -295,14 +295,20 @@ def monte_carlo_spectrality(
     exponents=None,
     pattern: Sequence[int] | None = None,
 ) -> MonteCarloSummary:
-    """Sample words, run the exact verdict branches on each, and tally.
+    """Sample words, decide their spectrality exactly, and tally.
 
-    Each trial t gets its own derived seed, samples a prefix of the given
-    length, and keeps a Bernoulli tail designator with the same stream and
-    offset, so the analyzed word is a genuine realization of the process
-    rather than a truncated fake.  Only the exact classifier branches run
-    per trial (no numeric evidence sweeps), which is what makes thousands
-    of trials cheap.
+    Trial t samples a prefix with the seed splitmix64(seed, t) and keeps a
+    Bernoulli tail with the same stream and offset, so the analyzed word is
+    a genuine realization of the process.  Only exact branches run (no Q).
+    One verdict stands for every trial: a letter with p = 0 has an empty
+    interval of bounds, so the letters occurring in every trial are the
+    recurring ones, {j : p_j > 0}, and on a tail that is not periodic
+    `spectral_verdict` reads the word only through `occurring_letters`,
+    `recurring_letters`, `occurs_infinitely` and `is_constant` (in
+    `detect_special`/`classify_special`, `_admissibility_gap`, `_gcd_branch`
+    and `_limit_tail_spec`).  It runs on the first trial's realized spec.
+    Seeds, prefixes and pattern windows come from numpy sweeps over blocks
+    of about 2^16 draws, so memory does not grow with the trial count.
     """
     from .convolution import ConstantExponents, ConvolutionSpec
     from .spectrality import spectral_verdict, VerdictBudget
@@ -324,27 +330,24 @@ def monte_carlo_spectrality(
         expected *= probs[letter - 1]
     exponents = exponents or ConstantExponents(1)
 
-    counts: dict[str, int] = {}
-    hits_total = 0
-    windows_total = 0
-    budget = VerdictBudget(run_q=False)
-    for t in range(trials):
-        trial_seed = splitmix64(seed, t)
-        bspec = BernoulliSpec(probs, trial_seed)
-        prefix = sample_word(bspec, length)
-        word = SymbolicWord(prefix, BernoulliTail(bspec, offset=length))
-        spec = ConvolutionSpec(tuple(alphabet), word, exponents)
-        report = spectral_verdict(spec, budget)
-        counts[report.verdict] = counts.get(report.verdict, 0) + 1
-        hits, windows = _pattern_windows(prefix, pattern)
-        hits_total += hits
-        windows_total += windows
-    return MonteCarloSummary(
-        trials=trials,
-        length=length,
-        seed=seed,
-        verdict_counts=counts,
-        pattern=pattern,
-        pattern_freq=Fraction(hits_total, windows_total) if windows_total else Fraction(0),
-        pattern_expected=expected,
-    )
+    bspec = BernoulliSpec(probs, splitmix64(seed, 0))
+    rows = max(1, _BLOCK_DRAWS // length)
+    blocks = (sample_word(bspec, length, _splitmix(
+                  np.uint64(seed & _MASK64), np.arange(t, min(t + rows, trials), dtype=np.uint64)))
+              for t in range(0, trials, rows))
+    block = next(blocks)
+    word = SymbolicWord(tuple(block[0].tolist()), BernoulliTail(bspec, offset=length))
+    report = spectral_verdict(ConvolutionSpec(tuple(alphabet), word, exponents),
+                              VerdictBudget(run_q=False))
+    windows = length - len(pattern) + 1
+    if not pattern or windows < 1:
+        raise ValueError("pattern must be nonempty and no longer than the prefix")
+    hits = 0
+    while block is not None:
+        match = block[:, :windows] == pattern[0]
+        for j, letter in enumerate(pattern[1:], start=1):
+            match &= block[:, j : j + windows] == letter
+        hits += int(np.count_nonzero(match))
+        block = next(blocks, None)
+    return MonteCarloSummary(trials, length, seed, {report.verdict: trials}, pattern,
+                             Fraction(hits, trials * windows), expected)

@@ -1,10 +1,15 @@
 """Symbolic words, tail rules, and the desk-scale sampling loop."""
 
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spectralconv import words
+from spectralconv.convolution import ConstantExponents, ConvolutionSpec, UnboundedExponents
+from spectralconv.hadamard import AdmissiblePair
+from spectralconv.spectrality import VerdictBudget, spectral_verdict
 from spectralconv.words import (
     BernoulliSpec,
     BernoulliTail,
@@ -183,9 +188,100 @@ def test_sample_word_length_and_determinism():
 def test_sample_word_matches_symbol_index_by_index(probs, seed):
     """Zero probabilities at the first, a middle and the last letter.  One
     after the partial sums reach 1 puts a bound of 2^64 before the last
-    one, which no draw may reach."""
+    one, which no draw may reach.  The multi-seed form gives one row per
+    trial seed, for a trial count that is not a multiple of the rows in
+    one block of `monte_carlo_spectrality`."""
     spec = BernoulliSpec(tuple(map(Fraction, probs)), seed)
     assert sample_word(spec, 256) == tuple(spec.symbol(i) for i in range(256))
+    seeds = [splitmix64(seed, t) for t in range(7)]
+    assert (words._BLOCK_DRAWS // 256) % 7
+    rows = sample_word(spec, 256, np.array(seeds, np.uint64))
+    assert rows.shape == (7, 256)
+    for trial_seed, row in zip(seeds, rows.tolist()):
+        trial = BernoulliSpec(spec.probs, trial_seed)
+        assert row == [trial.symbol(i) for i in range(256)]
+
+
+# (pairs, probabilities, pattern, exponents, the reason every trial gets).
+# In a Bernoulli word the occurring letters are the recurring ones, so the
+# gcd branch decides every alphabet past the family and admissibility
+# checks: the empty-zero-set and survivor alphabets end there too.
+MC_ALPHABETS = {
+    "two-letter family, t = 1": (
+        ((2, (0, 1)), (2, (0, 3))), ("1/3", "2/3"), (1, 2), None,
+        "special-family-classifier"),
+    "two-letter family, t = 2": (
+        ((4, (0, 1)), (4, (0, 3))), ("1/2", "1/2"), (2, 2), None,
+        "special-family-classifier"),
+    "gcd branch": (
+        ((4, (0, 2)), (3, (0, 1, 2)), (6, (0, 1, 2))), ("1/4", "1/4", "1/2"),
+        (3, 1), None, "tail-difference-gcd"),
+    "empty periodic zero set": (
+        ((4, (0, 1), (0, 2)), (4, (0, 2), (0, 1))), ("1/2", "1/2"), (1,),
+        None, "tail-difference-gcd"),
+    "survivor letters": (
+        ((2, (0, 1)), (2, (0, 3)), (2, (0, 9))), ("1/3", "1/3", "1/3"),
+        (2, 3), None, "tail-difference-gcd"),
+    "inadmissible letter": (
+        ((4, (0, 2)), (4, (0, 1, 2))), ("1/2", "1/2"), (2, 1, 2), None,
+        "pair-admissibility-unknown"),
+    "inadmissible letter with p = 0": (
+        ((4, (0, 2)), (4, (0, 1, 2))), ("1", "0"), (1, 2), None,
+        "tail-difference-gcd"),
+    "one letter with positive probability": (
+        ((2, (0, 1)), (2, (0, 3))), ("0", "1"), (2, 2, 2), None,
+        "special-family-classifier"),
+    "unbounded exponents": (
+        ((2, (0, 1)), (2, (0, 3)), (2, (0, 9))), ("1/2", "1/4", "1/4"),
+        (1,), UnboundedExponents(), "unbounded-exponent-tail-collapse"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_ALPHABETS))
+@pytest.mark.parametrize("seed", [-5, 2**64 + 3, 11])
+def test_monte_carlo_matches_the_per_trial_reference(monkeypatch, name, seed):
+    """Every trial's realized spec, built from `BernoulliSpec.symbol`, gets
+    the verdict that `monte_carlo_spectrality` reports for all of them,
+    and a plain window count gives its pattern frequency.  Blocks of 64
+    draws hold 4 prefixes of 16 letters, so 9 trials end on a partial
+    block."""
+    pairs, probs, pattern, exponents, reason = MC_ALPHABETS[name]
+    alphabet = tuple(AdmissiblePair(*pair) for pair in pairs)
+    probs = tuple(map(Fraction, probs))
+    trials, length = 9, 16
+    monkeypatch.setattr(words, "_BLOCK_DRAWS", 64)
+    summary = monte_carlo_spectrality(alphabet, probs, trials, length, seed,
+                                      exponents, pattern)
+    counts, hits = {}, 0
+    for t in range(trials):
+        bspec = BernoulliSpec(probs, splitmix64(seed, t))
+        prefix = tuple(bspec.symbol(i) for i in range(length))
+        word = SymbolicWord(prefix, BernoulliTail(bspec, offset=length))
+        report = spectral_verdict(
+            ConvolutionSpec(alphabet, word, exponents or ConstantExponents(1)),
+            VerdictBudget(run_q=False))
+        assert report.reason == reason
+        counts[report.verdict] = counts.get(report.verdict, 0) + 1
+        hits += sum(prefix[i:i + len(pattern)] == pattern
+                    for i in range(length - len(pattern) + 1))
+    assert summary.verdict_counts == counts
+    assert summary.pattern_freq == Fraction(hits, trials * (length - len(pattern) + 1))
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_trials():
+    """500 prefixes of 256 letters already fill two blocks of draws."""
+    alphabet = (AdmissiblePair(2, (0, 1), (0, 1)), AdmissiblePair(2, (0, 3), (0, 1)))
+    probs = (Fraction(1, 3), Fraction(2, 3))
+    peaks = []
+    for trials in (500, 50_000):
+        monte_carlo_spectrality(alphabet, probs, trials, 256, seed=3)  # warm caches
+        tracemalloc.start()
+        try:
+            monte_carlo_spectrality(alphabet, probs, trials, 256, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + (1 << 17), peaks
 
 
 def test_small_monte_carlo_run_is_deterministic():
