@@ -7,7 +7,9 @@ reduces to an exact integer polynomial remainder.  The same machinery finds
 all rational zeros of a nonnegative trigonometric polynomial: a point k/n in
 lowest terms is a zero iff Phi_n divides the coefficient polynomial, and any
 leftover factor with roots on the unit circle is reported instead of being
-silently approximated.
+silently approximated.  That leftover is screened over F_p first: when
+gcd(f mod p, f* mod p) is a constant, f has no reciprocal factor over Q,
+so no root on the unit circle, and no integer gcd is run.
 
 Polynomials are plain lists of ints, lowest degree first, trailing zeros
 trimmed.  A modular prefilter rejects almost every candidate order before
@@ -35,6 +37,10 @@ _PHI_SLACK = 7
 # pass has odds about 1/p, and products of residues stay below 2^62.
 _BLOCK_ENTRIES = 1 << 13
 _P_LOW, _P_HIGH = 1 << 20, 1 << 31
+
+# The reciprocal-factor screen runs Euclid mod this prime: residues stay
+# below 2^31, so a product c * b of two of them is below 2^62 in int64.
+_GCD_PRIME = (1 << 31) - 1
 
 
 def trim(coeffs: Sequence[int]) -> list[int]:
@@ -308,18 +314,57 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [-c for c in fa] if fa and fa[-1] < 0 else fa
 
 
+def _gcd_degree_mod_p(a: Sequence[int], b: Sequence[int]) -> int:
+    """Degree of gcd(a mod p, b mod p) over F_p, p = _GCD_PRIME; -1 when
+    both vanish mod p.
+
+    Euclid runs in place on int64 arrays, highest coefficient first.  Each
+    coefficient is reduced mod p as a Python int before it enters numpy,
+    so coefficients past int64 are exact, and each step keeps every entry
+    in [0, p).
+    """
+    p = _GCD_PRIME
+
+    def residues(coeffs: Sequence[int]) -> np.ndarray:
+        r = np.array([c % p for c in reversed(coeffs)], dtype=np.int64)
+        return r[np.argmax(r != 0):] if r.any() else r[:0]
+
+    big, small = sorted((residues(a), residues(b)), key=len, reverse=True)
+    while small.size:
+        m, inv = len(small), pow(int(small[0]), -1, p)
+        for i in range(len(big) - m + 1):  # the remainder is big[-(m - 1):]
+            c = int(big[i]) * inv % p
+            if c:
+                seg = big[i:i + m]
+                seg -= c * small
+                seg %= p
+        rem = big[len(big) - m + 1:]
+        big, small = small, rem[np.argmax(rem != 0):] if rem.any() else rem[:0]
+    return len(big) - 1
+
+
 def unit_circle_angles(coeffs: Sequence[int]) -> tuple[float, ...]:
     """Approximate angles t in [0,1) of unit-modulus roots exp(-2*pi*i*t).
 
     Meant for a cyclotomic-free residual: any angle reported here belongs to
-    a root that is not a root of unity, hence irrational.  Detection is
-    numeric (the exact layer has already removed every rational candidate),
-    so callers treat a nonempty answer as a flag, not a certificate.
+    a root that is not a root of unity, hence irrational.  A root z with
+    |z| = 1 has 1/z = conj(z) as a root as well, so it is a root of the
+    reciprocal part gcd(f, f*), f* the reversed polynomial.  That part is
+    first screened over F_p: when p divides neither leading coefficient and
+    the gcd mod p is a constant, the gcd over Q is 1 (a primitive common
+    factor over Z would keep its degree mod p), and the answer is () with
+    no float involved.  Otherwise the primitive integer gcd is computed and
+    its roots are found numerically (the exact layer has already removed
+    every rational candidate), so callers treat a nonempty answer as a
+    flag, not a certificate.
     """
     cs = trim(coeffs)
     if degree(cs) <= 0:
         return ()
-    sym = poly_gcd(cs, _poly_reverse(cs))
+    rev = _poly_reverse(cs)
+    if cs[-1] % _GCD_PRIME and rev[-1] % _GCD_PRIME and _gcd_degree_mod_p(cs, rev) == 0:
+        return ()
+    sym = poly_gcd(cs, rev)
     if degree(sym) <= 0:
         return ()
     roots = np.roots(np.array(sym[::-1], dtype=float))

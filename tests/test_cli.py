@@ -209,6 +209,17 @@ def test_iz_command_witness(runner, tmp_path):
     assert payload["witness"] == "1/2"
 
 
+def test_iz_command_on_weights_past_int64(runner, tmp_path):
+    # the residual (2^70 + 1) + 3 z^2 goes through the F_p screen exactly
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps([
+        {"x": "0", "w": "1180591620717411303425/1180591620717411303428"},
+        {"x": "2", "w": "3/1180591620717411303428"}]))
+    result = runner.invoke(main, ["iz", str(path)])
+    assert result.exit_code == 0
+    assert _payload(result)["kind"] == "empty-certified"
+
+
 def test_iz_command_on_spec(runner, mixed_file):
     result = runner.invoke(main, ["iz", mixed_file])
     assert result.exit_code == 0

@@ -6,9 +6,12 @@ bitmasks, lowest candidate first, stopping at the first clique.
 `poly_gcd` runs the primitive pseudo-remainder sequence over the
 integers.  The references below are the code they replaced: the
 `all()`-based clique extension with a final sort, and the Euclid over
-`Fraction`s.  Every result must match them exactly.
+`Fraction`s.  Every result must match them exactly.  The F_p screen
+that `unit_circle_angles` runs before `poly_gcd` is checked against
+`poly_gcd` on the same draws.
 """
 
+import importlib
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -19,7 +22,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import time_limit
 
-from spectralconv.cyclotomic import cyclotomic_orders, poly_gcd, trim
+from spectralconv.cyclotomic import (
+    _GCD_PRIME,
+    _gcd_degree_mod_p,
+    cyclotomic_orders,
+    degree,
+    poly_gcd,
+    trim,
+    unit_circle_angles,
+)
 from spectralconv.hadamard import find_spectra, first_spectrum, good_differences, spectrum_rows
 
 # ---------------------------------------------------------------------------
@@ -95,6 +106,14 @@ def reverse(coeffs):
     return trim(list(reversed(trim(coeffs))))
 
 
+def assert_screen_agrees(f, g):
+    """The F_p gcd degree of f and f* is 0 exactly when their integer gcd
+    g is constant, and never below the degree of g."""
+    screened = _gcd_degree_mod_p(f, reverse(f))
+    assert screened >= degree(g)
+    assert (screened == 0) == (degree(g) == 0)
+
+
 # ---------------------------------------------------------------------------
 # spectrum search
 
@@ -164,7 +183,9 @@ def test_residual_gcd_matches_the_reference(span, seed, count):
     rng = random.Random(seed)
     digits = {0, span} | set(rng.sample(range(1, span), count))
     _, residual = cyclotomic_orders(_digit_polynomial(digits))
-    assert poly_gcd(residual, reverse(residual)) == ref_poly_gcd(residual, reverse(residual))
+    got = poly_gcd(residual, reverse(residual))
+    assert got == ref_poly_gcd(residual, reverse(residual))
+    assert_screen_agrees(residual, got)
 
 
 def test_span_120_residual_gcd_keeps_its_coefficients_small():
@@ -189,6 +210,7 @@ def test_reciprocal_factor_gcd_matches_the_reference(a, b):
     got = poly_gcd(f, reverse(f))
     assert got == ref_poly_gcd(f, reverse(f))
     assert got[-1] > 0
+    assert_screen_agrees(f, got)
 
 
 def test_lehmer_polynomial_is_its_own_reciprocal_factor():
@@ -198,6 +220,58 @@ def test_lehmer_polynomial_is_its_own_reciprocal_factor():
     # a nonreciprocal cofactor leaves the Lehmer factor as the gcd
     f = poly_mul(lehmer, [2, 1])
     assert poly_gcd(f, reverse(f)) == lehmer
+
+
+def test_the_screen_never_hides_a_salem_factor():
+    # Lehmer's polynomial has 8 roots on the unit circle, none a root of
+    # unity; a nonreciprocal cofactor must not hide them
+    lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+    angles = unit_circle_angles(lehmer)
+    assert len(angles) == 8
+    assert unit_circle_angles(poly_mul(lehmer, [2, 1])) == angles
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The arguments of every `poly_gcd` call made by `unit_circle_angles`."""
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    # the package exports a function named cyclotomic, so import the module by path
+    monkeypatch.setattr(importlib.import_module("spectralconv.cyclotomic"), "poly_gcd", spy)
+    return calls
+
+
+def test_a_trivial_reciprocal_part_is_decided_in_f_p(gcd_calls):
+    rng = random.Random(120)
+    digits = {0, 120} | set(rng.sample(range(1, 120), 4))
+    _, residual = cyclotomic_orders(_digit_polynomial(digits))
+    assert unit_circle_angles(residual) == ()
+    assert gcd_calls == []
+
+
+def test_an_unlucky_prime_falls_through_to_the_integer_gcd(gcd_calls):
+    # mod p the root (p + 1)/2 is 1/2, so f and f* share both roots mod p
+    # but none over Q
+    p = _GCD_PRIME
+    f = poly_mul([-2, 1], [-(p + 1) // 2, 1])
+    assert _gcd_degree_mod_p(f, reverse(f)) == 2
+    assert unit_circle_angles(f) == ()
+    assert len(gcd_calls) == 1
+    assert degree(poly_gcd(f, reverse(f))) == 0
+
+
+@pytest.mark.parametrize("f", [[1, 0, _GCD_PRIME], [_GCD_PRIME, 0, 1]])
+def test_a_leading_coefficient_divisible_by_p_falls_through(gcd_calls, f):
+    # mod p one of f, f* drops to a constant, so the screen reads degree 0
+    # without a proof
+    assert _gcd_degree_mod_p(f, reverse(f)) == 0
+    assert unit_circle_angles(f) == ()
+    assert len(gcd_calls) == 1
+
 
 
 def test_gcd_edge_cases_match_the_reference():
