@@ -101,13 +101,14 @@ class MaskAbs2:
     def deficit(self, y: float) -> float:
         """1 - |m_B(y)|^2 = sum_{k>0} 2 coeffs[k] sin^2(pi k g y) at a float y.
 
-        Every term is nonnegative, so when pi k g |y| <= 1 for every k the
-        result is within (30 + len(coeffs)) u of the true value relatively,
-        u = 2**-53: the argument is off by at most 4u relatively (pi, the
+        Every term is nonnegative, so when pi k g |y| <= 2 for every k the
+        result is within (38 + len(coeffs)) u of the true value relatively,
+        u = 2**-53: the argument x is off by at most 4u relatively (pi, the
         products by g, k and y), which moves the sine by at most
-        4u/sin(1) < 4.8u of itself; the sine adds COS_ULPS ulps of at most
-        2u each, the coefficient and the three products 3u, and the sum
-        of positive terms u per term.
+        4u x/sin(x) <= 8u/sin(2) < 8.8u of itself; the sine adds COS_ULPS
+        ulps of at most 2u each, squaring doubles the sine's error, the
+        coefficient and the three products add 3u, and the sum of positive
+        terms u per term.
         """
         half = self.step / 2.0
         total = 0.0

@@ -42,6 +42,9 @@ _U = 2.0 ** -53
 # entries.
 _BLOCK_ENTRIES = 1 << 15
 
+# q_partial sums each row in blocks of this many columns (``_row_sums``)
+_SUM_BLOCK = 128
+
 # q_partial multiplies at most this many tail levels past depth n before it
 # takes |nu^|^2 from the tail fit; a branch still outside the fit's interval
 # after them counts as [0, p], so the radius stays certified.
@@ -163,7 +166,7 @@ class _TailFit:
     of s (``coeffs``, highest first, for Horner's rule).  If the computed
     y is within delta of the true one and Y = |y| + delta <= y0, the value
     F from ``__call__`` is within quad * Y^2 + lip * delta * Y + u F of
-    F_m(y), with ``lip`` the spec's (4 pi h)^2 from ``_TailFits`` and u F
+    F_m(y), with ``lip`` the spec's (2 pi D)^2 from ``_TailFits`` and u F
     the rounding of the last subtraction.
     """
     coeffs: tuple[float, ...]
@@ -184,23 +187,28 @@ class _TailFit:
 class _TailFits:
     """The tail fits of one spec, built once per level m on first use.
 
-    With h = support_halfwidth(), every tail measure nu_m lies in an
-    interval of length 2h, so rho = nu_m * nu_m~ is a symmetric
-    probability measure on [-2h, 2h] and F_m(y) = int cos(2 pi y t) drho.
-    Write F_m = 1 - y^2 R(y^2).  From 1 - cos a = a^2 int_0^1 (1-r) cos(ra) dr,
-    the even function R(y^2) has k-th derivative at most
-    lip^(k/2+1)/((k+1)(k+2)) with lip = (4 pi h)^2.  P interpolates R at
-    _FIT_NODES Chebyshev points of the first kind in s on [0, y0^2], the
-    squares of 2 _FIT_NODES Chebyshev points in y on [-y0, y0].  At
-    y0 = 1/(2 pi h) their node polynomial is at most 2 (y0/2)^(2N) in y,
-    so |R - P| <= 2 lip/(2N+2)!.  ``quad`` adds, in order:
+    With D = ``width``, the largest digit span over s_min - 1 (s_min the
+    least level scale), every tail measure nu_m lies in an interval of
+    length D: level k after m adds a digit set of span at most
+    D (s_min - 1) divided by at least s_min^k.  So rho = nu_m * nu_m~ is
+    a symmetric probability measure on [-D, D] and
+    F_m(y) = int cos(2 pi y t) drho.  Write F_m = 1 - y^2 R(y^2).  From
+    1 - cos a = a^2 int_0^1 (1-r) cos(ra) dr, the even function R(y^2) has
+    k-th derivative at most lip^(k/2+1)/((k+1)(k+2)) with lip = (2 pi D)^2.
+    P interpolates R at _FIT_NODES Chebyshev points of the first kind in s
+    on [0, y0^2], the squares of 2 _FIT_NODES Chebyshev points in y on
+    [-y0, y0].  Their node polynomial is at most 2 (y0/2)^(2N) in y, and
+    at y0 = 2/(pi D) lip (y0/2)^2 = 4, so |R - P| <= 2 lip 2^(2N)/(2N+2)!.
+    ``quad`` adds, in order:
 
     * the node errors times the Lebesgue constant of N first-kind points;
       a node error covers the rounding of the deficit product (each level
-      deficit from ``MaskAbs2.deficit`` is relatively accurate, so the
-      product 1 - prod(1 - d_k) is too), the levels left out after it
-      (1 - |nu^(z)|^2 <= 2 pi^2 z^2 (2h)^2 <= lip z^2) and the rounding
-      of the node itself (|R'| <= lip^2/18 on [0, y0^2]);
+      deficit from ``MaskAbs2.deficit`` is relatively accurate, since
+      pi k g |z| <= 2 at every node, so the product 1 - prod(1 - d_k) is
+      too), the levels left out after it (1 - |nu^(z)|^2 <= 2 pi^2 z^2 D^2
+      <= lip z^2) and the rounding of the node itself (each squared node
+      within 21 u y0^2 of its Chebyshev point, |R'| <= lip^2/24 and
+      lip y0^2 <= 16);
     * the rounding of the Chebyshev coefficients (each within its
       cosines' error times the node values) and of converting them to
       powers of s, exactly on integers, then once to floats;
@@ -208,17 +216,19 @@ class _TailFits:
       rounding of s = y^2 (|d(sR)/ds| <= lip).
 
     The Lipschitz term lip * delta * Y bounds F_m(y) - F_m(yhat), as
-    |F_m'(y)| <= (2 pi)^2 (2h)^2 |y|.
+    |F_m'(y)| <= (2 pi)^2 D^2 |y|.
     """
 
     def __init__(self, spec: ConvolutionSpec):
         self.spec = spec
-        h = spec.support_halfwidth()
+        span = max(max(pair.digits) - min(pair.digits) for pair in spec.alphabet)
+        self.width = Fraction(span, spec.min_level_scale() - 1)
         # y0 rounded down and lip rounded up; a branch stops at y_stop, so
         # that its |y| + delta and its rounded y^2 stay inside the fit
-        self.y0 = math.nextafter(float(1 / (TWO_PI_UPPER * h)), 0.0)
+        self.y0 = math.nextafter(float(4 / (TWO_PI_UPPER * self.width)), 0.0)
         self.y_stop = self.y0 * (1.0 - 4.0 * _U)
-        self.lip = math.nextafter(float((2 * TWO_PI_UPPER * h) ** 2), math.inf)
+        self.lip = math.nextafter(float((TWO_PI_UPPER * self.width) ** 2),
+                                  math.inf)
         self._fits: dict[int, _TailFit] = {}
 
     def __call__(self, m: int) -> _TailFit:
@@ -237,12 +247,12 @@ class _TailFits:
             depth += 1
             scale *= abs(spec.level_scale(m + depth))
             kernel = mask_abs2(spec.pair_at(m + depth).digits)
-            term_ulps = max(term_ulps, 30 + len(kernel.coeffs))
+            term_ulps = max(term_ulps, 38 + len(kernel.coeffs))
             rest = []
             for j, (a, b) in enumerate(ratios):
-                # z = y_j / scale correctly rounded; pi span |z| < 1, as
-                # |z| <= y0/s, y0 <= 1/(2 pi h) and span <= 2 max|digit|
-                # = 2 h (s - 1) for the least level scale s
+                # z = y_j / scale correctly rounded; pi span |z| < 2, as
+                # |z| <= y0/s, y0 <= 2/(pi D) and span <= D (s - 1) for
+                # this level's scale s
                 z = a / (b * scale)
                 d = deficits[j]
                 deficits[j] = d + kernel.deficit(z) * (1.0 - d)
@@ -255,7 +265,7 @@ class _TailFits:
         # to D; y^2 and the division by it add two more
         rel = 1.01 * (term_ulps + depth + 8) * u
         values = [d / (y * y) for d, y in zip(deficits, ys)]
-        node_err = max(v * rel + 1.01 * r / (y * y) + 7.0 * lip * u
+        node_err = max(v * rel + 1.01 * r / (y * y) + 14.0 * lip * u
                        for v, r, y in zip(values, rest, ys))
         # a_k = (2/N) sum_j R_j T_k(t_j), halved for k = 0, with
         # T_k(t_j) = cos(pi k (2j+1)/(2N)) reduced to [0, pi/2] first,
@@ -291,11 +301,46 @@ class _TailFits:
         a, b = y0.as_integer_ratio()
         horner = sum(abs(c) for c in exact) / den
         chain = 2 * size * u / (1 - 2 * size * u)
-        quad = 1.01 * (2.0 * lip / math.factorial(2 * size + 2)
+        quad = 1.01 * (2.0 * lip * 4 ** size / math.factorial(2 * size + 2)
                        + _LEBESGUE * node_err + coef_err + lip * u
                        + (chain + 2.0 * u) * horner)
         return _TailFit(tuple(exact[i] * b ** (2 * i) / (den * a ** (2 * i))
                               for i in reversed(range(size))), quad)
+
+
+def _sum_depth(width: int) -> int:
+    """Additions that any one term of a row of ``width`` terms passes
+    through in ``_row_sums``, whatever order numpy adds a block in."""
+    if width < _SUM_BLOCK:
+        return (width - 1).bit_length()
+    return _SUM_BLOCK + width // _SUM_BLOCK - 1
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D array in a fixed blocked order.
+
+    The leading whole blocks of _SUM_BLOCK columns are added blockwise
+    into one block (at most width // _SUM_BLOCK - 1 additions per term),
+    which numpy then sums (_SUM_BLOCK - 1 more at most); the rest of the
+    row is summed on its own and added last.  A row under one block is
+    summed pairwise: each round adds its second half onto its first.
+    For nonnegative terms the result is within gamma of ``_sum_depth``
+    of the true sum.
+    """
+    width = a.shape[1]
+    full = width - width % _SUM_BLOCK
+    if full:
+        blocks = a[:, :full].reshape(len(a), full // _SUM_BLOCK, _SUM_BLOCK)
+        out = blocks.sum(axis=1).sum(axis=1)
+        if full < width:
+            out += _row_sums(a[:, full:])
+        return out
+    while width > 1:
+        half = (width + 1) // 2
+        head = a[:, :half].copy()
+        head[:, :width - half] += a[:, half:]
+        a, width = head, half
+    return a[:, 0]
 
 
 def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
@@ -321,7 +366,7 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
     * pruned mass: branches dropped to keep budget_atoms per point add
       their mass as an interval [0, p] of full width;
     * tail: past level n, a point multiplies further levels until every
-      branch has |y| + delta <= y0 = 1/(2 pi h), h = support_halfwidth(),
+      branch has |y| + delta <= y0 = 2/(pi D), D = ``_TailFits.width``,
       and the bound of the fit there is at most tol/4; each branch then
       takes F_m from the level-m ``_TailFit``, whose error bound enters
       the radius.  A branch still past y0 after _MAX_TAIL levels adds its
@@ -338,7 +383,9 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
       when the clamp fires.  The masses of a level sum to at most 1, so
       level k adds (#L_k - 1) e_k + #L_k u and a tail level e_k.
       Products, sums and the final arithmetic add Higham's gamma bounds
-      on the mass.
+      on the mass; the rows are summed in blocks (``_row_sums``), so a
+      sum of w terms adds gamma of ``_sum_depth(w)``, about
+      _SUM_BLOCK + w/_SUM_BLOCK, not of w.
 
     Every point's row is computed on its own, so the result does not
     depend on how the grid is split into blocks.
@@ -364,7 +411,7 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
             cut = p.shape[1] - budget_atoms
             order = np.argpartition(p, cut, axis=1)
             order += np.arange(0, p.size, p.shape[1])[:, None]
-            dropped += p.take(order[:, :cut]).sum(axis=1)
+            dropped += _row_sums(p.take(order[:, :cut]))
             p = p.take(order[:, cut:])
             y = y.take(order[:, cut:])
     # largest |computed y| per point; dividing every y by a scale divides
@@ -401,11 +448,11 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
         # past _MAX_TAIL: branches still outside the fit count as [0, p]
         outside = np.abs(y[rows]) + delta[rows, None] > tails.y_stop
         mass = p[rows]
-        dropped[rows] += np.where(outside, mass, 0.0).sum(axis=1)
+        dropped[rows] += _row_sums(np.where(outside, mass, 0.0))
         mass[outside] = 0.0
         p[rows] = mass
         y[rows] = np.where(outside, 0.0, y[rows])
-    inside = p.sum(axis=1)
+    inside = _row_sums(p)
     fitted = np.empty(npts)
     moment = np.empty(npts)
     quad = np.empty(npts)
@@ -418,20 +465,20 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
         mass = p[sel]
         f = fit(s)
         s *= mass
-        moment[sel] = s.sum(axis=1)
+        moment[sel] = _row_sums(s)
         f *= mass
-        fitted[sel] = f.sum(axis=1)
+        fitted[sel] = _row_sums(f)
         quad[sel] = fit.quad
     # sum p Y^2 <= sum p y^2 + delta (2 y0 + delta) sum p, as |y| <= y0;
     # the 1% covers the rounding of the masses, the sums and this bound
     tail = 1.01 * (quad * (moment + delta * (2.0 * tails.y0 + delta) * inside)
                    + tails.lip * delta * tails.y0 * inside)
-    # Higham's gamma_k = k u/(1 - k u) bounds k chained roundings: sums of
-    # at most `widest` terms (the pruned ones also pass through n
+    # Higham's gamma_k = k u/(1 - k u) bounds k chained roundings: blocked
+    # sums of at most `widest` terms (the pruned ones also pass through n
     # accumulations), the rounded products per branch (one per level and
     # one by F_m, whose own rounding adds one more), 8 final operations.
     # The 1% covers the rounding in computing the bound itself.
-    chain = 3 * widest + 2 * (last + 1) + 8
+    chain = 3 * _sum_depth(widest) + 2 * (last + 1) + 8
     rounding = 1.01 * (kernel_err + chain * _U / (1.0 - chain * _U)
                        * (inside + dropped))
     value = fitted + dropped / 2.0
@@ -451,11 +498,13 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
     but a parent's last child takes 1 minus its siblings' factors.
     Each radius covers the pruned mass (at most budget_atoms branches per
     point are kept), the tail (at most tol/4 of the mass: each branch
-    takes |nu_m^(y)|^2 from one certified polynomial fit per tail level m,
-    built once per call and shared by every point) and float rounding;
-    see ``_q_partial_block``.  The level constants and the points' error
-    bounds through level n are computed once for the grid; point blocks
-    of about _BLOCK_ENTRIES branches then run in turn.
+    takes |nu_m^(y)|^2 from one certified polynomial fit per tail level m
+    on |y| <= 2/(pi D), D the support width of the tail measures, built
+    once per call and shared by every point) and float rounding, with
+    every row summed in a fixed blocked order; see ``_q_partial_block``.  The level
+    constants and the points' error bounds through level n are computed
+    once for the grid; point blocks of about _BLOCK_ENTRIES branches then
+    run in turn.
     """
     if n < 1:
         raise ValueError("depth must be at least 1")
