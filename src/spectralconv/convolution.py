@@ -546,8 +546,6 @@ def zero_set_window(spec: ConvolutionSpec, n: int, h: Rational) -> list[Fraction
     levels can reach the window and the enumeration below is complete.
     Raises IrrationalZeroPresent when completeness cannot be promised.
     """
-    if n < 0:
-        raise ValueError("tail index must be nonnegative")
     h = Fraction(h)
     if h <= 0:
         raise ValueError("window halfwidth must be positive")

@@ -7,12 +7,15 @@ where the corresponding root-of-unity sum vanishes, detected exactly
 through cyclotomic factors) and possibly finitely many irrational
 points (unit circle roots of the residual polynomial, located
 numerically and only ever reported, never silently used in exact
-decisions).
+decisions).  The rational part is a RationalZeroSet, integer numerators
+over one denominator with period 1, so membership and windows come from
+integer floor division.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -96,7 +99,8 @@ class MaskAbs2:
             b1, b2 = b, b1
         f = c * b1
         f += self.coeffs[0] - b2
-        return np.clip(f, 0.0, 1.0, out=f)
+        np.maximum(f, 0.0, out=f)
+        return np.minimum(f, 1.0, out=f)
 
     def deficit(self, y: float) -> float:
         """1 - |m_B(y)|^2 = sum_{k>0} 2 coeffs[k] sin^2(pi k g y) at a float y.
@@ -148,67 +152,66 @@ def mask_abs2(digits: tuple[int, ...]) -> MaskAbs2:
 
 @dataclass(frozen=True)
 class RationalZeroSet:
-    """The periodic set {phase + k*period : k integer, phase in phases}.
+    """The set of x whose fractional part times den is in phases.
 
-    Canonical form: period > 0, phases sorted, each in [0, period).
+    Every zero set here has period 1, so it is held as integer numerators
+    over one denominator.  Canonical form: phases strictly increasing in
+    [0, den), and den minimal, that is gcd(den, *phases) == 1 (den == 1
+    for the empty set).
     """
 
-    period: Fraction
-    phases: tuple[Fraction, ...]
+    den: int
+    phases: tuple[int, ...]
 
     def __post_init__(self):
-        period = Fraction(self.period)
-        if period <= 0:
-            raise ValueError("period must be positive")
-        reduced = sorted(set(Fraction(p) % period for p in self.phases))
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "phases", tuple(reduced))
+        p = self.phases
+        if self.den < 1 or list(p) != sorted(set(p)) or not all(0 <= a < self.den for a in p):
+            raise ValueError("phases must be distinct, sorted and inside [0, den)")
+        if gcd(self.den, *p) != 1:
+            raise ValueError("den must be minimal: gcd(den, *phases) == 1")
 
-    def __bool__(self) -> bool:
-        return bool(self.phases)
+    @classmethod
+    def from_orders(cls, orders: Sequence[int]) -> "RationalZeroSet":
+        """The phases j/n, 0 < j < n, gcd(j, n) == 1, of the primitive n-th
+        roots of unity for every order n."""
+        den = math.lcm(*orders)
+        return cls(den, tuple(sorted(j * (den // n) for n in orders
+                                     for j in range(1, n) if gcd(j, n) == 1)))
 
     def contains(self, x: Rational) -> bool:
-        return Fraction(x) % self.period in self.phases
+        q, rem = divmod(self.den, x.denominator)
+        if rem:
+            return False
+        m = x.numerator * q % self.den
+        i = bisect_left(self.phases, m)
+        return i < len(self.phases) and self.phases[i] == m
 
-    def __contains__(self, x) -> bool:
-        return self.contains(x)
+    __contains__ = contains
 
     def members_in(self, lo: Rational, hi: Rational) -> list[Fraction]:
-        """All elements in the closed interval [lo, hi], ascending."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        out = []
-        if hi < lo:
-            return out
-        for p in self.phases:
-            # smallest k with p + k*period >= lo
-            k = -((p - lo) // self.period)
-            x = p + k * self.period
-            while x <= hi:
-                out.append(x)
-                x += self.period
-        return sorted(out)
+        """All elements m/den in the closed interval [lo, hi], ascending."""
+        d = self.den
+        mlo = -(-lo.numerator * d // lo.denominator)
+        mhi = hi.numerator * d // hi.denominator
+        return [Fraction(base + p, d)
+                for base in range(mlo - mlo % d, mhi + 1, d)
+                for p in self.phases if mlo <= base + p <= mhi]
 
     def min_abs_nonzero(self) -> Fraction:
         """Distance from 0 to the nearest nonzero element.
 
-        The phases are sorted in [0, period), so the nearest elements are
-        the first nonzero phase and the last phase minus the period.
+        The phases are sorted in [0, den), so the nearest elements are the
+        first nonzero phase and the last phase minus den, over den.
         """
         nonzero = self.phases[1:] if self.phases[:1] == (0,) else self.phases
         if not nonzero:
-            return self.period
-        return min(nonzero[0], self.period - nonzero[-1])
-
-    def scaled(self, c: Rational) -> "RationalZeroSet":
-        c = Fraction(c)
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return RationalZeroSet(self.period * c, tuple(p * c for p in self.phases))
+            return Fraction(1)
+        return Fraction(min(nonzero[0], self.den - nonzero[-1]), self.den)
 
     def to_json(self) -> dict:
         return {
-            "period": frac_str(self.period),
-            "phases": [frac_str(p) for p in self.phases],
+            "period": "1",
+            "phases": [frac_str(Fraction(p, self.den)) for p in self.phases],
         }
 
 
@@ -222,9 +225,6 @@ class IrrationalZeroFlag:
 
     angles: tuple[float, ...]
 
-    def to_json(self) -> dict:
-        return {"irrational_zero_angles": list(self.angles)}
-
 
 @dataclass(frozen=True)
 class MaskZeros:
@@ -234,7 +234,7 @@ class MaskZeros:
     def to_json(self) -> dict:
         out = {"rational": self.rational.to_json()}
         if self.irrational is not None:
-            out.update(self.irrational.to_json())
+            out["irrational_zero_angles"] = list(self.irrational.angles)
         return out
 
 
@@ -254,14 +254,9 @@ def mask_zero_set(digits: tuple[int, ...]) -> MaskZeros:
     for b in digits:
         coeffs[b - b0] = 1
     orders, residual = cyclotomic_orders(coeffs)
-    phases = []
-    for n in orders:
-        for j in range(1, n):
-            if gcd(j, n) == 1:
-                phases.append(Fraction(j, n))
     angles = unit_circle_angles(residual)
     flag = IrrationalZeroFlag(tuple(angles)) if angles else None
-    return MaskZeros(RationalZeroSet(Fraction(1), tuple(phases)), flag)
+    return MaskZeros(RationalZeroSet.from_orders(orders), flag)
 
 
 class IrrationalZeroPresent(ValueError):
@@ -287,7 +282,7 @@ def rational_zeros(digits: Sequence[int]) -> RationalZeroSet:
 
 
 def window_zeros(
-    levels: Iterator[tuple[Fraction, tuple[int, ...]]],
+    levels: Iterator[tuple[int, tuple[int, ...]]],
     lo: Rational,
     hi: Rational,
     min_zero_gap: Fraction,
@@ -310,10 +305,10 @@ def window_zeros(
     reach = max(abs(lo), abs(hi))
     zeros: set[Fraction] = set()
     for scale, digits in levels:
-        scale = abs(Fraction(scale))
-        zs = rational_zeros(tuple(digits))
-        if zs:
-            zeros.update(zs.scaled(scale).members_in(lo, hi))
+        scale = abs(scale)
+        zs = rational_zeros(digits)
+        if zs.phases:
+            zeros.update(scale * z for z in zs.members_in(lo / scale, hi / scale))
         if scale * min_zero_gap > reach:
             break
     return sorted(zeros)

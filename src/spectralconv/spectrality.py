@@ -29,7 +29,7 @@ from .convolution import (
 )
 from .cyclotomic import cyclotomic_orders, unit_circle_angles
 from .hadamard import AdmissiblePair, first_spectrum, FIND_SPECTRA_SCALE_LIMIT
-from .mask import IrrationalZeroPresent, eval_mask, mask_abs2, mask_zero_set
+from .mask import IrrationalZeroPresent, RationalZeroSet, eval_mask, mask_abs2, mask_zero_set
 from .measures import TWO_PI_UPPER, AtomicMeasure, frac_str
 from .words import SymbolicWord, PeriodicTail
 
@@ -181,7 +181,8 @@ class _TailFit:
             f += c
         f *= s
         np.subtract(1.0, f, out=f)
-        return np.clip(f, 0.0, 1.0, out=f)
+        np.maximum(f, 0.0, out=f)
+        return np.minimum(f, 1.0, out=f)
 
 
 class _TailFits:
@@ -602,14 +603,13 @@ def iz_finite(m: AtomicMeasure) -> IZVerdict:
     for n, w in zip(m.nums, m.weights):
         coeffs[n - pmin] = w
     orders, residual = cyclotomic_orders(coeffs)
-    # the zeros D j / order in [0, D), j prime to order, are distinct; over
-    # L = lcm(orders), a class mod 1 is all zeros when it holds D numerators
-    L = math.lcm(*orders)
-    counts = Counter(D * j * (L // order) % L for order in orders
-                     for j in range(1, order + 1) if gcd(j, order) == 1)
+    # the zeros D p / den in [0, D), p a root phase over den, are distinct;
+    # a class mod 1 is all zeros when it holds D numerators
+    roots = RationalZeroSet.from_orders(orders)
+    counts = Counter(D * p % roots.den for p in roots.phases)
     complete = [r for r, count in counts.items() if count == D]
     if complete:
-        witness = Fraction(min(complete), L)
+        witness = Fraction(min(complete), roots.den)
         return IZVerdict(
             NONEMPTY_WITNESS, witness=witness,
             reason="transform has period %d and vanishes on %s plus every "
@@ -647,8 +647,9 @@ def iz_weak_limit(spec_or_measure, horizon: int = 64) -> IZVerdict:
     Z(tail(1)).  Nodes (tail state, xi), states compared by equality, form
     a graph that is finite for eventually periodic words and exponents; Z
     is its greatest fixed point.  The roots are the rational zeros in
-    (0, 1); a child that is 0 or no zero of its tail dies at translate 0,
-    and deaths unwind to explicit translates.  Members are certified by the
+    (0, 1).  Each state's zeros in [-1, 1] are listed once, and a child
+    outside its state's list (0 always is) dies at translate 0; deaths
+    unwind to explicit translates.  Members are certified by the
     fixed point itself, a closed set of nodes.  Tails that never repeat stop
     at depth ``horizon``: kills found with that frontier alive, and members
     closed with it dead, are certified.
@@ -661,12 +662,13 @@ def iz_weak_limit(spec_or_measure, horizon: int = 64) -> IZVerdict:
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     try:
-        candidates = [z for z in zero_set_window(spec, 0, Fraction(1)) if 0 < z < 1]
+        window = zero_set_window(spec, 0, 1)
     except IrrationalZeroPresent as exc:
         return IZVerdict(
             UNDECIDED,
             reason="a level mask has zeros at irrational points (%s); the "
                    "candidate list would be incomplete" % exc)
+    candidates = [z for z in window if 0 < z < 1]
     if not candidates:
         return IZVerdict(
             EMPTY_CERTIFIED,
@@ -675,6 +677,8 @@ def iz_weak_limit(spec_or_measure, horizon: int = 64) -> IZVerdict:
     repeats = isinstance(spec.word.tail, PeriodicTail) and spec.exponents.bounded()
     # specs[i] is tail i; succ[i] indexes the first state equal to tail i + 1
     specs, index, succ = [spec], {spec: 0}, []
+    # windows[j]: state j's zeros in [-1, 1]; the states share one complete alphabet
+    windows = {0: set(window)}
     kills, parents = {}, {}
     todo = [(0, f) for f in candidates]
     seen = set(todo)
@@ -685,6 +689,8 @@ def iz_weak_limit(spec_or_measure, horizon: int = 64) -> IZVerdict:
         if i == len(succ):
             specs.append(specs[i].tail(1))
             succ.append(index.setdefault(specs[-1], i + 1))
+            if succ[i] not in windows:
+                windows[succ[i]] = set(zero_set_window(specs[-1], 0, 1))
         j, s = succ[i], specs[i].level_scale(1)
         zeros = mask_zero_set(specs[i].pair_at(1).digits).rational
         out = []
@@ -694,7 +700,7 @@ def iz_weak_limit(spec_or_measure, horizon: int = 64) -> IZVerdict:
                 continue
             fl = math.floor(y)
             child = (j, y - fl)
-            if child not in seen and (fl == y or not specs[j].transform_zero_at(y - fl)):
+            if child not in seen and y - fl not in windows[j]:
                 kills[node] = r - s * fl
                 break
             out.append((child, r - s * fl))

@@ -37,6 +37,17 @@ def jp_file(tmp_path):
 
 
 @pytest.fixture
+def bern_file(tmp_path):
+    """(2,{0,3}), (2,{0,9}) with a fair Bernoulli tail: a word that never
+    repeats, so `iz` walks one tail state per level up to its horizon."""
+    path = tmp_path / "bern.json"
+    path.write_text(json.dumps({
+        "alphabet": [{"n": 2, "b": [0, 3], "l": [0, 1]}, {"n": 2, "b": [0, 9], "l": [0, 1]}],
+        "word": {"prefix": [], "tail": {"bernoulli": {"seed": 5, "p": ["1/2", "1/2"]}}}}))
+    return str(path)
+
+
+@pytest.fixture
 def mixed_file(tmp_path):
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(mixed_word_spec().to_json()))
@@ -534,6 +545,8 @@ GOLDEN_STDOUT = [
      "00ed4c2bb0c8454c00b0407b3a5e00e0bc5b1ffc50be0529dc3d21f9dbf33593"),
     ("iz {mixed}",
      "f508a4ffff06505fc8b4fa36e661fde4c433b95025bc5ceaa5edc3876d5c4c0a"),
+    ("--horizon 16 iz {bern}",
+     "e97985ab4698da8c1faf486decabfe4b17681523ec5cb0276e9221bfc7ea5ccd"),
     ("conv truncate {two} --depth 13",
      "cd4c1b1cb6011e6cf1bda953f64a1fff14147ca00b6487dbf7fdd6144c72e0ca"),
     ("--seed 7 mc {two} --trials 200 --probs 1/3,2/3",
@@ -543,9 +556,10 @@ GOLDEN_STDOUT = [
 
 @pytest.mark.parametrize("command,digest", GOLDEN_STDOUT,
                          ids=[c for c, _ in GOLDEN_STDOUT])
-def test_float_free_stdout_is_pinned(runner, jp_file, mixed_file, two_file, command,
-                                     digest):
-    argv = command.format(jp=jp_file, mixed=mixed_file, two=two_file).split()
+def test_float_free_stdout_is_pinned(runner, jp_file, mixed_file, two_file, bern_file,
+                                     command, digest):
+    argv = command.format(jp=jp_file, mixed=mixed_file, two=two_file,
+                          bern=bern_file).split()
     result = runner.invoke(main, argv)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest

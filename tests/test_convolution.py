@@ -252,7 +252,7 @@ def test_translate_walk_computes_each_letter_gap_once(monkeypatch):
     convolution._alphabet_zero_gap.cache_clear()
     monkeypatch.setattr(RationalZeroSet, "min_abs_nonzero", counted)
     verdict = iz_weak_limit(spec, horizon=64)
-    # every node's children are tested with transform_zero_at on two
+    # every node's children are tested against the zero windows of two
     # tail states, and the letter gaps are still computed once
     assert (verdict.kind, verdict.witness) == ("nonempty-witness", Fraction(1, 3))
     assert ("the nodes {1/3, 2/3} at tail 0, {1/3, 2/3} at tail 1 are closed"

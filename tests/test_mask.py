@@ -1,5 +1,7 @@
 """Digit-set exponential sums and their zero sets."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from spectralconv.mask import (
     mask_abs2,
     mask_zero_set,
     rational_zeros,
+    window_zeros,
 )
 from spectralconv.words import splitmix64
 
@@ -119,22 +122,57 @@ def test_every_listed_zero_kills_the_mask():
 
 
 def test_scaling_and_shifting_zero_sets():
-    z = rational_zeros((0, 1))
-    assert z.scaled(3).members_in(0, 6) == [Fraction(3, 2), Fraction(9, 2)]
+    # the zeros 1/2 + k of (0, 1), blown up by the scale 3
+    levels = iter([(3, (0, 1))])
+    assert window_zeros(levels, 0, 6, Fraction(1, 2)) == [Fraction(3, 2), Fraction(9, 2)]
 
 
 def test_min_abs_nonzero():
     assert rational_zeros((0, 3)).min_abs_nonzero() == Fraction(1, 6)
     assert rational_zeros((0, 1)).min_abs_nonzero() == Fraction(1, 2)
-    at_zero = RationalZeroSet(Fraction(1), (Fraction(0), Fraction(3, 5)))
+    at_zero = RationalZeroSet(5, (0, 3))
     assert at_zero.min_abs_nonzero() == Fraction(2, 5)
-    only_zero = RationalZeroSet(Fraction(1), (Fraction(0),))
+    only_zero = RationalZeroSet(1, (0,))
     assert only_zero.min_abs_nonzero() == 1
-    wide = RationalZeroSet(Fraction(3), (Fraction(1, 2), Fraction(5, 2)))
-    assert wide.min_abs_nonzero() == Fraction(1, 2)
-    near_end = RationalZeroSet(Fraction(5, 2), (Fraction(1), Fraction(9, 4)))
-    assert near_end.min_abs_nonzero() == Fraction(1, 4)
-    assert RationalZeroSet(Fraction(2), ()).min_abs_nonzero() == 2
+    middle = RationalZeroSet(8, (3, 5))
+    assert middle.min_abs_nonzero() == Fraction(3, 8)
+    near_end = RationalZeroSet(9, (4, 8))
+    assert near_end.min_abs_nonzero() == Fraction(1, 9)
+    assert RationalZeroSet(1, ()).min_abs_nonzero() == 1
+
+
+@pytest.mark.parametrize("den,phases", [
+    (4, (3, 1)),
+    (4, (1, 1)),
+    (4, (1, 4)),
+    (4, (-1, 1)),
+    (8, (2, 6)),
+    (2, ()),
+    (0, ()),
+], ids=["unsorted", "repeated", "phase-at-den", "negative-phase",
+        "den-not-minimal", "empty-den-not-one", "den-zero"])
+def test_non_canonical_zero_sets_are_rejected(den, phases):
+    with pytest.raises(ValueError):
+        RationalZeroSet(den, phases)
+
+
+def test_zero_sets_from_orders_list_the_primitive_roots():
+    assert RationalZeroSet.from_orders([2, 4]) == RationalZeroSet(4, (1, 2, 3))
+    assert RationalZeroSet.from_orders([6]) == RationalZeroSet(6, (1, 5))
+    assert RationalZeroSet.from_orders([]) == RationalZeroSet(1, ())
+    assert mask_zero_set((0, 3)).rational == RationalZeroSet(6, (1, 3, 5))
+
+
+def test_small_digit_set_zero_sets_are_pinned():
+    """mask_zero_set(B).to_json() for every B with 0 in B, subset of
+    [0, 10], and at least two digits (1,023 sets), one JSON line each."""
+    digest = hashlib.sha256()
+    for bits in range(1, 1 << 10):
+        digits = (0,) + tuple(d for d in range(1, 11) if bits >> (d - 1) & 1)
+        line = json.dumps(mask_zero_set(digits).to_json(), sort_keys=True)
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "3b221f4d670f22ca1e0f8c9c983edae3f22a33e99becfe4be18ec59c24a0f4cf")
 
 
 def test_mask_with_only_irrational_zeros_is_flagged():

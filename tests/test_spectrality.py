@@ -30,6 +30,7 @@ from spectralconv.hadamard import (
     find_spectra,
     first_spectrum,
 )
+from spectralconv.mask import IrrationalZeroPresent, mask_zero_set
 from spectralconv.measures import AtomicMeasure
 from spectralconv import spectrality
 from spectralconv.spectrality import (
@@ -329,6 +330,46 @@ def test_fixed_point_certificates_hold_on_random_specs(drawn):
     for f, k in re.findall(r"(\S+) dies at translate ([+-]\d+)", v.reason):
         assert spec.transform_zero_at(Fraction(f))
         assert not spec.transform_zero_at(Fraction(f) + int(k))
+
+
+@given(small_specs(), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_windows_match_the_pointwise_zero_test(drawn, n):
+    """Every zero of a restarted tail lies on (1/L)Z, L the lcm of the
+    alphabet's zero-set denominators, so the window over [-2, 2] is the
+    list of those m/L at which transform_zero_at holds."""
+    spec, _ = drawn
+    try:
+        window = zero_set_window(spec, n, 2)
+    except IrrationalZeroPresent:
+        return
+    den = lcm(*(mask_zero_set(pair.digits).rational.den for pair in spec.alphabet))
+    tail = spec.tail(n)
+    assert window == [Fraction(m, den) for m in range(-2 * den, 2 * den + 1)
+                      if tail.transform_zero_at(Fraction(m, den))]
+
+
+def test_iz_reads_one_window_per_tail_state(monkeypatch):
+    """The (2 3)^inf survivor limit has two tail states: one window each,
+    and no pointwise zero test."""
+    spec = ConvolutionSpec.from_json({
+        "alphabet": [{"n": 2, "b": [0, 1]}, {"n": 2, "b": [0, 9]},
+                     {"n": 2, "b": [0, 15]}],
+        "word": {"prefix": [], "tail": {"periodic": [2, 3]}}})
+    windows = []
+
+    def counted(tail, n, h):
+        windows.append(tail)
+        return zero_set_window(tail, n, h)
+
+    def forbidden(self, xi):
+        raise AssertionError("iz_weak_limit tested a point on its own")
+
+    monkeypatch.setattr(spectrality, "zero_set_window", counted)
+    monkeypatch.setattr(ConvolutionSpec, "transform_zero_at", forbidden)
+    verdict = iz_weak_limit(spec, horizon=64)
+    assert (verdict.kind, verdict.witness) == ("nonempty-witness", Fraction(1, 3))
+    assert windows == [spec, spec.tail(1)]
 
 
 def test_finite_measure_dispatch(mixed17):
