@@ -541,9 +541,9 @@ def zero_set_window(spec: ConvolutionSpec, n: int, h: Rational) -> list[Fraction
     The tail after level n has transform equal to the product of masks at
     xi / (c_{n+k} / c_n), so its zero set is the union over k of the
     k-th mask zero set scaled by the restarted cumulative scale.  Each
-    scaled zero set keeps a distance |scale| * min_zero_gap from 0, and
-    mask zero sets are symmetric under negation, so only finitely many
-    levels can reach the window and the enumeration below is complete.
+    scaled zero set keeps a distance |scale| * min_zero_gap from 0, so only
+    finitely many levels reach the window and the list is complete; zero
+    sets are symmetric and never hold 0, so [0, h] is listed and mirrored.
     Raises IrrationalZeroPresent when completeness cannot be promised.
     """
     h = Fraction(h)
@@ -553,7 +553,8 @@ def zero_set_window(spec: ConvolutionSpec, n: int, h: Rational) -> list[Fraction
     gap = tail.min_zero_gap(require_complete=True)
     if gap is None:
         return []
-    return window_zeros(tail.levels(), -h, h, gap)
+    half = window_zeros(tail.levels(), 0, h, gap)
+    return [-z for z in reversed(half)] + half
 
 
 # ---------------------------------------------------------------------------

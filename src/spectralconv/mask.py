@@ -49,8 +49,8 @@ def eval_mask(digits: Sequence[int], x) -> complex:
     return total / len(digits)
 
 
-# np.cos is taken to be within this many ulps of cos and inside [-1, 1];
-# glibc's cos, which numpy calls for float64, is within 1 ulp.
+# np.cos and np.sin are taken to be within this many ulps and inside
+# [-1, 1]; glibc's, which numpy calls for float64, are within 1 ulp.
 COS_ULPS = 4
 
 
@@ -82,12 +82,14 @@ class MaskAbs2:
     u(|2c b_{k+1}| + coeffs[k] + |b_{k+2}| + |b_k|), so the result moves
     by at most their sum; |b_k| <= sum_{j>=k} coeffs[j] (j - k + 1), since
     b_k = sum_j coeffs[j] U_{j-k}(c) and |U_i| <= i + 1.
+    ``terms`` lists (k g, coeffs[k]) for each k > 0 with coeffs[k] != 0.
     """
 
     step: float
     coeffs: tuple[float, ...]
     slope: float
     rounding: float
+    terms: tuple[tuple[int, float], ...]
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         c = y * self.step
@@ -101,6 +103,11 @@ class MaskAbs2:
         f += self.coeffs[0] - b2
         np.maximum(f, 0.0, out=f)
         return np.minimum(f, 1.0, out=f)
+
+    def error(self, delta: np.ndarray, ybound: np.ndarray) -> np.ndarray:
+        """The bound above for |yhat - y| <= delta and |y| <= ybound."""
+        u = 2.0 ** -53
+        return self.slope * (delta + 3.1 * u * (ybound + delta)) + self.rounding * u
 
     def deficit(self, y: float) -> float:
         """1 - |m_B(y)|^2 = sum_{k>0} 2 coeffs[k] sin^2(pi k g y) at a float y.
@@ -147,7 +154,8 @@ def mask_abs2(digits: tuple[int, ...]) -> MaskAbs2:
                 + Fraction(101, 100) * steps + 1)
     # the 1% and the +1 cover rounding these constants to floats
     return MaskAbs2(2 * np.pi * g, tuple(float(a) for a in alpha),
-                    float(slope) * 1.01, float(rounding) + 1)
+                    float(slope) * 1.01, float(rounding) + 1,
+                    tuple((k * g, float(a)) for k, a in enumerate(alpha) if k and a))
 
 
 @dataclass(frozen=True)

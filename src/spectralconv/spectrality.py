@@ -21,15 +21,18 @@ import numpy as np
 from .convolution import (
     ConstantExponents,
     ConvolutionSpec,
+    DepthLimitError,
     ExplicitExponents,
     PeriodicExponents,
     SparseInsertionSpec,
+    depth_cap,
     detect_special,
     zero_set_window,
 )
 from .cyclotomic import cyclotomic_orders, unit_circle_angles
 from .hadamard import AdmissiblePair, first_spectrum, FIND_SPECTRA_SCALE_LIMIT
-from .mask import IrrationalZeroPresent, RationalZeroSet, eval_mask, mask_abs2, mask_zero_set
+from .mask import (COS_ULPS, IrrationalZeroPresent, RationalZeroSet, eval_mask,
+                   mask_abs2, mask_zero_set)
 from .measures import TWO_PI_UPPER, AtomicMeasure, frac_str
 from .words import SymbolicWord, PeriodicTail
 
@@ -344,25 +347,77 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return a[:, 0]
 
 
+class _SharedLevels:
+    """The cosine tables of ``_q_partial_block``, once per level for all point
+    blocks; lambda and the residues are int64 while exact, else Python ints."""
+
+    def __init__(self, spec: ConvolutionSpec, xs: np.ndarray):
+        self.spec, self.xs, self.lam, self.top = spec, xs, np.zeros(1, dtype=np.int64), 0
+        self._levels: dict[int, tuple] = {}
+
+    def add(self, k: int, spectrum: tuple[int, ...]) -> np.ndarray:
+        """Extend lambda child-major by level k; table all but the last child."""
+        w = _level_weight(self.spec, k)
+        self.top += abs(w) * max(spectrum)
+        if self.top >= 2 ** 62:
+            self.lam = self.lam.astype(object)
+        self.lam = np.add.outer(np.array(spectrum, self.lam.dtype) * w, self.lam).ravel()
+        return self(k, self.lam[:len(self.lam) - len(self.lam) // len(spectrum)])[-1]
+
+    def __call__(self, m: int, lam: Optional[np.ndarray] = None) -> tuple:
+        """Level m's tables, over ``lam`` (else lambda_n), built on first use."""
+        if m in self._levels:
+            return self._levels[m]
+        lam = self.lam if lam is None else lam
+        kernel = mask_abs2(self.spec.pair_at(m).digits)
+        c = abs(self.spec.cumulative_scale(m))
+        freqs, coeffs = zip(*kernel.terms)
+        exact = lam.dtype != object and c <= 2 ** 53 and (freqs[-1] + 1) * c < 2 ** 63
+        r = np.multiply.outer(np.array(freqs, dtype=np.int64 if exact else object),
+                              lam % c if exact else lam.astype(object) % c)
+        turns = np.asarray(((r + c // 2) % c - c // 2) / c, dtype=float) * (2.0 * np.pi)
+        a = np.multiply.outer(self.xs * (1 / c), 2.0 * np.pi * np.array(freqs, dtype=float))
+        ulps = 1.01 * ((4 * COS_ULPS + 11.6) * (1.0 - kernel.coeffs[0]) + 2.03 * len(freqs) + 3.5)
+        zero = 1.01 * ((2 * COS_ULPS + 10.5) * (1.0 - kernel.coeffs[0]) + 1.01 * len(freqs) + 3.5)
+        theta = zero * _U if kernel.coeffs[0] < 0.5 else 0.0
+        stretch = 1.0 / (1.0 - 2.0 * theta)
+        coeffs = np.array(coeffs) * stretch
+        ax = np.abs(self.xs)  # the last term bounds the underflow of xi * (1/|c_k|)
+        err = ax * (stretch * 4.4 * _U * kernel.slope * (1 / c)) + stretch * (
+            ulps * _U + theta + kernel.slope * 2.0 ** -1074 * (1.0 + float(ax.max())))
+        self._levels[m] = (np.cos(a) * coeffs, np.sin(a) * coeffs, np.cos(turns),
+                           np.sin(turns), (kernel.coeffs[0] - theta) * stretch, err)
+        return self._levels[m]
+
+    def factor(self, m: int, points) -> np.ndarray:
+        """Level m's factors at rows ``points``, as a new contiguous array."""
+        rows_cos, rows_sin, cols_cos, cols_sin, const, _ = self(m)
+        out = np.multiply(rows_cos[points, :1], cols_cos[0])
+        tmp = np.empty_like(out)
+        for t in range(len(cols_cos)):
+            if t:
+                out += np.multiply(rows_cos[points, t:t + 1], cols_cos[t], out=tmp)
+            out -= np.multiply(rows_sin[points, t:t + 1], cols_sin[t], out=tmp)
+        out += const
+        return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
+
+
 def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
                      tol: float, budget_atoms: int, levels: list,
                      delta: np.ndarray, ybound: np.ndarray,
-                     kernel_err: np.ndarray, widest: int,
-                     tails: _TailFits) -> tuple[np.ndarray, np.ndarray]:
+                     kernel_err: np.ndarray, widest: int, tails: _TailFits,
+                     shared: _SharedLevels, points: slice) -> tuple[np.ndarray, np.ndarray]:
     """Certified Q_n enclosures (value, radius) for a block of grid points.
 
     Each branch carries its position y = (xi + lambda)/c_k, updated as
-    y <- y/s_k^e_k + l/s_k, and its mass p = prod_k |m_k(y_k)|^2.  The
-    factor is the cosine series of ``mask.MaskAbs2``,
-
-        |m_B(y)|^2 = 1/#B + sum_{d>0} (2 mult(d)/#B^2) cos(2 pi d y),
-
+    y <- y/s_k^e_k + l/s_k, and its mass p = prod_k |m_k(y_k)|^2; a factor
+    is the series a_0 + sum_f a_f cos(2 pi f y) of ``MaskAbs2.terms``,
     clamped to [0, 1].  ``levels`` holds each level's (scale, offsets,
-    kernel), and ``delta``, ``ybound`` and ``kernel_err`` the points'
-    bounds at level n (see ``q_partial``).  The true Q_n(xi) is the sum
-    over leaves of p times F_m(y) = |nu_m^(y)|^2, with nu_m the measure of
-    the levels after the last one multiplied, m.  The radius has three
-    parts:
+    kernel), ``delta``, ``ybound`` and ``kernel_err`` the points' bounds
+    at level n (see ``q_partial``), and ``points`` the block's rows of
+    ``shared``.  The true Q_n(xi) is the sum over leaves of p times
+    F_m(y) = |nu_m^(y)|^2, with nu_m the measure of the levels after the
+    last one multiplied, m.  The radius has three parts:
 
     * pruned mass: branches dropped to keep budget_atoms per point add
       their mass as an interval [0, p] of full width;
@@ -372,14 +427,13 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
       takes F_m from the level-m ``_TailFit``, whose error bound enters
       the radius.  A branch still past y0 after _MAX_TAIL levels adds its
       mass as [0, p], like pruned mass;
-    * rounding: every kernel value is within its ``MaskAbs2`` bound e_k,
-      given the bound ``delta`` carried on the error of y.  A factor's
-      error enters the result times the computed factors before it (at
-      most its parent's mass, as they lie in [0, 1]) and the true sum
-      G_l in [0, 1] below its child l (the level factors over a spectrum
-      sum to 1).  By that identity the last child's factor is 1 minus the
-      others' sum, clamped at 0, with no kernel call: with eps_l their
-      errors and rho <= #L u the rounding, the parent's error is
+    * rounding: every factor is within a bound e_k of the true one (below).
+      A factor's error enters the result times the computed factors before
+      it (at most its parent's mass, as they lie in [0, 1]) and the true
+      sum G_l in [0, 1] below its child l (the level factors over a
+      spectrum sum to 1).  By that identity the last child's factor is 1
+      minus the others' sum, clamped at 0: with eps_l their errors and
+      rho <= #L u the rounding, the parent's error is
       sum eps_l (G_l - G_last) + rho G_last, and at most sum |eps_l| + rho
       when the clamp fires.  The masses of a level sum to at most 1, so
       level k adds (#L_k - 1) e_k + #L_k u and a tail level e_k.
@@ -387,6 +441,23 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
       on the mass; the rows are summed in blocks (``_row_sums``), so a
       sum of w terms adds gamma of ``_sum_depth(w)``, about
       _SUM_BLOCK + w/_SUM_BLOCK, not of w.
+
+    After a prune e_k is the ``MaskAbs2`` bound given ``delta``.  Before,
+    a column holds one lambda at every point and ``_SharedLevels`` gives
+    term f as a_f (cos A_f cos B_f - sin A_f sin B_f), A_f = 2 pi f xi/|c_k|,
+    B_f = 2 pi r/|c_k|, r = f lambda mod |c_k| in [-|c_k|/2, |c_k|/2].  An
+    entry w sums the products with c_f = s a_f, then c_0 = s (a_0 - theta),
+    s = 1/(1 - 2 theta), in a fixed order and is clamped to [0, 1].  With
+    eta = 2 COS_ULPS u, each (cos, sin) is within eta plus its angle's error
+    as a vector: 7.5 u for B_f (r/|c_k| rounded once), 4.4 u |A_f| plus
+    underflow for A_f ((xi (1/|c_k|)) (2 pi f)).  By Cauchy-Schwarz a term is
+    within a_f (2 eta + 7.5 u + |dA_f|); c_f and the products add 4.1 u a_f,
+    the 2T additions 2.03 T u, c_0 1.5 u, s - 1 != 2 theta s 2 u.  With E
+    their sum, w is within s E of s (F - theta), and the clamped w within
+    e_k = s (E + theta) of the true F, free of ``delta``.  At xi = 0,
+    A_f = 0, so E <= E_0 (eta + 10.5 u per unit of a_f, T additions) = theta:
+    mask zeros give 0, y = 0 gives 1 and Q_n(0) = 1 stays exact.  Two digits
+    have no middle child and 1/2 + 1/2 = 1 exactly, so theta = 0 there.
 
     Every point's row is computed on its own, so the result does not
     depend on how the grid is split into blocks.
@@ -396,19 +467,23 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
     p = np.ones_like(y)
     delta, ybound, kernel_err = delta.copy(), ybound.copy(), kernel_err.copy()
     dropped = np.zeros(npts)
-    for scale, offsets, kernel in levels:
+    pruned = False
+    for k, (scale, offsets, kernel) in enumerate(levels, 1):
         # child-major: column l * width + j is child l of parent j
         width = p.shape[1]
         y = ((y / scale)[:, None, :] + offsets[:, None]).reshape(npts, -1)
-        factor = np.empty_like(y)
-        factor[:, :-width] = kernel(y[:, :-width])
-        last = factor[:, -width:]
-        factor[:, :-width].reshape(npts, -1, width).sum(axis=1, out=last)
+        head = kernel(y[:, :-width]) if pruned else shared.factor(k, points)
+        head = head.reshape(npts, -1, width)
+        last = head.sum(axis=1)
         np.subtract(1.0, last, out=last)
         np.maximum(last, 0.0, out=last)
-        factor.reshape(npts, -1, width)[...] *= p[:, None, :]
-        p = factor
+        # new contiguous arrays: numpy broadcasts into a strided view far slower
+        factor = np.empty_like(y).reshape(npts, -1, width)
+        np.multiply(head, p[:, None, :], out=factor[:, :-1])
+        np.multiply(last, p, out=factor[:, -1])
+        p = factor.reshape(npts, -1)
         if p.shape[1] > budget_atoms:
+            pruned = True
             cut = p.shape[1] - budget_atoms
             order = np.argpartition(p, cut, axis=1)
             order += np.arange(0, p.size, p.shape[1])[:, None]
@@ -438,13 +513,16 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
         kernel = mask_abs2(pair.digits)
         y[rows] /= scale
         far[rows] /= abs(scale)
-        p[rows] *= kernel(y[rows])
         delta[rows] = (delta[rows] + 2.01 * _U * (ybound[rows] + delta[rows])) \
             / abs(scale)
         ybound[rows] /= abs(scale)
-        kernel_err[rows] += (
-            kernel.slope * (delta[rows] + 3.1 * _U * (ybound[rows] + delta[rows]))
-            + kernel.rounding * _U)
+        if pruned:
+            p[rows] *= kernel(y[rows])
+            kernel_err[rows] += kernel.error(delta[rows], ybound[rows])
+        else:
+            index = np.arange(points.start, points.stop)[rows]
+            p[rows] *= shared.factor(m, index)
+            kernel_err[rows] += shared(m)[-1][index]
     if going.any():
         # past _MAX_TAIL: branches still outside the fit count as [0, p]
         outside = np.abs(y[rows]) + delta[rows, None] > tails.y_stop
@@ -496,19 +574,21 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
 
     which is nondecreasing in n and at most 1.  Each level factor is the
     cosine series |m_B(y)|^2 = 1/#B + sum_{d>0} (2 mult(d)/#B^2) cos(2 pi d y),
-    but a parent's last child takes 1 minus its siblings' factors.
+    from tables shared by the grid until the first prune and from the
+    ``MaskAbs2`` kernel after it; a last child takes 1 minus its siblings'.
     Each radius covers the pruned mass (at most budget_atoms branches per
     point are kept), the tail (at most tol/4 of the mass: each branch
     takes |nu_m^(y)|^2 from one certified polynomial fit per tail level m
-    on |y| <= 2/(pi D), D the support width of the tail measures, built
-    once per call and shared by every point) and float rounding, with
-    every row summed in a fixed blocked order; see ``_q_partial_block``.  The level
-    constants and the points' error bounds through level n are computed
-    once for the grid; point blocks of about _BLOCK_ENTRIES branches then
-    run in turn.
+    on |y| <= 2/(pi D), D the support width of the tail measures) and
+    float rounding, with every row summed in a fixed blocked order; see
+    ``_q_partial_block``.  Level constants, tables and error bounds through
+    level n are computed once for the grid; point blocks of about
+    _BLOCK_ENTRIES branches then run in turn.
     """
     if n < 1:
         raise ValueError("depth must be at least 1")
+    if n > depth_cap():
+        raise DepthLimitError(n, depth_cap())
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive")
     if budget_atoms < 1:
@@ -523,6 +603,7 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
     kernel_err = np.zeros(len(xs))
     levels = []
     widest = columns = 1
+    shared = _SharedLevels(spec, xs)
     for k in range(1, n + 1):
         pair = spec.pair_at(k)
         scale = float(pair.scale ** spec.exponent_at(k))
@@ -532,9 +613,9 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
             (ybound + delta) / abs(scale) + offset_max)
         ybound = ybound / abs(scale) + offset_max
         kernel = mask_abs2(pair.digits)
-        kernel_err += (len(spectrum) - 1) * (
-            kernel.slope * (delta + 3.1 * _U * (ybound + delta))
-            + kernel.rounding * _U) + len(spectrum) * _U
+        pruned = columns > budget_atoms  # as the blocks will have: no shared lambda
+        err = kernel.error(delta, ybound) if pruned else shared.add(k, spectrum)
+        kernel_err += (len(spectrum) - 1) * err + len(spectrum) * _U
         levels.append((scale, np.array(spectrum, dtype=float) / pair.scale,
                        kernel))
         columns = min(columns, budget_atoms) * len(spectrum)
@@ -546,7 +627,7 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
         cut = slice(block[0], block[-1] + 1)
         parts.append(_q_partial_block(
             spec, n, xs[cut], tol, budget_atoms, levels, delta[cut],
-            ybound[cut], kernel_err[cut], widest, tails))
+            ybound[cut], kernel_err[cut], widest, tails, shared, cut))
     value = np.concatenate([v for v, _ in parts])
     radius = np.concatenate([r for _, r in parts])
     return QReport(

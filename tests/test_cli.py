@@ -360,6 +360,8 @@ MALFORMED = [
     ("conv ft {jp} abc", {}, "bad-input", 2),
     ("q {jp} --depth 0", {}, "bad-input", 2),
     ("conv truncate {jp} --depth 5000", {}, "depth-limit", 3),
+    ("q {jp} --depth 17 --grid-size 1", {"SPECTRAL_MAX_DEPTH": "16"}, "depth-limit", 3),
+    ("q {jp} --depth 100000 --grid-size 1", {}, "depth-limit", 3),
     ("iz {ins}", {}, "bad-input", 2),
     ("verdict {broken}", {}, "bad-input", 2),
     ("verdict {nx}", {}, "bad-input", 2),
@@ -484,6 +486,15 @@ def test_many_spectra_pair_is_decided_without_listing_them(runner, tmp_path):
         "SpectralCertified", "tail-difference-gcd")
     assert validate.exit_code == 0, validate.output
     assert _payload(validate)["spec"]["alphabet"][0]["l"] == list(range(8))
+
+
+def test_q_runs_at_the_depth_cap(runner, jp_file):
+    """The Q grid obeys the truncation cap: depth 16 runs under a cap of
+    16, and depth 17 exits 3 (in MALFORMED)."""
+    result = runner.invoke(main, ["q", jp_file, "--depth", "16", "--grid-size", "1"],
+                           env={"SPECTRAL_MAX_DEPTH": "16"})
+    assert result.exit_code == 0, result.output
+    assert _payload(result)["depth"] == 16
 
 
 def test_depth_limit_detail_names_the_setting(runner, jp_file):

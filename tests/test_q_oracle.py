@@ -10,6 +10,7 @@ enclosure q +- r must contain the oracle's whole interval.
 """
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -23,8 +24,8 @@ from spectralconv.catalog import (
     scale4_spec,
     two_letter_family_spec,
 )
-from spectralconv.convolution import ConstantExponents, ConvolutionSpec
-from spectralconv.hadamard import AdmissiblePair
+from spectralconv.convolution import ConstantExponents, ConvolutionSpec, PeriodicExponents
+from spectralconv.hadamard import AdmissiblePair, first_spectrum
 from spectralconv.mask import mask_abs2
 from spectralconv.spectrality import candidate_spectrum, q_partial
 from spectralconv.words import PeriodicTail, SymbolicWord, splitmix64
@@ -110,6 +111,19 @@ CASES = {
          AdmissiblePair(-6, (0, 1, 2), (0, 2, 4))),
         SymbolicWord((), PeriodicTail((1, 2))), ConstantExponents(1)),
         3, {"budget_atoms": 20}),
+    # exponents (2, 1): level weights c_{k-1} s^(e-1), with a three-digit
+    # letter whose middle child is flushed to 0 at xi = 0
+    "x-periodic-exponents": (lambda: ConvolutionSpec(
+        (AdmissiblePair(4, (0, 2), (0, 1)), AdmissiblePair(6, (0, 1, 2), (0, 2, 4))),
+        SymbolicWord((), PeriodicTail((1, 2))), PeriodicExponents((2, 1))), 4, {}),
+    # N = 2^21 + 2: |c_3| = 6 N^2 times the largest frequency N/2 passes
+    # 2^63, and the tail level 5 that the width D = N/10 needs has
+    # |c_5| = 36 N^3 past 2^62, so the cosine tables of both take their
+    # residues from Python ints
+    "y-scale-past-2-62": (lambda: ConvolutionSpec(
+        (AdmissiblePair(-2097154, (0, 1048577), (0, 1)),
+         AdmissiblePair(6, (0, 1, 2), (0, 2, 4))),
+        SymbolicWord((), PeriodicTail((1, 2))), ConstantExponents(1)), 4, {}),
 }
 
 
@@ -162,6 +176,52 @@ def test_a_clamped_last_child_keeps_the_oracle_inside():
             for (lo, hi), q, r in zip(exact, report.q_values, report.radii):
                 q, r = mpmath.mpf(q), mpmath.mpf(r)
                 assert q - r <= lo and hi <= q + r
+
+
+def test_table_factors_lie_within_their_bound():
+    """Each entry of the cosine tables' factor, on tree levels and on two
+    tail levels, is within its level's bound ``err`` of the 40-digit
+    |m_B((xi + lambda)/c_k)|^2, for random digit sets and spectra at
+    scales of either sign, |xi| > 1, and a scale N = 2^21 + 2 whose
+    lambdas pass 2^62 (Python ints) and whose c_k pass 2^53."""
+    rng = random.Random(22)
+    pairs = []
+    while len(pairs) < 6:
+        scale = rng.choice([-6, -4, -3, 3, 4, 5, 6, 8])
+        digits = (0,) + tuple(sorted(rng.sample(range(1, 13), rng.randint(1, 3))))
+        spectrum = first_spectrum(scale, digits)
+        if spectrum is not None:
+            pairs.append(AdmissiblePair(scale, digits, spectrum))
+    specs = [ConvolutionSpec(tuple(pairs[i:i + 3]),
+                             SymbolicWord((), PeriodicTail((1, 3, 2))),
+                             ConstantExponents(1)) for i in (0, 3)]
+    specs.append(ConvolutionSpec((AdmissiblePair(-2097154, (0, 1048577), (0, 1)),),
+                                 SymbolicWord((), PeriodicTail((1,))),
+                                 ConstantExponents(1)))
+    xis = [Fraction(rng.choice([-1, 1]) * rng.randint(65, 400), 64) for _ in range(6)]
+    xs = np.array([float(x) for x in xis])
+    misses = []
+    with mpmath.workdps(DPS):
+        for spec in specs:
+            shared = spectrality._SharedLevels(spec, xs)
+            n = 4 if spec is specs[-1] else 3
+            for k in range(1, n + 3):
+                if k <= n:
+                    spectrum = spectrality._level_spectrum(spec.pair_at(k))
+                    shared.add(k, spectrum)
+                    lam = shared.lam[:len(shared.lam) - len(shared.lam) // len(spectrum)]
+                else:
+                    lam = shared.lam
+                out = shared.factor(k, slice(None))
+                c = spec.cumulative_scale(k)
+                for xi, row, err in zip(xis, out, shared(k)[-1]):
+                    for l, value in zip(lam.tolist(), row):
+                        x = (xi + l) / c
+                        exact = _abs2(spec.pair_at(k).digits, x.numerator, x.denominator)
+                        if abs(mpmath.mpf(value) - exact) > err:
+                            misses.append((k, xi, l, value, float(exact), err))
+    assert shared.lam.dtype == object
+    assert not misses, misses[:3]
 
 
 FIT_POINTS = 200

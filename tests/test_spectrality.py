@@ -117,6 +117,16 @@ def test_partial_functional_on_the_quarter_spec(jp):
 
 
 def test_point_blocks_do_not_change_the_report(jp, monkeypatch):
+    """Also on the pruning path (base 6 under a budget of 4 atoms, so the
+    levels after the first prune take the per-entry kernel) and on tail
+    levels (a digit span of 30 runs several past the tree)."""
+    base6 = ConvolutionSpec((AdmissiblePair(6, (0, 1, 2), (0, 2, 4)),),
+                            SymbolicWord((), PeriodicTail((1,))), ConstantExponents(1))
+    wide = ConvolutionSpec((AdmissiblePair(4, (0, 30), (0, 1)),),
+                           SymbolicWord((), PeriodicTail((1,))), ConstantExponents(1))
+    runs = [(jp, 8, {}), (base6, 3, {"budget_atoms": 4}), (wide, 4, {})]
+    grid = frac_grid(16, -2, 2)
+    wholes = [q_partial(spec, n, grid, **options) for spec, n, options in runs]
     whole = q_partial(jp, 8, frac_grid(16))
     sizes = []
     block = spectrality._q_partial_block
@@ -125,6 +135,8 @@ def test_point_blocks_do_not_change_the_report(jp, monkeypatch):
                         lambda *args: sizes.append(len(args[2])) or block(*args))
     assert q_partial(jp, 8, frac_grid(16)) == whole
     assert sizes == [1] * 16
+    for (spec, n, options), report in zip(runs, wholes):
+        assert q_partial(spec, n, grid, **options) == report
 
 
 def test_partial_functional_empty_grid(jp):
