@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .convolution import (
@@ -20,9 +21,10 @@ from .convolution import (
 from .hadamard import AdmissiblePair
 from .measures import frac_str
 from .spectrality import (
+    VERDICT_GRID,
     VerdictBudget,
-    budget_q_partial,
     classify_special,
+    q_partial,
     spectral_verdict,
 )
 from .words import EnumerationTail, PeriodicTail, SymbolicWord
@@ -83,16 +85,14 @@ _GRID_WORDS = (
 )
 
 
-def _exit_code(matches: list[bool], verdicts: list[str]) -> int:
-    if any(v == "Inconclusive" for v in verdicts):
-        return EXIT_INCONCLUSIVE
-    if all(matches):
-        return EXIT_MATCH
-    return EXIT_CONTRADICTION
-
-
-def _convolution_payload(spec: ConvolutionSpec, expected: str,
-                         budget: VerdictBudget) -> dict:
+def _payload(build, expected: str, window: Optional[tuple[Fraction, Fraction]],
+             budget: VerdictBudget) -> dict:
+    """The verdict on ``build()`` against ``expected``; an insertion spec
+    (one with a default ``window``) takes the window branch, a convolution
+    spec adds Q on the verdict grid when the budget runs Q."""
+    spec = build()
+    if window is not None and budget.window is None:
+        budget = dataclasses.replace(budget, window=window)
     report = spectral_verdict(spec, budget)
     payload = {
         "spec": spec.to_json(),
@@ -100,24 +100,11 @@ def _convolution_payload(spec: ConvolutionSpec, expected: str,
         "report": report.to_json(),
         "match": report.verdict == expected,
     }
-    if budget.run_q:
-        payload["q_report"] = budget_q_partial(spec, budget).to_json()
+    if window is not None:
+        payload["window"] = [frac_str(Fraction(w)) for w in budget.window]
+    elif budget.run_q:
+        payload["q_report"] = q_partial(spec, budget.depth, VERDICT_GRID).to_json()
     return payload
-
-
-def _sparse_payload(spec: SparseInsertionSpec, expected: str,
-                    window: tuple[Fraction, Fraction],
-                    budget: VerdictBudget) -> dict:
-    if budget.window is None:
-        budget = dataclasses.replace(budget, window=window)
-    report = spectral_verdict(spec, budget)
-    return {
-        "spec": spec.to_json(),
-        "expected": expected,
-        "window": [frac_str(Fraction(w)) for w in budget.window],
-        "report": report.to_json(),
-        "match": report.verdict == expected,
-    }
 
 
 def _grid_payload(budget: VerdictBudget) -> dict:
@@ -144,31 +131,14 @@ def _grid_payload(budget: VerdictBudget) -> dict:
     }
 
 
-def _run_scale4(budget: VerdictBudget) -> dict:
-    return _convolution_payload(scale4_spec(), "SpectralCertified", budget)
-
-
-def _run_mixed_word(budget: VerdictBudget) -> dict:
-    return _convolution_payload(mixed_word_spec(), "NotSpectralCertified",
-                                budget)
-
-
-def _run_insertion_five_sixths(budget: VerdictBudget) -> dict:
-    return _sparse_payload(insertion_target_five_sixths(),
-                           "SpectralCertified",
-                           (Fraction(19, 30), Fraction(1)), budget)
-
-
-def _run_insertion_one_half(budget: VerdictBudget) -> dict:
-    return _sparse_payload(insertion_target_one_half(), "SpectralCertified",
-                           (Fraction(2, 5), Fraction(1)), budget)
-
-
+# example id -> payload of a budget; an insertion row carries its window
 EXAMPLES = {
-    "jorgensen-pedersen": _run_scale4,
-    "example-1.7": _run_mixed_word,
-    "example-7.1": _run_insertion_five_sixths,
-    "example-7.2": _run_insertion_one_half,
+    "jorgensen-pedersen": partial(_payload, scale4_spec, "SpectralCertified", None),
+    "example-1.7": partial(_payload, mixed_word_spec, "NotSpectralCertified", None),
+    "example-7.1": partial(_payload, insertion_target_five_sixths, "SpectralCertified",
+                           (Fraction(19, 30), Fraction(1))),
+    "example-7.2": partial(_payload, insertion_target_one_half, "SpectralCertified",
+                           (Fraction(2, 5), Fraction(1))),
     "theorem-1.6-grid": _grid_payload,
 }
 
@@ -184,7 +154,9 @@ def _payload_exit(payload: dict) -> int:
     else:
         matches = [payload["match"]]
         verdicts = [payload["report"]["verdict"]]
-    return _exit_code(matches, verdicts)
+    if "Inconclusive" in verdicts:
+        return EXIT_INCONCLUSIVE
+    return EXIT_MATCH if all(matches) else EXIT_CONTRADICTION
 
 
 def run_example(example_id: str,

@@ -37,8 +37,8 @@ from .mask import IrrationalZeroPresent, mask_zero_set
 from .measures import AtomicMeasure, frac_str, parse_frac, parse_int
 from .spectrality import (
     VerdictBudget,
-    budget_q_partial,
     iz_weak_limit,
+    q_partial,
     spectral_verdict,
 )
 from .words import monte_carlo_spectrality
@@ -225,8 +225,8 @@ class _ErrorDocumentGroup(click.Group):
             _fail(ctx, "bad-input", exc, 2)
 
 
-def _budget(ctx: click.Context, **overrides) -> VerdictBudget:
-    return VerdictBudget(**{"depth": ctx.obj["budget_depth"], **overrides})
+def _budget(ctx: click.Context, no_q: bool, window: Optional[str]) -> VerdictBudget:
+    return VerdictBudget(not no_q, ctx.obj["budget_depth"], _parse_window(window))
 
 
 @click.group(cls=_ErrorDocumentGroup)
@@ -390,9 +390,10 @@ def conv_overlap(ctx, specfile, shift, depth):
 @click.option("--budget-atoms", type=int, default=16384, show_default=True)
 @click.pass_context
 def q_command(ctx, specfile, depth, grid_size, tol, budget_atoms):
-    budget = _budget(ctx, grid=grid_size, tol=tol, budget_atoms=budget_atoms,
-                     depth=ctx.obj["budget_depth"] if depth is None else depth)
-    payload = budget_q_partial(_load_convolution(specfile), budget).to_json()
+    spec = _load_convolution(specfile)
+    grid = [Fraction(j, grid_size) for j in range(grid_size)]
+    payload = q_partial(spec, ctx.obj["budget_depth"] if depth is None else depth,
+                        grid, tol=tol, budget_atoms=budget_atoms).to_json()
     _emit_q_csv(ctx, payload)
     _emit(ctx, payload)
 
@@ -415,7 +416,7 @@ def iz_command(ctx, specfile):
 @click.pass_context
 def verdict_command(ctx, specfile, no_q, window):
     target = _load_target(specfile)
-    budget = _budget(ctx, run_q=not no_q, window=_parse_window(window))
+    budget = _budget(ctx, no_q, window)
     report = spectral_verdict(target, budget)
     payload = report.to_json()
     _emit_q_csv(ctx, payload.get("q_report"))
@@ -454,7 +455,7 @@ def mc_command(ctx, specfile, trials, length, probs, pattern):
 @click.option("--window", default=None)
 @click.pass_context
 def example_command(ctx, example_id, no_q, window):
-    budget = _budget(ctx, run_q=not no_q, window=_parse_window(window))
+    budget = _budget(ctx, no_q, window)
     payload, code = run_example(example_id, budget)
     _emit_q_csv(ctx, payload.get("q_report"))
     _emit(ctx, payload)

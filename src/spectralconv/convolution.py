@@ -304,9 +304,7 @@ class ConvolutionSpec:
         """Signed product of the first k level scales; 1 for k = 0.
 
         Every c_k in the package comes from here.  Prefix products are
-        kept per spec, so walking k levels costs k multiplications.  An
-        extension writes the products at their own positions in one slice
-        assignment, so concurrent walks can only write equal values.
+        kept per spec, so walking k levels costs k multiplications.
         """
         if k <= 0:
             return 1
@@ -553,7 +551,7 @@ def zero_set_window(spec: ConvolutionSpec, n: int, h: Rational) -> list[Fraction
     gap = tail.min_zero_gap(require_complete=True)
     if gap is None:
         return []
-    half = window_zeros(tail.levels(), 0, h, gap)
+    half = window_zeros(tail.levels(), h, gap)
     return [-z for z in reversed(half)] + half
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -224,25 +224,18 @@ class RationalZeroSet:
 
 
 @dataclass(frozen=True)
-class IrrationalZeroFlag:
-    """Marker that a digit set has mask zeros off the rational grid.
-
-    `angles` are numeric approximations of those zeros in (0, 1); they are
-    diagnostics, not certificates.
-    """
-
-    angles: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class MaskZeros:
+    """The rational zero set, and numeric approximations in (0, 1) of the
+    zeros off the rational grid (empty when there are none); the angles
+    are diagnostics, not certificates."""
+
     rational: RationalZeroSet
-    irrational: Optional[IrrationalZeroFlag]
+    irrational: tuple[float, ...]
 
     def to_json(self) -> dict:
         out = {"rational": self.rational.to_json()}
-        if self.irrational is not None:
-            out["irrational_zero_angles"] = list(self.irrational.angles)
+        if self.irrational:
+            out["irrational_zero_angles"] = list(self.irrational)
         return out
 
 
@@ -262,9 +255,7 @@ def mask_zero_set(digits: tuple[int, ...]) -> MaskZeros:
     for b in digits:
         coeffs[b - b0] = 1
     orders, residual = cyclotomic_orders(coeffs)
-    angles = unit_circle_angles(residual)
-    flag = IrrationalZeroFlag(tuple(angles)) if angles else None
-    return MaskZeros(RationalZeroSet.from_orders(orders), flag)
+    return MaskZeros(RationalZeroSet.from_orders(orders), unit_circle_angles(residual))
 
 
 class IrrationalZeroPresent(ValueError):
@@ -284,39 +275,37 @@ def rational_zeros(digits: Sequence[int]) -> RationalZeroSet:
     """Rational zero phases of the mask; raises if irrational zeros exist,
     so callers relying on completeness cannot be fooled."""
     mz = mask_zero_set(tuple(digits))
-    if mz.irrational is not None:
-        raise IrrationalZeroPresent(tuple(digits), mz.irrational.angles)
+    if mz.irrational:
+        raise IrrationalZeroPresent(tuple(digits), mz.irrational)
     return mz.rational
 
 
 def window_zeros(
     levels: Iterator[tuple[int, tuple[int, ...]]],
-    lo: Rational,
     hi: Rational,
     min_zero_gap: Fraction,
 ) -> list[Fraction]:
-    """Zeros in [lo, hi] of a product of masks taken at x / scale_k.
+    """Rational zeros in [0, hi] of a product of masks taken at x / scale_k.
 
     `levels` yields (scale_k, digits_k) with |scale_k| strictly
     increasing; the sign does not matter, as mask zero sets are symmetric
-    under negation.  Factor k contributes its mask's zero set blown up by
-    scale_k, whose nonzero elements all have absolute value >= scale_k
-    times the least nonzero mask zero distance over the whole level
-    alphabet.  `min_zero_gap` must be a positive lower bound on that
+    under negation.  Factor k contributes its mask's rational zero set
+    blown up by scale_k, whose nonzero elements all have absolute value
+    >= scale_k times the least nonzero mask zero distance over the whole
+    level alphabet.  `min_zero_gap` must be a positive lower bound on that
     distance valid for EVERY level, not just the ones already seen; once
-    scale * min_zero_gap clears max(|lo|, |hi|), no later factor can
-    reach the window and enumeration stops.  Raises if a digit set has
-    irrational mask zeros, since the rational window would then be
-    incomplete.
+    scale * min_zero_gap clears hi, no later factor can reach the window
+    and enumeration stops.  The list is the whole zero set in [0, hi] only
+    when no digit set has irrational mask zeros; the caller decides that
+    once for the alphabet (``ConvolutionSpec.min_zero_gap``).
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    reach = max(abs(lo), abs(hi))
+    hi = Fraction(hi)
     zeros: set[Fraction] = set()
     for scale, digits in levels:
         scale = abs(scale)
-        zs = rational_zeros(digits)
+        zs = mask_zero_set(digits).rational
         if zs.phases:
-            zeros.update(scale * z for z in zs.members_in(lo / scale, hi / scale))
-        if scale * min_zero_gap > reach:
+            zeros.update(scale * z for z in zs.members_in(0, hi / scale))
+        if scale * min_zero_gap > hi:
             break
     return sorted(zeros)

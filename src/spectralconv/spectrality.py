@@ -61,6 +61,12 @@ _FIT_NODES = 10
 _NODE_LEVELS = 256
 _LEBESGUE = 2.5
 
+# the widest tail support the fit takes: its coefficient of s^i is at most
+# 6^N lip (lip/16)^i (Chebyshev coefficients at most 2 lip, those of
+# T_k(2t - 1) summing to T_k(3) < 6^k, t = s/y0^2, 1/y0^2 about lip/16),
+# a float up to i = N - 1 while D <= 2^48
+_MAX_TAIL_WIDTH = 2 ** 48
+
 # the least value and the largest radius at which grid Q counts as evidence
 _EVIDENCE_Q_MIN = 1.0 - 1e-3
 _EVIDENCE_RADIUS_MAX = 1e-6
@@ -227,6 +233,9 @@ class _TailFits:
         self.spec = spec
         span = max(max(pair.digits) - min(pair.digits) for pair in spec.alphabet)
         self.width = Fraction(span, spec.min_level_scale() - 1)
+        if self.width > _MAX_TAIL_WIDTH:
+            raise ValueError("tail support width %s is past 2^48, where the Q "
+                             "tail fit would overflow a float" % frac_str(self.width))
         # y0 rounded down and lip rounded up; a branch stops at y_stop, so
         # that its |y| + delta and its rounded y^2 stay inside the fit
         self.y0 = math.nextafter(float(4 / (TWO_PI_UPPER * self.width)), 0.0)
@@ -601,6 +610,7 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
     ybound = np.abs(xs) * (1.0 + 2.0 * _U)
     delta = np.abs(xs) * (1.01 * _U)
     kernel_err = np.zeros(len(xs))
+    tails = _TailFits(spec)
     levels = []
     widest = columns = 1
     shared = _SharedLevels(spec, xs)
@@ -621,7 +631,6 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
         columns = min(columns, budget_atoms) * len(spectrum)
         widest = max(widest, columns)
     per_block = max(1, _BLOCK_ENTRIES // widest)
-    tails = _TailFits(spec)
     parts = []
     for block in np.array_split(np.arange(len(xs)), -(-len(xs) // per_block)):
         cut = slice(block[0], block[-1] + 1)
@@ -933,23 +942,18 @@ def classify_special(t: int, base: int, step: int, word: SymbolicWord,
 @dataclass(frozen=True)
 class VerdictBudget:
     """``run_q`` gates the Q grid of ``spectral_verdict`` and of a catalog
-    example; ``depth``, ``grid``, ``tol`` and ``budget_atoms`` go to
-    ``q_partial``; ``depth`` (capped to 2..6) and ``window`` set the
-    sparse-insertion window certificate.  No exact branch reads them."""
+    example, which runs ``q_partial`` at ``depth`` on ``VERDICT_GRID``
+    with its default tolerance and atom budget; ``depth`` (capped to 2..6)
+    and ``window`` set the sparse-insertion window certificate.  No exact
+    branch reads them."""
 
     run_q: bool = True
     depth: int = 12
-    grid: int = 64
-    tol: float = 1e-6
-    budget_atoms: int = 16384
     window: Optional[tuple[Rational, Rational]] = None
 
 
-def budget_q_partial(spec: ConvolutionSpec, budget: VerdictBudget) -> QReport:
-    """q_partial at the budget's depth on its grid j/grid, j = 0..grid-1."""
-    grid = [Fraction(j, budget.grid) for j in range(budget.grid)]
-    return q_partial(spec, budget.depth, grid, tol=budget.tol,
-                     budget_atoms=budget.budget_atoms)
+# the points j/64, j = 0..63, on which the verdict and the examples take Q
+VERDICT_GRID = tuple(Fraction(j, 64) for j in range(64))
 
 
 @dataclass(frozen=True)
@@ -1032,27 +1036,15 @@ def _limit_exponents(rule):
     raise ValueError("exponent rule has no bounded limit")
 
 
-def _limit_tail_spec(spec: ConvolutionSpec) -> tuple[ConvolutionSpec, str]:
-    """A weak limit of the shifted tail convolutions, as a concrete spec.
+def _limit_tail_spec(spec: ConvolutionSpec) -> ConvolutionSpec:
+    """The weak limit of the shifted tails of a spec whose tail is
+    periodic: the periodic tail itself, with the exponents' limit.
 
-    For a periodic tail the limit is literally the tail itself.  For
-    sampled or enumerated tails, every finite pattern over the recurring
-    letters keeps reappearing, so shifts accumulate on the periodic cycle
-    of those letters; that cycle is the representative limit used here.
-    """
-    tail_rule = spec.word.tail
-    if isinstance(tail_rule, PeriodicTail):
-        limit = spec.tail(len(spec.word.prefix))
-        word = SymbolicWord((), limit.word.tail)
-        note = "limit tail = periodic tail beyond the prefix"
-    else:
-        pattern = tuple(sorted(spec.word.recurring_letters()))
-        word = SymbolicWord((), PeriodicTail(pattern))
-        note = ("limit tail = cycle over recurring letters %s"
-                % (pattern,))
-    limit_spec = ConvolutionSpec(spec.alphabet, word,
-                                 _limit_exponents(spec.exponents))
-    return limit_spec, note
+    A tail that never repeats has every word over its recurring letters
+    as a weak limit, so no single spec stands for its limits."""
+    limit = spec.tail(len(spec.word.prefix))
+    return ConvolutionSpec(spec.alphabet, SymbolicWord((), limit.word.tail),
+                           _limit_exponents(spec.exponents))
 
 
 def _sparse_window_verdict(spec: SparseInsertionSpec,
@@ -1140,18 +1132,22 @@ def spectral_verdict(spec, budget: Optional[VerdictBudget] = None
                               tuple(trace), {"difference_gcd": d})
     trace.append("difference-gcd reduction does not apply")
 
-    limit_spec, note = _limit_tail_spec(spec)
-    trace.append(note)
-    iz = iz_weak_limit(limit_spec)
-    trace.append("zero set of the limit tail: %s (%s)" % (iz.kind, iz.reason))
-    if iz.kind == EMPTY_CERTIFIED:
-        return SpectralReport("SpectralCertified", "empty-periodic-zero-set",
-                              tuple(trace), {}, None, iz)
+    iz = None
+    if isinstance(spec.word.tail, PeriodicTail):
+        trace.append("limit tail = periodic tail beyond the prefix")
+        iz = iz_weak_limit(_limit_tail_spec(spec))
+        trace.append("zero set of the limit tail: %s (%s)" % (iz.kind, iz.reason))
+        if iz.kind == EMPTY_CERTIFIED:
+            return SpectralReport("SpectralCertified", "empty-periodic-zero-set",
+                                  tuple(trace), {}, None, iz)
+    else:
+        trace.append("no limit tail checked: a tail that never repeats has "
+                     "every word over its recurring letters as a weak limit")
 
     q_report = None
     if budget.run_q:
         try:
-            q_report = budget_q_partial(spec, budget)
+            q_report = q_partial(spec, budget.depth, VERDICT_GRID)
             trace.append("grid Q at depth %d: min %.6f, max radius %.2e"
                          % (q_report.depth, q_report.min_q,
                             q_report.tail_radius))

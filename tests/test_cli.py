@@ -396,6 +396,7 @@ MALFORMED = [
     ("q {jp} --budget-atoms -1", {}, "bad-input", 2),
     ("q {jp} --grid-size 0", {}, "bad-input", 2),
     ("q {jp} --grid-size -3", {}, "bad-input", 2),
+    ("q {wide}", {}, "bad-input", 2),
     ("mc {alphabet} --trials 0", {}, "bad-input", 2),
     ("mc {alphabet} --trials -1", {}, "bad-input", 2),
     ("mc {alphabet} --length 0", {}, "bad-input", 2),
@@ -409,6 +410,8 @@ MALFORMED_DETAILS = {
     "q {jp} --tol inf": "tolerance must be positive",
     "q {jp} --budget-atoms 0": "budget_atoms must be at least 1",
     "q {jp} --grid-size 0": "grid must be nonempty",
+    "q {wide}": "tail support width %d/3 is past 2^48, where the Q tail fit "
+                "would overflow a float" % 10 ** 200,
     "mc {alphabet} --trials -1": "trials must be at least 1",
     "mc {alphabet} --length -1": "length must be at least 1",
 }
@@ -416,7 +419,8 @@ MALFORMED_DETAILS = {
 # A huge enumeration tail must be refused before its letters are listed,
 # atom lists are checked for positive weights summing to 1 and for string
 # positions, and integers in specs are never truncated from other numbers.
-# "alphabet" is a well-formed `mc` alphabet, for the bad option values.
+# "alphabet" is a well-formed `mc` alphabet, for the bad option values;
+# "wide" has a tail support width of 10^200/3, too wide for the Q tail fit.
 MALFORMED_FILES = {
     "enum_1e300": {"alphabet": [{"n": 4, "b": [0, 2]}],
                    "word": {"tail": {"enumerate": 1e300}}},
@@ -440,6 +444,9 @@ MALFORMED_FILES = {
                         "target": "5/6", "divisor": 3.0, "spectrum": [0, 2, 4]},
     "alphabet": {"alphabet": [{"n": 2, "b": [0, 1], "l": [0, 1]},
                               {"n": 2, "b": [0, 3], "l": [0, 1]}]},
+    "wide": {"alphabet": [{"n": 2 * 10 ** 200, "b": [0, 10 ** 200], "l": [0, 1]},
+                          {"n": 4, "b": [0, 2], "l": [0, 1]}],
+             "word": {"tail": {"periodic": [1, 2]}}},
 }
 
 # seconds one malformed case may take before it counts as a hang

@@ -157,6 +157,26 @@ def test_q_enclosure_contains_the_oracle(oracle_values, name, tol):
     assert not misses, misses[:3]
 
 
+def test_branches_past_the_last_tail_level_keep_the_oracle_inside(
+        oracle_values, monkeypatch):
+    """With one tail level allowed, branches still outside the fit's
+    interval after it count as [0, p], and every radius still covers."""
+    grew = []
+    with mpmath.workdps(DPS):
+        for name, (build, n, options) in sorted(CASES.items()):
+            points, exact = oracle_values[name]
+            full = q_partial(build(), n, points, **options)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectrality, "_MAX_TAIL", 1)
+                report = q_partial(build(), n, points, **options)
+            if max(report.radii) > max(full.radii):
+                grew.append(name)
+            for (lo, hi), q, r in zip(exact, report.q_values, report.radii):
+                q, r = mpmath.mpf(q), mpmath.mpf(r)
+                assert q - r <= lo and hi <= q + r, (name, float(q), float(r))
+    assert grew == ["example-1.7", "wide-span"]
+
+
 def test_a_clamped_last_child_keeps_the_oracle_inside():
     """Just off the even integers, the first three children of
     (8, {0,1,2,3}) can sum past 1 in floats; the fourth child's factor is

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import constant_word, frac_grid, single_pair_spec
 from spectralconv.catalog import (
+    insertion_target_five_sixths,
     mixed_word_spec,
     scale4_spec,
     two_letter_family_spec,
@@ -184,6 +185,17 @@ def test_unbalanced_two_atom_measure_never_vanishes():
     m = AtomicMeasure.from_pairs(((Fraction(0), Fraction(1, 3)),
                                   (Fraction(1), Fraction(2, 3))))
     assert iz_finite(m).kind == "empty-certified"
+
+
+def test_irrational_mask_zeros_leave_the_limit_undecided():
+    """(10, {0,1,3,5,6}) has mask zeros off the rational grid, so the
+    rational candidates in (0, 1) need not be all the zeros."""
+    spec = ConvolutionSpec(
+        (AdmissiblePair(2, (0, 1), (0, 1)), AdmissiblePair(10, (0, 1, 3, 5, 6))),
+        SymbolicWord((), PeriodicTail((1, 2))), ConstantExponents(1))
+    v = iz_weak_limit(spec)
+    assert v.kind == "undecided"
+    assert v.reason.startswith("a level mask has zeros at irrational points")
 
 
 def test_non_cyclotomic_roots_leave_the_question_open():
@@ -425,6 +437,17 @@ def test_window_certificate_serializes():
     assert data["mass_lower"] == "1/3"
 
 
+def test_insertion_verdict_window_defaults_and_can_fail():
+    spec = insertion_target_five_sixths()
+    rep = spectral_verdict(spec)
+    # target - 1/5 to ceil(target), at the budget depth capped to 6
+    assert rep.details["window"] == ["19/30", "1"] and rep.details["depth"] == 6
+    assert rep.reason == "window-disjoint-translates"
+    rep = spectral_verdict(spec, VerdictBudget(window=(Fraction(1, 2), Fraction(1))))
+    assert (rep.verdict, rep.reason) == ("Inconclusive", "window-certificate-failed")
+    assert rep.details["certificate"]["ok"] is False
+
+
 # ---------------------------------------------------------------------------
 # the two-letter family classifier
 
@@ -535,6 +558,34 @@ def test_verdict_budget_can_skip_the_grid():
     assert rep.trace[-1] == "grid Q skipped by budget"
 
 
+@pytest.mark.parametrize("tail", [{"enumerate": 2},
+                                  {"bernoulli": {"p": ["1/2", "1/2", "0"]}}])
+def test_verdict_certifies_no_tail_that_never_repeats_from_one_cycle(tail):
+    """After the prefix 2 1 3 the tail recurs on letters 1 and 2, so every
+    word over them is a weak limit.  The cycle (1 2)^inf has an empty zero
+    set, but 1^inf has 1/2 in its own, so no one cycle stands for them."""
+    alphabet = [{"n": -3, "b": [0, 2, 10]}, {"n": 6, "b": [0, 4, 8]},
+                {"n": -2, "b": [0, 5]}]
+    spec = ConvolutionSpec.from_json(
+        {"alphabet": alphabet, "word": {"prefix": [2, 1, 3], "tail": tail}})
+    for budget, last in (
+            (VerdictBudget(run_q=False), "grid Q skipped by budget"),
+            (VerdictBudget(), "grid Q unavailable: pair (6, [0, 4, 8]) has no "
+                              "chosen spectrum; run find_spectra or validate "
+                              "the spec first")):
+        rep = spectral_verdict(spec, budget)
+        assert (rep.verdict, rep.reason) == ("Inconclusive", "budget-exhausted")
+        assert rep.iz is None and rep.q_report is None
+        assert rep.trace[-2:] == (
+            "no limit tail checked: a tail that never repeats has every word "
+            "over its recurring letters as a weak limit", last)
+    for word, kind in (([1, 2], "empty-certified"), ([1], "nonempty-witness")):
+        limit = ConvolutionSpec.from_json(
+            {"alphabet": alphabet, "word": {"tail": {"periodic": word}}})
+        assert iz_weak_limit(limit).kind == kind
+    assert iz_weak_limit(limit).witness == Fraction(1, 2)
+
+
 def census_specs():
     """1,500 specs over the admissible pairs found among 40 draws at each
     of the scales 2, 3, 4, -2, -3, 4, 6, 8 (2-4 digits from 0..12,
@@ -586,5 +637,6 @@ def test_verdict_serializes_with_stable_keys(jp):
 
 def test_budget_defaults():
     b = VerdictBudget()
-    assert b.run_q and b.depth == 12 and b.grid == 64
+    assert b.run_q and b.depth == 12 and b.window is None
+    assert spectrality.VERDICT_GRID == tuple(Fraction(j, 64) for j in range(64))
     assert spectrality._EVIDENCE_Q_MIN == 0.999
