@@ -63,7 +63,6 @@ from .spectrality import (
     VerdictBudget,
     WindowCertificate,
     candidate_spectrum,
-    classify_special,
     iz_finite,
     iz_weak_limit,
     q_exact_discrete,
@@ -105,7 +104,6 @@ __all__ = [
     "VerdictBudget",
     "WindowCertificate",
     "candidate_spectrum",
-    "classify_special",
     "convolve",
     "cyclotomic",
     "cyclotomic_orders",

@@ -17,7 +17,6 @@ import functools
 import json
 import math
 from fractions import Fraction
-from itertools import chain
 from typing import Optional
 
 import click
@@ -147,11 +146,10 @@ def _records(arr: np.ndarray, level: int) -> str:
 def _dumps(obj, level: int = 0) -> str:
     """The stdlib's sorted-key, two-space-indent JSON of a string-keyed tree.
 
-    Scalar-only containers, and lists of non-empty scalar-only containers
-    of one kind, go to the C encoder whole: ensure_ascii strings hold no
-    raw newline, so every ",\n" it writes is a separator.  A 2-D integer
-    ndarray prints as the list of its rows, and a structured one as the
-    list of its records."""
+    Scalar-only containers go to the C encoder whole, and every other
+    container is built member by member.  A 2-D integer ndarray prints as
+    the list of its rows, and a structured one as the list of its
+    records."""
     if isinstance(obj, np.ndarray):
         return _records(obj, level) if obj.dtype.names else _rows(obj, level)
     if not isinstance(obj, (dict, list, tuple)):
@@ -159,17 +157,9 @@ def _dumps(obj, level: int = 0) -> str:
     o, c = "{}" if isinstance(obj, dict) else "[]"
     if not obj:
         return o + c
-    pad, inner, deep = "  " * level, "  " * (level + 1), "  " * (level + 2)
-    kinds = set(map(type, obj.values() if o == "{" else obj))
-    co, cc = "{}" if dict in kinds else "[]"
-    if kinds <= _SCALARS:
+    pad, inner = "  " * level, "  " * (level + 1)
+    if set(map(type, obj.values() if o == "{" else obj)) <= _SCALARS:
         body = _encoder(level + 1)(obj)[1:-1]
-    elif (o == "[" and (kinds <= {list, tuple} or kinds == {dict})
-          and all(map(len, obj)) and set(map(type, chain.from_iterable(
-              map(dict.values, obj) if co == "{" else obj))) <= _SCALARS):
-        gap = "\n" + inner + cc + ",\n" + inner + co + "\n" + deep
-        body = (co + "\n" + deep + _encoder(level + 2)(obj)[2:-2].replace(
-            cc + ",\n" + deep + co, gap) + "\n" + inner + cc)
     elif o == "[":
         body = (",\n" + inner).join(_dumps(m, level + 1) for m in obj)
     else:

@@ -570,6 +570,14 @@ class SpecialFamily:
     consecutive_letter: int
     scaled_letter: int
 
+    def spectral(self, word: SymbolicWord) -> bool:
+        """Theorem 1.6: every word is spectral at stretch >= 2.  At stretch
+        1 the word is spectral exactly when it is constant on the scaled
+        letter or uses the consecutive letter infinitely often; otherwise
+        the limit is a density that is not uniform on its support."""
+        return (self.stretch >= 2 or word.is_constant(self.scaled_letter)
+                or word.occurs_infinitely(self.consecutive_letter))
+
 
 def detect_special(spec: ConvolutionSpec) -> Optional[SpecialFamily]:
     """Match the two-letter family or return None.
@@ -683,11 +691,7 @@ def density_consecutive(spec: ConvolutionSpec) -> PiecewiseConstantDensity:
     k0 = spec.word.last_occurrence(fam.consecutive_letter) or 0
     block = {0}
     for i in range(1, k0 + 1):
-        if spec.word.symbol(i) == fam.consecutive_letter:
-            digits = range(n)
-        else:
-            digits = range(0, n * p, p)
-        block = {n * b + d for b in block for d in digits}
+        block = {n * b + d for b in block for d in spec.pair_at(i).digits}
     # coverage sweep of the closed slots [b, b+p]
     events: dict[int, int] = {}
     for b in block:

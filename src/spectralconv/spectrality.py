@@ -82,6 +82,19 @@ def _level_spectrum(pair: AdmissiblePair) -> tuple[int, ...]:
     return tuple(l - lo for l in pair.spectrum)
 
 
+def _float_level(spec: ConvolutionSpec, k: int, spectrum: Sequence[int] = ()):
+    """Level k's scale, with its exponent, and the offsets l/N of
+    ``spectrum`` as floats; a ValueError names the level when either is
+    past the float range."""
+    pair = spec.pair_at(k)
+    try:
+        return (float(pair.scale ** spec.exponent_at(k)),
+                np.array(spectrum, dtype=float) / pair.scale)
+    except OverflowError:
+        raise ValueError("level %d: its scale or spectrum is past the float "
+                         "range of the Q sweep" % k) from None
+
+
 @dataclass(frozen=True)
 class CandidateSpectrum:
     """Mixed-radix frequency set built from per-level spectra.
@@ -517,9 +530,8 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
             break
         m += 1
         last[rows] = m
-        pair = spec.pair_at(m)
-        scale = float(pair.scale ** spec.exponent_at(m))
-        kernel = mask_abs2(pair.digits)
+        scale, _ = _float_level(spec, m)
+        kernel = mask_abs2(spec.pair_at(m).digits)
         y[rows] /= scale
         far[rows] /= abs(scale)
         delta[rows] = (delta[rows] + 2.01 * _U * (ybound[rows] + delta[rows])) \
@@ -616,8 +628,8 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
     shared = _SharedLevels(spec, xs)
     for k in range(1, n + 1):
         pair = spec.pair_at(k)
-        scale = float(pair.scale ** spec.exponent_at(k))
         spectrum = _level_spectrum(pair)
+        scale, offsets = _float_level(spec, k, spectrum)
         offset_max = max(spectrum) / abs(pair.scale)
         delta = delta / abs(scale) + 3.02 * _U * (
             (ybound + delta) / abs(scale) + offset_max)
@@ -626,8 +638,7 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
         pruned = columns > budget_atoms  # as the blocks will have: no shared lambda
         err = kernel.error(delta, ybound) if pruned else shared.add(k, spectrum)
         kernel_err += (len(spectrum) - 1) * err + len(spectrum) * _U
-        levels.append((scale, np.array(spectrum, dtype=float) / pair.scale,
-                       kernel))
+        levels.append((scale, offsets, kernel))
         columns = min(columns, budget_atoms) * len(spectrum)
         widest = max(widest, columns)
     per_block = max(1, _BLOCK_ENTRIES // widest)
@@ -909,36 +920,6 @@ def translate_disjoint_window(approx: AtomicMeasure,
         % (frac_str(mass), len(checked)))
 
 
-SPECTRAL = "Spectral"
-NOT_SPECTRAL = "NotSpectral"
-
-
-def classify_special(t: int, base: int, step: int, word: SymbolicWord,
-                     consecutive_letter: int = 1,
-                     scaled_letter: int = 2) -> str:
-    """Exact spectrality classification for the two-letter family.
-
-    The consecutive letter stands for the digit set {0..base-1}, the
-    scaled letter for its step-scaled copy; both live at scale t*base
-    with gcd(base, step) = 1.  For stretch t >= 2 every word gives a
-    spectral measure.  For t = 1 the measure is spectral exactly when
-    the word is constant on the scaled letter or uses the consecutive
-    letter infinitely often; otherwise the limit is a piecewise density
-    that fails to be uniform on its support.
-    """
-    if t < 1 or base < 2 or step < 2:
-        raise ValueError("need stretch >= 1 and base, step >= 2")
-    if gcd(base, step) != 1:
-        raise ValueError("base and step must be coprime")
-    if t >= 2:
-        return SPECTRAL
-    if word.is_constant(scaled_letter):
-        return SPECTRAL
-    if word.occurs_infinitely(consecutive_letter):
-        return SPECTRAL
-    return NOT_SPECTRAL
-
-
 @dataclass(frozen=True)
 class VerdictBudget:
     """``run_q`` gates the Q grid of ``spectral_verdict`` and of a catalog
@@ -1015,8 +996,6 @@ def _gcd_branch(spec: ConvolutionSpec) -> Optional[tuple[int, str]]:
     """
     d_tail = _letter_difference_gcd(
         spec, sorted(spec.word.recurring_letters()))
-    if d_tail == 0:
-        return None
     d_all = _letter_difference_gcd(
         spec, sorted(spec.word.occurring_letters()))
     if d_all != d_tail:
@@ -1095,14 +1074,12 @@ def spectral_verdict(spec, budget: Optional[VerdictBudget] = None
 
     family = detect_special(spec)
     if family is not None:
-        outcome = classify_special(family.stretch, family.base, family.step,
-                                   spec.word, family.consecutive_letter,
-                                   family.scaled_letter)
+        spectral = family.spectral(spec.word)
         trace.append("two-letter family detected: stretch %d, base %d, "
                      "step %d; classifier says %s"
-                     % (family.stretch, family.base, family.step, outcome))
-        verdict = ("SpectralCertified" if outcome == SPECTRAL
-                   else "NotSpectralCertified")
+                     % (family.stretch, family.base, family.step,
+                        "Spectral" if spectral else "NotSpectral"))
+        verdict = "SpectralCertified" if spectral else "NotSpectralCertified"
         return SpectralReport(verdict, "special-family-classifier",
                               tuple(trace),
                               {"family": {

@@ -278,6 +278,53 @@ def test_verdict_ignores_the_horizon(runner, tmp_path):
     assert _payload(iz)["error"] == "bad-input"
 
 
+# (8,{0,4}), (-4,{0,6}), (4,{0,5}) with the prefix 2 3 and then every word
+# over letters 1 and 2: no exact branch decides it, and the grid Q does
+EVIDENCE = {"alphabet": [{"n": 8, "b": [0, 4], "l": [0, 1]},
+                         {"n": -4, "b": [0, 6], "l": [0, 1]},
+                         {"n": 4, "b": [0, 5], "l": [0, 2]}],
+            "word": {"prefix": [2, 3], "tail": {"enumerate": 2}}}
+
+
+def test_verdict_reports_grid_evidence_only_with_q(runner, tmp_path):
+    path = tmp_path / "evidence.json"
+    path.write_text(json.dumps(EVIDENCE))
+    result = runner.invoke(main, ["verdict", str(path)])
+    assert result.exit_code == 0, result.output
+    payload = _payload(result)
+    assert (payload["verdict"], payload["reason"]) == (
+        "SpectralEvidence", "q-grid-evidence")
+    assert payload["q_report"]["min_q"] == 0.9999999026418426
+    assert payload["q_report"]["tail_radius"] < 1e-13
+    result = runner.invoke(main, ["verdict", "--no-q", str(path)])
+    assert result.exit_code == 3, result.output
+    payload = _payload(result)
+    assert (payload["verdict"], payload["reason"]) == (
+        "Inconclusive", "budget-exhausted")
+
+
+# prefix 3, then every word over letters 1 and 2: level 3 is letter 2,
+# whose scale 2*10^400 is past the float range
+WIDE_SCALE = {"alphabet": [{"n": 4, "b": [0, 2], "l": [0, 1]},
+                           {"n": 2 * 10 ** 400, "b": [0, 2], "l": [0, 5 * 10 ** 399]},
+                           {"n": 2, "b": [0, 1], "l": [0, 1]}],
+              "word": {"prefix": [3], "tail": {"enumerate": 2}}}
+
+
+def test_verdict_reports_a_level_past_the_float_range(runner, tmp_path):
+    """The grid Q is unavailable, and the verdict stays inconclusive."""
+    path = tmp_path / "wide-scale.json"
+    path.write_text(json.dumps(WIDE_SCALE))
+    result = runner.invoke(main, ["verdict", str(path)])
+    assert result.exit_code == 3, result.output
+    payload = _payload(result)
+    assert (payload["verdict"], payload["reason"]) == (
+        "Inconclusive", "budget-exhausted")
+    assert payload["trace"][-1] == (
+        "grid Q unavailable: level 3: its scale or spectrum is past the "
+        "float range of the Q sweep")
+
+
 def test_mc_command_small_run(runner, tmp_path):
     spec = {"alphabet": [{"n": 2, "b": [0, 1], "l": [0, 1]},
                          {"n": 2, "b": [0, 3], "l": [0, 1]}]}
@@ -397,6 +444,7 @@ MALFORMED = [
     ("q {jp} --grid-size 0", {}, "bad-input", 2),
     ("q {jp} --grid-size -3", {}, "bad-input", 2),
     ("q {wide}", {}, "bad-input", 2),
+    ("q {far_level} --depth 2 --grid-size 2", {}, "bad-input", 2),
     ("mc {alphabet} --trials 0", {}, "bad-input", 2),
     ("mc {alphabet} --trials -1", {}, "bad-input", 2),
     ("mc {alphabet} --length 0", {}, "bad-input", 2),
@@ -412,6 +460,8 @@ MALFORMED_DETAILS = {
     "q {jp} --grid-size 0": "grid must be nonempty",
     "q {wide}": "tail support width %d/3 is past 2^48, where the Q tail fit "
                 "would overflow a float" % 10 ** 200,
+    "q {far_level} --depth 2 --grid-size 2":
+        "level 1: its scale or spectrum is past the float range of the Q sweep",
     "mc {alphabet} --trials -1": "trials must be at least 1",
     "mc {alphabet} --length -1": "length must be at least 1",
 }
@@ -420,7 +470,8 @@ MALFORMED_DETAILS = {
 # atom lists are checked for positive weights summing to 1 and for string
 # positions, and integers in specs are never truncated from other numbers.
 # "alphabet" is a well-formed `mc` alphabet, for the bad option values;
-# "wide" has a tail support width of 10^200/3, too wide for the Q tail fit.
+# "wide" has a tail support width of 10^200/3, too wide for the Q tail fit;
+# "far_level" has the level scale 2^2001, past the float range.
 MALFORMED_FILES = {
     "enum_1e300": {"alphabet": [{"n": 4, "b": [0, 2]}],
                    "word": {"tail": {"enumerate": 1e300}}},
@@ -447,6 +498,8 @@ MALFORMED_FILES = {
     "wide": {"alphabet": [{"n": 2 * 10 ** 200, "b": [0, 10 ** 200], "l": [0, 1]},
                           {"n": 4, "b": [0, 2], "l": [0, 1]}],
              "word": {"tail": {"periodic": [1, 2]}}},
+    "far_level": {"alphabet": [{"n": 2, "b": [0, 1], "l": [0, 1]}],
+                  "exponents": {"unbounded": {"offset": 2000}}},
 }
 
 # seconds one malformed case may take before it counts as a hang

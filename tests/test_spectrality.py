@@ -23,6 +23,7 @@ from spectralconv.convolution import (
     ConvolutionSpec,
     PeriodicExponents,
     UnboundedExponents,
+    detect_special,
     zero_set_window,
 )
 from spectralconv.hadamard import (
@@ -37,7 +38,6 @@ from spectralconv import spectrality
 from spectralconv.spectrality import (
     VerdictBudget,
     candidate_spectrum,
-    classify_special,
     iz_finite,
     iz_weak_limit,
     q_exact_discrete,
@@ -458,13 +458,17 @@ def test_classifier_on_the_known_grid():
                 (constant_word(2), "Spectral"),
                 (one_then_twos(), "NotSpectral" if t == 1 else "Spectral"),
                 (SymbolicWord((), PeriodicTail((1, 2))), "Spectral")):
-            assert classify_special(t, 2, 3, word) == expected
+            family = detect_special(two_letter_family_spec(t, 2, 3, word))
+            assert family.spectral(word) is (expected == "Spectral")
 
 
 def test_classifier_with_swapped_letter_roles():
     word = SymbolicWord((2,), PeriodicTail((1,)))
-    assert classify_special(1, 2, 3, word,
-                            consecutive_letter=2, scaled_letter=1) == "NotSpectral"
+    consecutive, scaled = two_letter_family_spec(1, 2, 3, word).alphabet
+    family = detect_special(
+        ConvolutionSpec((scaled, consecutive), word, ConstantExponents(1)))
+    assert (family.consecutive_letter, family.scaled_letter) == (2, 1)
+    assert family.spectral(word) is False
 
 
 # ---------------------------------------------------------------------------
