@@ -54,17 +54,19 @@ _PERIODIC_ONE = PeriodicTail((1,))
 
 DEFAULT_MAX_DEPTH = 4096
 
+# atoms a truncation level may hold: 2^22 entries, 32 MB as int64
+MAX_TRUNCATION_ATOMS = 1 << 22
+
 # levels that tail_sum_interval encloses exactly before the geometric bound
 _TAIL_TERMS = 48
 
 class DepthLimitError(RuntimeError):
     """An evaluation would need more convolution levels than allowed."""
 
-    def __init__(self, needed: int, cap: int):
-        super().__init__(
+    def __init__(self, needed: int, cap: int, detail: Optional[str] = None):
+        super().__init__(detail or (
             "evaluation needs about %d levels but the cap is %d "
-            "(raise SPECTRAL_MAX_DEPTH)" % (needed, cap)
-        )
+            "(raise SPECTRAL_MAX_DEPTH)" % (needed, cap)))
         self.needed = needed
         self.cap = cap
 
@@ -113,87 +115,62 @@ class ExponentRule:
 
 
 @dataclass(frozen=True)
-class ConstantExponents(ExponentRule):
-    value: int = 1
-
-    def __post_init__(self):
-        _check_exponent(self.value)
-
-    def exponent(self, k: int) -> int:
-        return self.value
-
-    def shifted(self, n: int) -> "ConstantExponents":
-        return self
-
-    def bounded(self) -> bool:
-        return True
-
-    def minimum(self) -> int:
-        return self.value
-
-    def to_json(self) -> dict:
-        return {"const": self.value}
-
-
-@dataclass(frozen=True)
-class ExplicitExponents(ExponentRule):
-    """Listed exponents for the first levels, a constant afterwards."""
-
-    values: tuple[int, ...]
-    then: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        for v in self.values:
-            _check_exponent(v)
-        _check_exponent(self.then)
-
-    def exponent(self, k: int) -> int:
-        if k <= len(self.values):
-            return self.values[k - 1]
-        return self.then
-
-    def shifted(self, n: int) -> ExponentRule:
-        if n >= len(self.values):
-            return ConstantExponents(self.then)
-        return ExplicitExponents(self.values[n:], self.then)
-
-    def bounded(self) -> bool:
-        return True
-
-    def minimum(self) -> int:
-        return min(self.values + (self.then,))
-
-    def to_json(self) -> dict:
-        return {"list": list(self.values), "then": self.then}
-
-
-@dataclass(frozen=True)
 class PeriodicExponents(ExponentRule):
+    """The listed `head` exponents first, then `pattern` over and over,
+    kept in shortest form so that one sequence is one rule: the pattern is
+    cut to its shortest period and a head running into it is folded in.  A
+    head before a pattern of several values has no JSON form: refused."""
+
     pattern: tuple[int, ...]
+    head: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "pattern", tuple(self.pattern))
-        if not self.pattern:
+        pattern, head = tuple(self.pattern), tuple(self.head)
+        if not pattern:
             raise ValueError("exponent pattern must be nonempty")
-        for v in self.pattern:
+        for v in head + pattern:
             _check_exponent(v)
+        while head and head[-1] == pattern[-1]:
+            head, pattern = head[:-1], pattern[-1:] + pattern[:-1]
+        n = len(pattern)
+        pattern = pattern[:next(p for p in range(1, n + 1)
+                                if n % p == 0 and pattern[p:] == pattern[:n - p])]
+        if head and len(pattern) > 1:
+            raise ValueError("listed exponents must be followed by one constant value")
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "head", head)
 
     def exponent(self, k: int) -> int:
-        return self.pattern[(k - 1) % len(self.pattern)]
+        if k <= len(self.head):
+            return self.head[k - 1]
+        return self.pattern[(k - 1 - len(self.head)) % len(self.pattern)]
 
     def shifted(self, n: int) -> "PeriodicExponents":
-        k = n % len(self.pattern)
-        return PeriodicExponents(self.pattern[k:] + self.pattern[:k])
+        k = max(0, n - len(self.head)) % len(self.pattern)
+        return PeriodicExponents(self.pattern[k:] + self.pattern[:k], self.head[n:])
 
     def bounded(self) -> bool:
         return True
 
     def minimum(self) -> int:
-        return min(self.pattern)
+        return min(self.head + self.pattern)
 
     def to_json(self) -> dict:
+        if self.head:
+            return {"list": list(self.head), "then": self.pattern[0]}
+        if len(self.pattern) == 1:
+            return {"const": self.pattern[0]}
         return {"periodic": list(self.pattern)}
+
+
+def ConstantExponents(value: int = 1) -> PeriodicExponents:
+    """The exponent `value` at every level."""
+    return PeriodicExponents((value,))
+
+
+def ExplicitExponents(values, then: int = 1) -> PeriodicExponents:
+    """Listed exponents for the first levels, `then` afterwards."""
+    return PeriodicExponents((then,), values)
 
 
 @dataclass(frozen=True)
@@ -386,7 +363,8 @@ class ConvolutionSpec:
         Numerators over |c_k| follow N_k = N_{k-1} * |c_k / c_{k-1}| +
         sign(c_k) * b, one array per level, and equal numerators merge
         after a stable sort.  The arrays are int64 when an exact bound on
-        every value they hold fits, and hold Python ints otherwise.
+        every value they hold fits, and hold Python ints otherwise.  A level
+        past MAX_TRUNCATION_ATOMS atoms is refused before it is built.
         """
         if q < 0:
             raise ValueError("truncation depth must be nonnegative")
@@ -400,7 +378,11 @@ class ConvolutionSpec:
             top, total, den = top * (c // den) + max(map(abs, signed)), total * len(signed), c
         dtype = int_dtype(max(top, total, den))
         nums, weights, den = np.zeros(1, dtype), np.ones(1, dtype), 1
-        for c, signed in levels:
+        for k, (c, signed) in enumerate(levels, start=1):
+            if len(nums) * len(signed) > MAX_TRUNCATION_ATOMS:
+                raise DepthLimitError(q, k - 1, "truncation to depth %d needs %d atoms at "
+                                      "level %d, past the bound of %d atoms per level"
+                                      % (q, len(nums) * len(signed), k, MAX_TRUNCATION_ATOMS))
             nums = (nums[:, None] * (c // den) + np.array(signed, dtype)).ravel()
             order = np.argsort(nums, kind="stable")
             nums, weights, den = nums[order], np.repeat(weights, len(signed))[order], c
@@ -587,7 +569,7 @@ def detect_special(spec: ConvolutionSpec) -> Optional[SpecialFamily]:
     other {0, p, ..., (N-1)p} with p >= 2 and gcd(N, p) = 1.  The letter
     order is free.
     """
-    if not isinstance(spec.exponents, ConstantExponents) or spec.exponents.value != 1:
+    if spec.exponents != ConstantExponents(1):
         return None
     if len(spec.alphabet) != 2:
         return None

@@ -19,10 +19,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .convolution import (
-    ConstantExponents,
     ConvolutionSpec,
     DepthLimitError,
-    ExplicitExponents,
     PeriodicExponents,
     SparseInsertionSpec,
     depth_cap,
@@ -1007,23 +1005,16 @@ def _gcd_branch(spec: ConvolutionSpec) -> Optional[tuple[int, str]]:
         "dividing by %d reduces to the gcd 1 case" % (d_tail, d_tail))
 
 
-def _limit_exponents(rule):
-    if isinstance(rule, ExplicitExponents):
-        return ConstantExponents(rule.then)
-    if isinstance(rule, (ConstantExponents, PeriodicExponents)):
-        return rule
-    raise ValueError("exponent rule has no bounded limit")
-
-
 def _limit_tail_spec(spec: ConvolutionSpec) -> ConvolutionSpec:
     """The weak limit of the shifted tails of a spec whose tail is
-    periodic: the periodic tail itself, with the exponents' limit.
+    periodic: the tail after the prefix, with its exponent rule minus the
+    head (which comes only before a constant pattern, so levels stay aligned).
 
     A tail that never repeats has every word over its recurring letters
     as a weak limit, so no single spec stands for its limits."""
     limit = spec.tail(len(spec.word.prefix))
     return ConvolutionSpec(spec.alphabet, SymbolicWord((), limit.word.tail),
-                           _limit_exponents(spec.exponents))
+                           PeriodicExponents(limit.exponents.pattern))
 
 
 def _sparse_window_verdict(spec: SparseInsertionSpec,

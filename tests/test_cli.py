@@ -259,6 +259,27 @@ def test_verdict_exit_three_when_inconclusive(runner, tmp_path):
     assert _payload(result)["verdict"] == "Inconclusive"
 
 
+def test_family_verdict_does_not_depend_on_the_exponent_spelling(runner, tmp_path):
+    """(2,{0,1}), (2,{0,3}) with the word 2 1 2 then 2^inf is in the
+    two-letter family at stretch 1, so it is not spectral; {"periodic":
+    [1]} is the same exponent sequence as {"const": 1}."""
+    outputs = []
+    for name, exponents in (("const", {"const": 1}), ("periodic", {"periodic": [1]}),
+                            ("list", {"list": [1, 1], "then": 1})):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps({
+            "alphabet": [{"n": 2, "b": [0, 1], "l": [0, 1]},
+                         {"n": 2, "b": [0, 3], "l": [0, 1]}],
+            "word": {"prefix": [2, 1, 2], "tail": {"periodic": [2]}},
+            "exponents": exponents}))
+        result = runner.invoke(main, ["verdict", "--no-q", str(path)])
+        outputs.append((result.exit_code, result.stdout))
+    payload = json.loads(outputs[0][1])
+    assert (outputs[0][0], payload["verdict"], payload["reason"]) == (
+        0, "NotSpectralCertified", "special-family-classifier")
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 # 1 then (2 3)^inf over (2,{0,1}), (2,{0,3}), (2,{0,9}): the limit tail has
 # a nonempty zero set, so the verdict without Q ends inconclusive
 SURVIVOR = {"alphabet": [{"n": 2, "b": [0, 1]}, {"n": 2, "b": [0, 3]},
@@ -407,6 +428,8 @@ MALFORMED = [
     ("conv ft {jp} abc", {}, "bad-input", 2),
     ("q {jp} --depth 0", {}, "bad-input", 2),
     ("conv truncate {jp} --depth 5000", {}, "depth-limit", 3),
+    ("conv truncate {jp} --depth 40", {}, "depth-limit", 3),
+    ("conv overlap {jp} 1 --depth 40", {}, "depth-limit", 3),
     ("q {jp} --depth 17 --grid-size 1", {"SPECTRAL_MAX_DEPTH": "16"}, "depth-limit", 3),
     ("q {jp} --depth 100000 --grid-size 1", {}, "depth-limit", 3),
     ("iz {ins}", {}, "bad-input", 2),
@@ -454,6 +477,8 @@ MALFORMED = [
 # Bad option values are refused up front with a message of their own,
 # not with whatever a deeper layer (numpy, a pattern count) would say.
 MALFORMED_DETAILS = {
+    "conv truncate {jp} --depth 40": "truncation to depth 40 needs 8388608 "
+        "atoms at level 23, past the bound of 4194304 atoms per level",
     "conv ft {jp} 1/3 --tol nan": "tolerance must be positive",
     "q {jp} --tol inf": "tolerance must be positive",
     "q {jp} --budget-atoms 0": "budget_atoms must be at least 1",

@@ -21,6 +21,7 @@ from spectralconv.convolution import (
     ConvolutionSpec,
     DepthLimitError,
     ExplicitExponents,
+    MAX_TRUNCATION_ATOMS,
     PeriodicExponents,
     SparseInsertionSpec,
     _is_triangular,
@@ -79,6 +80,55 @@ def test_exponent_json_roundtrip():
                [rule.exponent(k) for k in range(1, 20)]
 
 
+def test_every_spelling_of_one_sequence_is_one_rule():
+    """Rules are kept in shortest form: one exponent sequence compares
+    equal and prints one JSON form, however it was written."""
+    spellings = {
+        "2^inf": [ConstantExponents(2), PeriodicExponents((2, 2)),
+                  ExplicitExponents((), then=2), ExplicitExponents((2, 2), then=2),
+                  exponents_from_json({"periodic": [2, 2, 2]}),
+                  exponents_from_json({"list": [2], "then": 2})],
+        "(1 2)^inf": [PeriodicExponents((1, 2)), PeriodicExponents((1, 2, 1, 2)),
+                      PeriodicExponents((2, 1), head=(1,)),
+                      PeriodicExponents((1, 2), head=(1, 2)),
+                      PeriodicExponents((2, 1, 2, 1)).shifted(3)],
+        "3 1^inf": [ExplicitExponents((3,), then=1),
+                    ExplicitExponents((3, 1, 1), then=1),
+                    PeriodicExponents((1, 1), head=(3,)),
+                    ExplicitExponents((2, 3), then=1).shifted(1)],
+    }
+    printed = {"2^inf": {"const": 2}, "(1 2)^inf": {"periodic": [1, 2]},
+               "3 1^inf": {"list": [3], "then": 1}}
+    for name, rules in spellings.items():
+        assert all(rule == rules[0] for rule in rules), name
+        assert len(set(rules)) == 1, name
+        assert all(rule.to_json() == printed[name] for rule in rules), name
+        assert exponents_from_json(printed[name]) == rules[0]
+
+
+def test_a_head_before_a_longer_pattern_is_refused():
+    with pytest.raises(ValueError, match="one constant value"):
+        PeriodicExponents((1, 2), head=(3,))
+    with pytest.raises(ValueError, match="one constant value"):
+        PeriodicExponents((2, 1, 2, 1), head=(2, 2))
+    with pytest.raises(ValueError, match="nonempty"):
+        PeriodicExponents((), head=(1,))
+    with pytest.raises(ValueError, match=">= 1"):
+        PeriodicExponents((1,), head=(0,))
+    # a head that runs into the pattern folds away instead
+    assert PeriodicExponents((2, 1), head=(2, 1)) == PeriodicExponents((2, 1))
+
+
+def test_shifted_uses_up_the_head_then_rotates_the_pattern():
+    rule = ExplicitExponents((3, 1, 2), then=4)
+    for n in range(8):
+        assert [rule.shifted(n).exponent(k) for k in range(1, 9)] == \
+               [rule.exponent(n + k) for k in range(1, 9)]
+    rule = PeriodicExponents((1, 2, 3))
+    assert rule.shifted(4) == PeriodicExponents((2, 3, 1))
+    assert rule.shifted(3) == rule
+
+
 # ---------------------------------------------------------------------------
 # the depth cap
 
@@ -97,6 +147,19 @@ def test_truncation_respects_the_cap(monkeypatch):
     assert info.value.needed == 17
     assert info.value.cap == 16
     spec.truncate(16)  # at the cap is fine
+
+
+def test_truncation_refuses_a_level_past_the_atom_bound():
+    """Each level of (4,{0,2}) doubles the atoms, so level 23 would hold
+    2^23; the refusal comes before that level is built, and names the
+    depth and the atom count rather than the depth cap."""
+    with pytest.raises(DepthLimitError) as info:
+        scale4_spec().truncate(40)
+    assert (info.value.needed, info.value.cap) == (40, 22)
+    assert str(info.value) == (
+        "truncation to depth 40 needs 8388608 atoms at level 23, past the "
+        "bound of 4194304 atoms per level")
+    assert MAX_TRUNCATION_ATOMS == 2 ** 22
 
 
 def test_tiny_tolerance_exhausts_the_depth_budget(monkeypatch):
@@ -289,6 +352,18 @@ def test_family_detection_requires_shared_scale(jp, mixed17):
     assert (fam.consecutive_letter, fam.scaled_letter) == (1, 2)
     fam2 = detect_special(two_letter_family_spec(2, 2, 3, constant_word(2)))
     assert fam2.stretch == 2
+
+
+def test_family_detection_rejects_other_digit_sets():
+    """Both letters share a scale, but the second set is not a multiple
+    p*{0..n-1} of the consecutive one, or the scale is not a multiple of
+    the digit count."""
+    def spec(*pairs):
+        return ConvolutionSpec(tuple(AdmissiblePair(n, b) for n, b in pairs),
+                               SymbolicWord((1,), PeriodicTail((2,))))
+    assert detect_special(spec((3, (0, 1, 2)), (3, (0, 2, 5)))) is None
+    assert detect_special(spec((3, (0, 1)), (3, (0, 5)))) is None
+    assert detect_special(spec((4, (0, 1)), (4, (0, 5)))) is not None
 
 
 def test_density_of_the_mixed_word(mixed17):

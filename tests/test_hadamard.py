@@ -23,6 +23,7 @@ def test_digit_sum_certificates():
     assert digit_sum_vanishes(4, (0, 2), 3)
     assert not digit_sum_vanishes(4, (0, 2), 2)
     assert not digit_sum_vanishes(3, (0, 2), 1)
+    assert digit_sum_vanishes(4, (0, 2), 4) is False  # delta = 0 mod 4
 
 
 def test_good_differences_for_quarter_scale():

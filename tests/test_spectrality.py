@@ -590,11 +590,9 @@ def test_verdict_certifies_no_tail_that_never_repeats_from_one_cycle(tail):
     assert iz_weak_limit(limit).witness == Fraction(1, 2)
 
 
-def census_specs():
-    """1,500 specs over the admissible pairs found among 40 draws at each
-    of the scales 2, 3, 4, -2, -3, 4, 6, 8 (2-4 digits from 0..12,
-    including 0): 2-3 letters, a prefix of 0-3 letters, a periodic tail of
-    period 1-2, constant exponent 1."""
+def census_pairs():
+    """The admissible pairs found among 40 draws at each of the scales 2,
+    3, 4, -2, -3, 4, 6, 8 (2-4 digits from 0..12, including 0)."""
     random.seed(11)
     pairs = {}
     for scale in (2, 3, 4, -2, -3, 4, 6, 8):
@@ -607,6 +605,13 @@ def census_specs():
                                  AdmissiblePair(scale, digits, spectrum))
     pairs = list(pairs.values())
     assert len(pairs) == 52
+    return pairs
+
+
+def census_specs():
+    """1,500 specs over the census pairs: 2-3 letters, a prefix of 0-3
+    letters, a periodic tail of period 1-2, constant exponent 1."""
+    pairs = census_pairs()
     for _ in range(1500):
         letters = tuple(random.sample(pairs, random.randint(2, 3)))
         prefix = tuple(random.randint(1, len(letters))
@@ -631,6 +636,62 @@ def test_verdict_census_counts_are_pinned():
         ("SpectralCertified", "special-family-classifier"): 14,
         ("Inconclusive", "budget-exhausted"): 122,
     }
+
+
+def periodic_exponent_specs(count):
+    """Census-style specs with a prefix of 1-3 letters, a periodic tail of
+    period 1-3 and periodic exponents of period 2-3 over 1..2."""
+    pairs = [p for p in census_pairs() if abs(p.scale) <= 4]
+    random.seed(17)
+    for _ in range(count):
+        letters = tuple(random.sample(pairs, random.randint(2, 3)))
+        prefix = tuple(random.randint(1, len(letters))
+                       for _ in range(random.randint(1, 3)))
+        tail = tuple(random.randint(1, len(letters))
+                     for _ in range(random.randint(1, 3)))
+        pattern = (1, 2) + tuple(random.randint(1, 2)
+                                 for _ in range(random.randint(0, 1)))
+        yield ConvolutionSpec(letters, SymbolicWord(prefix, PeriodicTail(tail)),
+                              PeriodicExponents(tuple(random.sample(pattern, len(pattern)))))
+
+
+def test_limit_tail_keeps_each_letter_with_its_exponent():
+    """Every tail past the prefix pairs its letters with the exponents
+    that follow the prefix; the checked limit must be one of them, over a
+    whole combined period of word and exponents."""
+    budget = VerdictBudget(run_q=False)
+    reached = out_of_step = 0
+    for spec in periodic_exponent_specs(400):
+        trace = spectral_verdict(spec, budget).trace
+        if "limit tail = periodic tail beyond the prefix" not in trace:
+            continue
+        reached += 1
+        p = len(spec.word.prefix)
+        tail, limit = spec.tail(p), spectrality._limit_tail_spec(spec)
+        period = lcm(len(spec.word.tail.pattern), len(spec.exponents.pattern))
+        levels = [(tail.pair_at(k).scale, tail.exponent_at(k)) for k in range(1, period + 1)]
+        assert [(limit.pair_at(k).scale, limit.exponent_at(k))
+                for k in range(1, period + 1)] == levels, spec
+        out_of_step += p % len(spec.exponents.pattern) != 0
+    assert reached >= 40 and out_of_step >= 20
+
+
+def test_verdict_checks_the_aligned_limit_tail():
+    """(4,{0,6}), (8,{0,12}), (2,{0,1}) with the word 3 (1 2)^inf and the
+    exponents (1 2)^inf: every tail has the levels 4^2, 8^1, whose
+    transform has no zero in (0, 1).  The unshifted pattern would pair
+    4^1 with 8^2 and certify a different measure."""
+    spec = ConvolutionSpec(
+        (AdmissiblePair(4, (0, 6), (0, 1)), AdmissiblePair(8, (0, 12), (0, 1)),
+         AdmissiblePair(2, (0, 1), (0, 1))),
+        SymbolicWord((3,), PeriodicTail((1, 2))), PeriodicExponents((1, 2)))
+    assert [spec.tail(1).level_scale(k) for k in (1, 2)] == [16, 8]
+    report = spectral_verdict(spec, VerdictBudget(run_q=False))
+    assert (report.verdict, report.reason) == (
+        "SpectralCertified", "empty-periodic-zero-set")
+    assert report.trace[-1] == (
+        "zero set of the limit tail: empty-certified (the transform has no "
+        "zeros inside (0, 1), so no residue class can consist of zeros)")
 
 
 def test_verdict_serializes_with_stable_keys(jp):
