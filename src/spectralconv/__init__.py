@@ -21,14 +21,11 @@ from .mask import (
     rational_zeros,
 )
 from .measures import (
-    AffineMap,
     AtomicMeasure,
     ComplexInterval,
     convolve,
     frac_str,
-    mixture,
     parse_frac,
-    pushforward,
 )
 from .words import (
     BernoulliSpec,
@@ -76,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissiblePair",
-    "AffineMap",
     "AtomicMeasure",
     "BernoulliSpec",
     "BernoulliTail",
@@ -118,11 +114,9 @@ __all__ = [
     "iz_finite",
     "iz_weak_limit",
     "mask_zero_set",
-    "mixture",
     "monte_carlo_spectrality",
     "overlap_mass",
     "parse_frac",
-    "pushforward",
     "q_exact_discrete",
     "q_partial",
     "rational_zeros",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
-from math import floor, gcd, inf, isqrt
+from math import floor, gcd, inf, isqrt, lcm
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -35,15 +35,12 @@ from .mask import (
 )
 from .measures import (
     TWO_PI_UPPER,
-    AffineMap,
     AtomicMeasure,
     ComplexInterval,
     frac_str,
     int_dtype,
-    mixture,
     parse_frac,
     parse_int,
-    pushforward,
 )
 from .words import EnumerationTail, PeriodicTail, SymbolicWord
 
@@ -362,30 +359,29 @@ class ConvolutionSpec:
 
         Numerators over |c_k| follow N_k = N_{k-1} * |c_k / c_{k-1}| +
         sign(c_k) * b, one array per level, and equal numerators merge
-        after a stable sort.  The arrays are int64 when an exact bound on
-        every value they hold fits, and hold Python ints otherwise.  A level
-        past MAX_TRUNCATION_ATOMS atoms is refused before it is built.
+        after a stable sort.  Each level's arrays are int64 while exact
+        bounds on |N_k|, the weight total and |c_k| fit, and hold Python
+        ints from the level where one of them passes 2^63.  A level past
+        MAX_TRUNCATION_ATOMS atoms is refused before it is built.
         """
         if q < 0:
             raise ValueError("truncation depth must be nonnegative")
         cap = depth_cap()
         if q > cap:
             raise DepthLimitError(q, cap)
-        levels = [(abs(c), digits if c > 0 else tuple(-b for b in digits))
-                  for _, (c, digits) in zip(range(q), self.levels())]
-        top, total, den = 0, 1, 1  # bounds on |N_k|, on every weight, and den
-        for c, signed in levels:
-            top, total, den = top * (c // den) + max(map(abs, signed)), total * len(signed), c
-        dtype = int_dtype(max(top, total, den))
-        nums, weights, den = np.zeros(1, dtype), np.ones(1, dtype), 1
-        for k, (c, signed) in enumerate(levels, start=1):
-            if len(nums) * len(signed) > MAX_TRUNCATION_ATOMS:
+        nums, weights = np.zeros(1, np.int64), np.ones(1, np.int64)
+        top, total, den = 0, 1, 1  # bounds on |N_k| and on every weight, and |c_k|
+        for k, (c, digits) in zip(range(1, q + 1), self.levels()):
+            if len(nums) * len(digits) > MAX_TRUNCATION_ATOMS:
                 raise DepthLimitError(q, k - 1, "truncation to depth %d needs %d atoms at "
                                       "level %d, past the bound of %d atoms per level"
-                                      % (q, len(nums) * len(signed), k, MAX_TRUNCATION_ATOMS))
-            nums = (nums[:, None] * (c // den) + np.array(signed, dtype)).ravel()
+                                      % (q, len(nums) * len(digits), k, MAX_TRUNCATION_ATOMS))
+            signed, step = (digits if c > 0 else tuple(-b for b in digits)), abs(c) // den
+            top, total, den = top * step + max(map(abs, digits)), total * len(digits), abs(c)
+            dtype = int_dtype(max(top, total, den))
+            nums = (nums.astype(dtype, copy=False)[:, None] * step + np.array(signed, dtype)).ravel()
             order = np.argsort(nums, kind="stable")
-            nums, weights, den = nums[order], np.repeat(weights, len(signed))[order], c
+            nums, weights = nums[order], np.repeat(weights.astype(dtype, copy=False), len(digits))[order]
             starts = np.flatnonzero(np.concatenate(([True], nums[1:] != nums[:-1])))
             nums, weights = nums[starts], np.add.reduceat(weights, starts)
         g, gw = gcd(den, int(np.gcd.reduce(nums))), int(np.gcd.reduce(weights))
@@ -816,9 +812,15 @@ class SparseInsertionSpec:
         tail enclosure: convolving the atoms with anything supported in
         the returned interval dominates the true limit's support."""
         base, tail_iv = self.regular_spec().truncate_with_tail(depth)
-        w_plain, w_shift = self.limit_weights()
-        shifted = pushforward(base, AffineMap(Fraction(1), self.target))
-        return mixture([(w_plain, base), (w_shift, shifted)]), tail_iv
+        # both weights share the denominator #fixed + 1, so their numerators
+        # weigh the plain and the translated copy of the truncation
+        (plain, shifted), den = self.limit_weights(), lcm(base.den, self.target.denominator)
+        acc: dict[int, int] = {}
+        for offset, c in ((0, plain.numerator), (int(self.target * den), shifted.numerator)):
+            for n, w in zip(base.nums, base.weights):
+                x = n * (den // base.den) + offset
+                acc[x] = acc.get(x, 0) + c * w
+        return AtomicMeasure.from_lattice(den, acc), tail_iv
 
     def to_json(self) -> dict:
         return {

@@ -2,7 +2,7 @@
 
 A measure is kept on an integer lattice: positions are integer numerators
 over one common denominator and weights are integers over their total, so
-convolution, mixture and affine image are one exact merge of equal keys.
+convolution and a weighted sum of translates are one exact merge of equal keys.
 Every family handled by this package has rational atoms, and decisions
 about collisions, zeros and periodicity are only sound when made exactly.
 Floating point enters once per Fourier evaluation: for a rational
@@ -109,20 +109,6 @@ class ComplexInterval:
 
     def abs_upper(self) -> float:
         return abs(self.value) + self.radius
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> a*x + b with a != 0."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.a == 0:
-            raise ValueError("affine map must have a != 0")
 
 
 @dataclass(frozen=True)
@@ -235,25 +221,3 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
             out[base + n2] = out.get(base + n2, 0) + w1 * w2
     return AtomicMeasure.from_lattice(den, out)
 
-
-def pushforward(m: AtomicMeasure, t: AffineMap) -> AtomicMeasure:
-    den = lcm(m.den * t.a.denominator, t.b.denominator)
-    a, b = int(t.a * den / m.den), int(t.b * den)  # x = n / m.den -> (a n + b) / den
-    return AtomicMeasure.from_lattice(den, {a * n + b: w for n, w in zip(m.nums, m.weights)})
-
-
-def mixture(components: Sequence[tuple[Xi, AtomicMeasure]]) -> AtomicMeasure:
-    """Convex combination sum_i c_i * m_i with exact weights."""
-    components = [(Fraction(c), m) for c, m in components]
-    if any(c <= 0 for c, _ in components):
-        raise ValueError("mixture weights must be positive")
-    if sum(c for c, _ in components) != 1:
-        raise ValueError(f"mixture weights sum to {sum(c for c, _ in components)}, expected 1")
-    den = lcm(*(m.den for _, m in components))
-    scale = lcm(*(c.denominator * m.total for c, m in components))
-    out: dict[int, int] = {}
-    for c, m in components:
-        f, g = den // m.den, int(c * scale / m.total)
-        for n, w in zip(m.nums, m.weights):
-            out[n * f] = out.get(n * f, 0) + w * g
-    return AtomicMeasure.from_lattice(den, out)

@@ -157,6 +157,16 @@ def test_conv_ft(runner, jp_file):
         complex(payload["re"], payload["im"])) <= payload["abs_upper"]
 
 
+@pytest.mark.parametrize("xi,value", [("0", 1.0), ("1", 0.0)])
+def test_conv_ft_is_exact_at_zero_and_at_a_transform_zero(runner, jp_file, xi, value):
+    """xi = 0 and the exact zero xi = 1 of (4,{0,2}) are decided before any
+    depth is chosen, so they come with radius 0."""
+    result = runner.invoke(main, ["conv", "ft", jp_file, xi])
+    assert result.exit_code == 0, result.output
+    payload = _payload(result)
+    assert (payload["re"], payload["im"], payload["radius"]) == (value, 0.0, 0.0)
+
+
 def test_conv_density(runner, mixed_file):
     result = runner.invoke(main, ["conv", "density", mixed_file])
     assert result.exit_code == 0
@@ -782,3 +792,32 @@ def test_module_entry_point_prints_the_group_help():
     assert result.stdout.startswith("Usage: spectral [OPTIONS] COMMAND")
     assert "Spectrality toolkit for infinite convolution measures." in \
         result.stdout
+
+
+def _spectral_run(args, env):
+    """Exit code, stdout and peak RSS (KiB) of one `spectral` child process.
+    os.wait4 gives the rusage of that child alone; RUSAGE_CHILDREN would
+    be the largest of every child this process has waited for."""
+    with subprocess.Popen([sys.executable, "-m", "spectralconv", *args], env=env,
+                          stdout=subprocess.PIPE, text=True) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out, usage.ru_maxrss
+
+
+def test_a_truncation_refusal_costs_the_same_at_any_depth(jp_file):
+    """(4,{0,2}) doubles its atoms each level, so every depth past 22 is
+    refused at level 23, before that level is built; the levels that were
+    built fit int64 whatever depth was asked, so the peak is the same."""
+    src = os.path.dirname(os.path.dirname(spectralconv.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    peaks = []
+    for depth in ("23", "400"):
+        code, out, peak = _spectral_run(["conv", "truncate", jp_file, "--depth", depth], env)
+        payload = json.loads(out)
+        assert (code, payload["error"]) == (3, "depth-limit"), out
+        assert "at level 23," in payload["detail"]
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0], peaks

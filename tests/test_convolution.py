@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_word, single_pair_spec
 from spectralconv.catalog import (
@@ -36,7 +38,13 @@ from spectralconv.convolution import (
 )
 from spectralconv.hadamard import AdmissiblePair
 from spectralconv.measures import AtomicMeasure
-from spectralconv.words import BernoulliSpec, BernoulliTail, PeriodicTail, SymbolicWord
+from spectralconv.words import (
+    BernoulliSpec,
+    BernoulliTail,
+    EnumerationTail,
+    PeriodicTail,
+    SymbolicWord,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +235,42 @@ def test_tail_shifts_word_and_exponents():
     assert t.word.occurring_letters() == frozenset({2})
 
 
+_TAIL_ALPHABET = (AdmissiblePair(2, (0, 1)), AdmissiblePair(-3, (0, 2, 10)),
+                  AdmissiblePair(4, (0, 2)))
+
+
+@st.composite
+def tail_kind_specs(draw):
+    """Specs on 1-3 letters with every tail kind and every exponent rule."""
+    m = draw(st.integers(1, 3))
+    letters = st.integers(1, m)
+    tail = draw(st.one_of(
+        st.lists(letters, min_size=1, max_size=3).map(lambda p: PeriodicTail(tuple(p))),
+        st.builds(EnumerationTail, st.integers(1, m), st.integers(0, 40)),
+        st.builds(lambda seed, offset: BernoulliTail(BernoulliSpec((Fraction(1, m),) * m, seed),
+                                                     offset),
+                  st.integers(0, 2 ** 32), st.integers(0, 40))))
+    exponents = draw(st.one_of(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+            lambda p: PeriodicExponents(tuple(p))),
+        st.builds(ExplicitExponents, st.lists(st.integers(1, 3), max_size=3).map(tuple),
+                  st.integers(1, 3)),
+        st.builds(UnboundedExponents, st.integers(1, 3), st.integers(0, 40))))
+    prefix = tuple(draw(st.lists(letters, max_size=4)))
+    return ConvolutionSpec(_TAIL_ALPHABET[:m], SymbolicWord(prefix, tail), exponents)
+
+
+@given(tail_kind_specs(), st.integers(0, 12))
+@settings(max_examples=80, deadline=None)
+def test_a_tail_reads_the_spec_from_the_next_level_on(spec, n):
+    tail = spec.tail(n)
+    for k in range(1, 9):
+        assert tail.pair_at(k) == spec.pair_at(n + k)
+        assert tail.exponent_at(k) == spec.exponent_at(n + k)
+        assert tail.cumulative_scale(k) * spec.cumulative_scale(n) == spec.cumulative_scale(n + k)
+    assert ConvolutionSpec.from_json(tail.to_json()) == tail
+
+
 def test_tail_sum_interval_is_one_sided_for_nonnegative_digits(jp):
     lo, hi = jp.tail_sum_interval()
     assert lo == 0
@@ -378,6 +422,15 @@ def test_density_of_the_pure_scaled_word():
     assert d.breakpoints == (Fraction(0), Fraction(3))
     assert d.values == (Fraction(1, 3),)
     assert d.uniform_on_support
+
+
+def test_density_merges_neighbouring_pieces_of_equal_height():
+    """Prefix 1 1 gives the slots [b, b+3] for b in {0, 1, 2, 3}, covered
+    1, 2, 3, 3, 2, 1 times: the two middle unit pieces share a height."""
+    d = density_consecutive(two_letter_family_spec(
+        1, 2, 3, SymbolicWord((1, 1), PeriodicTail((2,)))))
+    assert d.breakpoints == tuple(map(Fraction, (0, 1, 2, 4, 5, 6)))
+    assert d.values == tuple(Fraction(v, 12) for v in (1, 2, 3, 2, 1))
 
 
 def test_density_needs_an_eventually_scaled_word():

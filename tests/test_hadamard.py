@@ -57,6 +57,7 @@ def test_admissibility_known_pairs():
     assert not is_admissible(4, (0, 2), (0, 2))
     assert not is_admissible(3, (0, 2), (0, 1))
     assert not is_admissible(3, (0, 2), (0, 2))
+    assert is_admissible(4, (0, 2), (0, 1, 2)) is False  # more frequencies than digits
 
 
 def test_search_results_are_frozen():

@@ -8,16 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectralconv.measures import (
-    AffineMap,
     AtomicMeasure,
     ComplexInterval,
     convolve,
     frac_mod1,
     frac_str,
-    mixture,
     parse_frac,
     phase_unit,
-    pushforward,
 )
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -106,34 +103,6 @@ def test_convolution_support_adds(m1, m2):
     assert c.support_min() == m1.support_min() + m2.support_min()
     assert c.support_max() == m1.support_max() + m2.support_max()
     assert sum(w for _, w in c.atoms) == 1
-
-
-@given(small_measures(), fracs, fracs)
-@settings(max_examples=60, deadline=None)
-def test_pushforward_transform_identity(m, a, b):
-    """FT of the image under x -> ax + b picks up a phase and a dilation."""
-    if a == 0:
-        return
-    t = AffineMap(a, b)
-    moved = pushforward(m, t)
-    xi = Fraction(3, 7)
-    expected = phase_unit(xi * b) * m.ft(a * xi)
-    assert abs(moved.ft(xi) - expected) < 1e-10
-
-
-def test_mixture_scales_component_masses():
-    a = AtomicMeasure.point(0)
-    b = AtomicMeasure.point(1)
-    m = mixture([(Fraction(1, 4), a), (Fraction(3, 4), b)])
-    assert weight_at(m, 0) == Fraction(1, 4)
-    assert weight_at(m, 1) == Fraction(3, 4)
-
-
-def test_mixture_merges_coincident_atoms():
-    a = AtomicMeasure.uniform((0, 1))
-    b = AtomicMeasure.uniform((1, 2))
-    m = mixture([(Fraction(1, 2), a), (Fraction(1, 2), b)])
-    assert weight_at(m, 1) == Fraction(1, 2)
 
 
 def test_interval_bounds():

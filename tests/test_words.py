@@ -126,6 +126,7 @@ def test_occurrence_queries_on_mixed_word():
     assert w.occurs_infinitely(2)
     assert not w.occurs_infinitely(1)
     assert w.last_occurrence(1) == 1
+    assert w.last_occurrence(2) is None  # recurs: no last position
     assert w.last_occurrence(3) is None
     assert not w.is_constant(2)
     assert SymbolicWord((), PeriodicTail((2,))).is_constant(2)
