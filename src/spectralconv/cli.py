@@ -7,8 +7,8 @@ be dumped to CSV with the fixed column set xi, q_value, radius, depth.
 
 Malformed input ends every command the same way: one JSON document
 {"error": kind, "detail": message} and exit code 2 (kind "bad-input"),
-or 3 when a depth limit or an irrational mask zero stops an exact
-computation (kinds "depth-limit" and "irrational-zeros").
+or 3 when a depth limit, an irrational mask zero or a lack of memory
+stops a computation ("depth-limit", "irrational-zeros", "out-of-memory").
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .convolution import (
 )
 from .hadamard import first_spectrum, is_admissible, spectrum_rows, AdmissiblePair
 from .mask import IrrationalZeroPresent, mask_zero_set
-from .measures import AtomicMeasure, frac_str, parse_frac, parse_int
+from .measures import AtomicMeasure, frac_str, parse_frac
 from .spectrality import (
     VerdictBudget,
     iz_weak_limit,
@@ -213,6 +213,8 @@ class _ErrorDocumentGroup(click.Group):
             _fail(ctx, "irrational-zeros", exc, 3)
         except (ValueError, KeyError, TypeError, OSError) as exc:
             _fail(ctx, "bad-input", exc, 2)
+        except MemoryError as exc:  # numpy names the failed allocation, Python names none
+            _fail(ctx, "out-of-memory", MemoryError(str(exc) or "out of memory"), 3)
 
 
 def _budget(ctx: click.Context, no_q: bool, window: Optional[str]) -> VerdictBudget:
@@ -466,42 +468,25 @@ def validate_spec(data) -> tuple[Optional[dict], list[dict]]:
     if not isinstance(alphabet, list) or not alphabet:
         return None, [{"pair": None,
                        "reason": "alphabet must be a nonempty list"}]
-    normalized = []
+    filled = []
     for index, entry in enumerate(alphabet):
-        if not isinstance(entry, dict) or "n" not in entry or "b" not in entry:
-            diagnostics.append({"pair": index,
-                                "reason": "each pair needs n and b"})
-            continue
         try:
-            scale = parse_int(entry["n"])
-            digits = tuple(map(parse_int, entry["b"]))
-            spectrum = entry.get("l")
-            if spectrum is not None:
-                spectrum = tuple(map(parse_int, spectrum))
-                pair = AdmissiblePair(scale, digits, spectrum)
-            else:
-                found = first_spectrum(scale, digits)
-                if found is None:
-                    diagnostics.append({
-                        "pair": index,
-                        "reason": "not admissible: no integer spectrum "
-                                  "exists for (%d, %s)"
-                                  % (scale, list(digits))})
-                    continue
-                pair = AdmissiblePair(scale, digits, found)
+            pair = AdmissiblePair.from_json(entry)
+            spectrum = pair.spectrum or first_spectrum(pair.scale, pair.digits)
         except ValueError as exc:
             diagnostics.append({"pair": index, "reason": str(exc)})
             continue
-        normalized.append(pair.to_json())
+        if spectrum is None:
+            diagnostics.append({
+                "pair": index,
+                "reason": "not admissible: no integer spectrum exists for (%d, %s)"
+                          % (pair.scale, list(entry["b"]))})
+        else:
+            filled.append(dict(pair.to_json(), l=list(spectrum)))
     if diagnostics:
         return None, diagnostics
-    candidate = {"alphabet": normalized}
-    if "word" in data:
-        candidate["word"] = data["word"]
-    if "exponents" in data and data["exponents"] is not None:
-        candidate["exponents"] = data["exponents"]
     try:
-        spec = ConvolutionSpec.from_json(candidate)
+        spec = ConvolutionSpec.from_json(dict(data, alphabet=filled))
     except (ValueError, KeyError, TypeError) as exc:
         return None, [{"pair": "word", "reason": str(exc)}]
     return spec.to_json(), []

@@ -90,29 +90,8 @@ def _check_exponent(e) -> int:
     return e
 
 
-class ExponentRule:
-    """Assigns the exponent applied to the scale of level k (k >= 1)."""
-
-    def exponent(self, k: int) -> int:
-        raise NotImplementedError
-
-    def shifted(self, n: int) -> "ExponentRule":
-        """Rule seen by the tail that starts after level n."""
-        raise NotImplementedError
-
-    def bounded(self) -> bool:
-        raise NotImplementedError
-
-    def minimum(self) -> int:
-        """A lower bound on every exponent the rule can produce."""
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PeriodicExponents(ExponentRule):
+class PeriodicExponents:
     """The listed `head` exponents first, then `pattern` over and over,
     kept in shortest form so that one sequence is one rule: the pattern is
     cut to its shortest period and a head running into it is folded in.  A
@@ -143,6 +122,7 @@ class PeriodicExponents(ExponentRule):
         return self.pattern[(k - 1 - len(self.head)) % len(self.pattern)]
 
     def shifted(self, n: int) -> "PeriodicExponents":
+        """Rule seen by the tail that starts after level n."""
         k = max(0, n - len(self.head)) % len(self.pattern)
         return PeriodicExponents(self.pattern[k:] + self.pattern[:k], self.head[n:])
 
@@ -150,6 +130,7 @@ class PeriodicExponents(ExponentRule):
         return True
 
     def minimum(self) -> int:
+        """A lower bound on every exponent the rule can produce."""
         return min(self.head + self.pattern)
 
     def to_json(self) -> dict:
@@ -171,7 +152,7 @@ def ExplicitExponents(values, then: int = 1) -> PeriodicExponents:
 
 
 @dataclass(frozen=True)
-class UnboundedExponents(ExponentRule):
+class UnboundedExponents:
     """Exponent offset + j at level 2**j, exponent 1 everywhere else.
 
     The sparse large exponents make a subsequence of restarted tails
@@ -210,6 +191,10 @@ class UnboundedExponents(ExponentRule):
         if self.shift:
             out["shift"] = self.shift
         return {"unbounded": out}
+
+
+# the exponent applied to the scale of level k (k >= 1)
+ExponentRule = PeriodicExponents | UnboundedExponents
 
 
 def exponents_from_json(data: Optional[dict]) -> ExponentRule:

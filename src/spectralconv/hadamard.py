@@ -76,10 +76,7 @@ def is_admissible(scale: int, digits, spectrum) -> bool:
     """Decide exactly whether ``spectrum`` makes the pair admissible."""
     n = abs(_validated_scale(scale))
     ds = _validated_digits(digits)
-    ls = tuple(sorted(spectrum))
-    for l in ls:
-        if not isinstance(l, int) or isinstance(l, bool):
-            raise TypeError("spectrum entries must be ints, got %r" % (l,))
+    ls = tuple(sorted(map(parse_int, spectrum)))
     if len(ls) != len(ds):
         return False
     # the sum at -delta is the conjugate of the one at delta; 0 is a repeated residue
@@ -106,7 +103,7 @@ class AdmissiblePair:
         object.__setattr__(self, "scale", _validated_scale(self.scale))
         object.__setattr__(self, "digits", _validated_digits(self.digits))
         if self.spectrum is not None:
-            ls = tuple(sorted(self.spectrum))
+            ls = tuple(sorted(map(parse_int, self.spectrum)))
             object.__setattr__(self, "spectrum", ls)
             if not is_admissible(self.scale, self.digits, ls):
                 raise ValueError(
@@ -147,9 +144,11 @@ class AdmissiblePair:
 
     @classmethod
     def from_json(cls, data: dict) -> "AdmissiblePair":
-        if "n" not in data or "b" not in data:
+        """A pair object; a missing or null "l" attaches no spectrum."""
+        if not isinstance(data, dict) or "n" not in data or "b" not in data:
             raise ValueError("pair object needs keys 'n' and 'b': %r" % (data,))
-        return cls(data["n"], tuple(data["b"]), tuple(data["l"]) if "l" in data else None)
+        spectrum = data.get("l")
+        return cls(data["n"], tuple(data["b"]), None if spectrum is None else tuple(spectrum))
 
 
 def _enumerable(scale: int, digits, limit: int) -> tuple[int, tuple, frozenset]:

@@ -66,31 +66,15 @@ class BernoulliSpec:
         return bisect_right(self._bounds, splitmix64(self.seed, index)) + 1
 
 
-class TailRule:
-    """Base for the three tail designators."""
-
-    def symbol(self, i: int) -> int:  # 1-based index into the tail
-        raise NotImplementedError
-
-    def shifted(self, n: int) -> "TailRule":
-        raise NotImplementedError
-
-    def recurring_letters(self) -> frozenset[int]:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PeriodicTail(TailRule):
+class PeriodicTail:
     pattern: tuple[int, ...]
 
     def __post_init__(self):
         if not self.pattern:
             raise ValueError("periodic pattern must be nonempty")
 
-    def symbol(self, i: int) -> int:
+    def symbol(self, i: int) -> int:  # 1-based index into the tail
         return self.pattern[(i - 1) % len(self.pattern)]
 
     def shifted(self, n: int) -> "PeriodicTail":
@@ -105,7 +89,7 @@ class PeriodicTail(TailRule):
 
 
 @dataclass(frozen=True)
-class BernoulliTail(TailRule):
+class BernoulliTail:
     """IID tail.  The designator semantics are the almost-sure ones: every
     letter with positive probability recurs, and so does every finite
     pattern built from such letters."""
@@ -133,7 +117,7 @@ class BernoulliTail(TailRule):
 
 
 @dataclass(frozen=True)
-class EnumerationTail(TailRule):
+class EnumerationTail:
     """Concatenation of every finite word over 1..m in length-then-lex order:
     1, 2, ..., m, 11, 12, ...  Every finite pattern occurs, so every letter
     recurs."""
@@ -167,6 +151,9 @@ class EnumerationTail(TailRule):
 
     def to_json(self) -> dict:
         return {"enumerate": self.m, "offset": self.offset}
+
+
+TailRule = PeriodicTail | BernoulliTail | EnumerationTail
 
 
 def tail_from_json(data: dict) -> TailRule:
@@ -318,6 +305,8 @@ def monte_carlo_spectrality(
         raise ValueError("trials must be at least 1")
     if length < 1:
         raise ValueError("length must be at least 1")
+    if not alphabet:
+        raise ValueError("alphabet must be nonempty")
     probs = tuple(Fraction(p) for p in probs)
     if len(probs) != len(alphabet):
         raise ValueError("need one probability per alphabet letter")
@@ -329,6 +318,9 @@ def monte_carlo_spectrality(
         if not 1 <= letter <= len(probs):
             raise ValueError(f"pattern letter {letter} outside 1..{len(probs)}")
         expected *= probs[letter - 1]
+    windows = length - len(pattern) + 1
+    if not pattern or windows < 1:
+        raise ValueError("pattern must be nonempty and no longer than the prefix")
     exponents = exponents or ConstantExponents(1)
 
     bspec = BernoulliSpec(probs, splitmix64(seed, 0))
@@ -340,9 +332,6 @@ def monte_carlo_spectrality(
     word = SymbolicWord(tuple(block[0].tolist()), BernoulliTail(bspec, offset=length))
     report = spectral_verdict(ConvolutionSpec(tuple(alphabet), word, exponents),
                               VerdictBudget(run_q=False))
-    windows = length - len(pattern) + 1
-    if not pattern or windows < 1:
-        raise ValueError("pattern must be nonempty and no longer than the prefix")
     hits = 0
     while block is not None:
         match = block[:, :windows] == pattern[0]

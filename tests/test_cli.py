@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -430,6 +431,39 @@ def test_validate_rejects_alien_word_letters():
     assert "outside 1..1" in diagnostics[0]["reason"]
 
 
+@pytest.mark.parametrize("alphabet,diagnostics", [
+    ([{"n": 4, "b": [0, 2]}, 5, {"n": 4}],
+     [{"pair": 1, "reason": "pair object needs keys 'n' and 'b': 5"},
+      {"pair": 2, "reason": "pair object needs keys 'n' and 'b': {'n': 4}"}]),
+    ([], [{"pair": None, "reason": "alphabet must be a nonempty list"}]),
+])
+def test_validate_names_each_pair_it_cannot_read(alphabet, diagnostics):
+    assert validate_spec({"alphabet": alphabet}) == (None, diagnostics)
+
+
+# one pair in each shape a spec file may hold, and whether it is read
+PAIR_VARIANTS = {
+    "l omitted": ({"n": 4, "b": [0, 2]}, True),
+    "l null": ({"n": 4, "b": [0, 2], "l": None}, True),
+    "valid l": ({"n": 4, "b": [0, 2], "l": [0, 1]}, True),
+    "wrong l": ({"n": 4, "b": [0, 2], "l": [0, 2]}, False),
+    "n missing": ({"b": [0, 2]}, False),
+    "not an object": ([4, [0, 2]], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_VARIANTS))
+def test_validate_accepts_a_pair_exactly_when_verdict_reads_it(runner, tmp_path, name):
+    pair, readable = PAIR_VARIANTS[name]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"alphabet": [pair]}))
+    validate = runner.invoke(main, ["validate", str(path)])
+    verdict = runner.invoke(main, ["verdict", "--no-q", str(path)])
+    assert (validate.exit_code, _payload(validate)["valid"]) == ((0, True) if readable
+                                                                 else (2, False))
+    assert (_payload(verdict).get("error") != "bad-input") is readable, verdict.output
+
+
 # Malformed inputs: (argv, environment, error kind, exit code).  "{jp}"
 # and "{ins}" stand for the jorgensen-pedersen and example-7.1 spec files,
 # "{broken}" for a file holding "{bad", "{nx}" for a pair with n "x", and
@@ -482,6 +516,10 @@ MALFORMED = [
     ("mc {alphabet} --trials -1", {}, "bad-input", 2),
     ("mc {alphabet} --length 0", {}, "bad-input", 2),
     ("mc {alphabet} --length -1", {}, "bad-input", 2),
+    ("mc {alphabet} --length 2 --pattern 1,1,1", {}, "bad-input", 2),
+    ("mc {alphabet} --probs 1/2,1/4,1/4", {}, "bad-input", 2),
+    ("mc {empty_alphabet}", {}, "bad-input", 2),
+    ("verdict --no-q {int_pair}", {}, "bad-input", 2),
 ]
 
 # Bad option values are refused up front with a message of their own,
@@ -499,12 +537,18 @@ MALFORMED_DETAILS = {
         "level 1: its scale or spectrum is past the float range of the Q sweep",
     "mc {alphabet} --trials -1": "trials must be at least 1",
     "mc {alphabet} --length -1": "length must be at least 1",
+    "mc {alphabet} --length 2 --pattern 1,1,1":
+        "pattern must be nonempty and no longer than the prefix",
+    "mc {alphabet} --probs 1/2,1/4,1/4": "need one probability per alphabet letter",
+    "mc {empty_alphabet}": "alphabet must be nonempty",
+    "verdict --no-q {int_pair}": "pair object needs keys 'n' and 'b': 5",
 }
 
 # A huge enumeration tail must be refused before its letters are listed,
 # atom lists are checked for positive weights summing to 1 and for string
 # positions, and integers in specs are never truncated from other numbers.
 # "alphabet" is a well-formed `mc` alphabet, for the bad option values;
+# "int_pair" holds a pair that is not a pair object;
 # "wide" has a tail support width of 10^200/3, too wide for the Q tail fit;
 # "far_level" has the level scale 2^2001, past the float range.
 MALFORMED_FILES = {
@@ -530,6 +574,8 @@ MALFORMED_FILES = {
                         "target": "5/6", "divisor": 3.0, "spectrum": [0, 2, 4]},
     "alphabet": {"alphabet": [{"n": 2, "b": [0, 1], "l": [0, 1]},
                               {"n": 2, "b": [0, 3], "l": [0, 1]}]},
+    "empty_alphabet": {"alphabet": []},
+    "int_pair": {"alphabet": [5]},
     "wide": {"alphabet": [{"n": 2 * 10 ** 200, "b": [0, 10 ** 200], "l": [0, 1]},
                           {"n": 4, "b": [0, 2], "l": [0, 1]}],
              "word": {"tail": {"periodic": [1, 2]}}},
@@ -821,3 +867,33 @@ def test_a_truncation_refusal_costs_the_same_at_any_depth(jp_file):
         assert "at level 23," in payload["detail"]
         peaks.append(peak)
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def _spectral_run_capped(args, env, kib):
+    """A `spectral` child process whose address space is capped at `kib` KiB."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (kib << 10, kib << 10))
+    return subprocess.run([sys.executable, "-m", "spectralconv", *args], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
+
+
+def test_running_out_of_memory_gives_one_json_error(jp_file):
+    """Depth 22 on (4,{0,2}) is under the atom bound, but its document of
+    about 300 MB does not fit under the least cap, in steps of 25,000 KiB
+    from 200,000, at which depth 23 is refused cleanly, plus 100,000 KiB."""
+    src = os.path.dirname(os.path.dirname(spectralconv.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    kib = 200_000
+    while True:
+        run = _spectral_run_capped(["conv", "truncate", jp_file, "--depth", "23"], env, kib)
+        if run.returncode == 3 and '"depth-limit"' in run.stdout:
+            break
+        kib += 25_000
+        assert kib <= 4_000_000, run.stderr[-2000:]
+    run = _spectral_run_capped(["conv", "truncate", jp_file, "--depth", "22"], env,
+                               kib + 100_000)
+    assert (run.returncode, run.stderr) == (3, ""), (kib, run.stderr[-2000:])
+    payload = json.loads(run.stdout)
+    assert sorted(payload) == ["detail", "error"]
+    assert payload["error"] == "out-of-memory"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectralconv import words
+from spectralconv import spectrality, words
 from spectralconv.convolution import ConstantExponents, ConvolutionSpec, UnboundedExponents
 from spectralconv.hadamard import AdmissiblePair
 from spectralconv.spectrality import VerdictBudget, spectral_verdict
@@ -302,6 +302,23 @@ def test_small_monte_carlo_run_is_deterministic():
                                     seed=7)
     assert again.pattern_freq == summary.pattern_freq
     assert again.to_json() == summary.to_json()
+
+
+@pytest.mark.parametrize("pairs,probs,pattern,message", [
+    (((2, (0, 1), (0, 1)), (2, (0, 3), (0, 1))), ("1/2", "1/2"), (1, 1, 1),
+     "pattern must be nonempty and no longer than the prefix"),
+    (((2, (0, 1), (0, 1)),), ("1/2", "1/2"), None, "need one probability per alphabet letter"),
+    ((), (), None, "alphabet must be nonempty"),
+], ids=["pattern longer than the prefix", "too many probabilities", "empty alphabet"])
+def test_monte_carlo_checks_its_arguments_before_any_verdict(monkeypatch, pairs, probs,
+                                                             pattern, message):
+    def no_verdict(*args):
+        raise AssertionError("a verdict ran before the arguments were checked")
+
+    monkeypatch.setattr(spectrality, "spectral_verdict", no_verdict)
+    alphabet = tuple(AdmissiblePair(*pair) for pair in pairs)
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_spectrality(alphabet, probs, trials=2, length=2, pattern=pattern)
 
 
 @pytest.mark.parametrize("letter", [0, 3, -1])
