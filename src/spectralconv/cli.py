@@ -33,7 +33,7 @@ from .convolution import (
 )
 from .hadamard import first_spectrum, is_admissible, spectrum_rows, AdmissiblePair
 from .mask import IrrationalZeroPresent, mask_zero_set
-from .measures import AtomicMeasure, frac_str, parse_frac
+from .measures import JSON_SCALARS, AtomicMeasure, frac_str, parse_frac
 from .spectrality import (
     VerdictBudget,
     iz_weak_limit,
@@ -87,7 +87,6 @@ def _load_target(path: str):
     return ConvolutionSpec.from_json(data)
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
 # the C encoder, breaking lines between items at the indent of a level
 _encoder = functools.lru_cache(lambda level: json.JSONEncoder(
     sort_keys=True, separators=(",\n" + "  " * level, ": ")).encode)
@@ -132,7 +131,7 @@ def _records(arr: np.ndarray, level: int) -> str:
     names, columns = sorted(arr.dtype.names), []
     for name in names:
         column = arr[name].tolist()
-        if not set(map(type, column)) <= _SCALARS:
+        if not set(map(type, column)) <= JSON_SCALARS:
             raise TypeError("only 1-D arrays of scalar records are printed")
         columns.append(_encoder(0)(column)[1:-1].split(",\n"))
     texts = columns[0]
@@ -158,7 +157,7 @@ def _dumps(obj, level: int = 0) -> str:
     if not obj:
         return o + c
     pad, inner = "  " * level, "  " * (level + 1)
-    if set(map(type, obj.values() if o == "{" else obj)) <= _SCALARS:
+    if set(map(type, obj.values() if o == "{" else obj)) <= JSON_SCALARS:
         body = _encoder(level + 1)(obj)[1:-1]
     elif o == "[":
         body = (",\n" + inner).join(_dumps(m, level + 1) for m in obj)
@@ -428,8 +427,8 @@ def verdict_command(ctx, specfile, no_q, window):
 @click.pass_context
 def mc_command(ctx, specfile, trials, length, probs, pattern):
     data = _load_json(specfile)
-    alphabet = tuple(AdmissiblePair.from_json(entry)
-                     for entry in data["alphabet"])
+    entries = data.get("alphabet", ()) if isinstance(data, dict) else ()
+    alphabet = tuple(map(AdmissiblePair.from_json, entries))
     if probs is None:
         probs = tuple(Fraction(1, len(alphabet)) for _ in alphabet)
     else:
@@ -466,8 +465,7 @@ def validate_spec(data) -> tuple[Optional[dict], list[dict]]:
         return None, [{"pair": None, "reason": "spec must be a JSON object"}]
     alphabet = data.get("alphabet")
     if not isinstance(alphabet, list) or not alphabet:
-        return None, [{"pair": None,
-                       "reason": "alphabet must be a nonempty list"}]
+        return None, [{"pair": None, "reason": "spec needs a nonempty alphabet"}]
     filled = []
     for index, entry in enumerate(alphabet):
         try:

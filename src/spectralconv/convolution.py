@@ -17,7 +17,7 @@ that lives here.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
@@ -37,6 +37,7 @@ from .measures import (
     TWO_PI_UPPER,
     AtomicMeasure,
     ComplexInterval,
+    JsonRecord,
     frac_str,
     int_dtype,
     parse_frac,
@@ -223,7 +224,7 @@ def exponents_from_json(data: Optional[dict]) -> ExponentRule:
 
 
 @dataclass(frozen=True)
-class ConvolutionSpec:
+class ConvolutionSpec(JsonRecord):
     """Alphabet of admissible pairs + infinite word + exponent rule."""
 
     alphabet: tuple[AdmissiblePair, ...]
@@ -233,7 +234,7 @@ class ConvolutionSpec:
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         if not self.alphabet:
-            raise ValueError("alphabet must be nonempty")
+            raise ValueError("spec needs a nonempty alphabet")
         for pair in self.alphabet:
             if not isinstance(pair, AdmissiblePair):
                 raise TypeError(f"alphabet entries must be AdmissiblePair, got {pair!r}")
@@ -469,13 +470,6 @@ class ConvolutionSpec:
 
     # -- serialization
 
-    def to_json(self) -> dict:
-        return {
-            "alphabet": [pair.to_json() for pair in self.alphabet],
-            "word": self.word.to_json(),
-            "exponents": self.exponents.to_json(),
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "ConvolutionSpec":
         if "alphabet" not in data or not data["alphabet"]:
@@ -583,7 +577,7 @@ def detect_special(spec: ConvolutionSpec) -> Optional[SpecialFamily]:
 
 
 @dataclass(frozen=True)
-class PiecewiseConstantDensity:
+class PiecewiseConstantDensity(JsonRecord):
     """Density that is constant between consecutive breakpoints.
 
     `values[i]` holds on [breakpoints[i], breakpoints[i+1]); the function
@@ -593,6 +587,7 @@ class PiecewiseConstantDensity:
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
+    uniform_on_support: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(Fraction(b) for b in self.breakpoints))
@@ -612,18 +607,8 @@ class PiecewiseConstantDensity:
         )
         if total != 1:
             raise ValueError(f"density must integrate to 1, got {total}")
-
-    @property
-    def uniform_on_support(self) -> bool:
-        positives = {v for v in self.values if v > 0}
-        return len(positives) == 1
-
-    def to_json(self) -> dict:
-        return {
-            "breakpoints": [frac_str(b) for b in self.breakpoints],
-            "values": [frac_str(v) for v in self.values],
-            "uniform_on_support": self.uniform_on_support,
-        }
+        object.__setattr__(self, "uniform_on_support",
+                           len({v for v in self.values if v > 0}) == 1)
 
 
 def density_consecutive(spec: ConvolutionSpec) -> PiecewiseConstantDensity:

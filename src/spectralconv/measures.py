@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
 from operator import lt
@@ -26,6 +26,8 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 Xi = Union[int, float, Fraction]
+
+JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 # Strict rational upper bound for 2*pi; used wherever an evaluation depth
 # or an error bound is chosen by exact comparison, so the choice itself
@@ -80,6 +82,32 @@ def _ratio_strs(nums: np.ndarray, d: int) -> np.ndarray:
     dens, which = np.unique(d // g, return_inverse=True)
     slash = np.array([f"/{m}" if m != 1 else "" for m in dens.tolist()], object)
     return (np.array(list(map(str, (values // g).tolist())), object) + slash[which])[index]
+
+
+def _json_value(value):
+    if isinstance(value, Fraction):
+        return frac_str(value)
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [x if type(x) in JSON_SCALARS else _json_value(x) for x in value]
+    return value
+
+
+class JsonRecord:
+    """A dataclass record printed as its fields, under their own names.
+
+    A None field is left out, a Fraction prints as its frac_str, a value
+    with a to_json by it, a tuple or list item by item, and anything else
+    as it is.  Classes whose JSON keys are not their field names keep their
+    own to_json: the input formats (AdmissiblePair, the exponent and tail
+    rules, SparseInsertionSpec), RationalZeroSet, MaskZeros and
+    MonteCarloSummary; so does AtomicMeasure, which prints through to_records.
+    """
+
+    def to_json(self) -> dict:
+        return {f.name: _json_value(value) for f in fields(self)
+                if (value := getattr(self, f.name)) is not None}
 
 
 def int_dtype(top: int):

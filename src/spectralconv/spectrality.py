@@ -31,7 +31,7 @@ from .cyclotomic import cyclotomic_orders, unit_circle_angles
 from .hadamard import AdmissiblePair, first_spectrum, FIND_SPECTRA_SCALE_LIMIT
 from .mask import (COS_ULPS, IrrationalZeroPresent, RationalZeroSet, eval_mask,
                    mask_abs2, mask_zero_set)
-from .measures import TWO_PI_UPPER, AtomicMeasure, frac_str
+from .measures import TWO_PI_UPPER, AtomicMeasure, JsonRecord, frac_str
 from .words import SymbolicWord, PeriodicTail
 
 Rational = Union[int, Fraction]
@@ -157,7 +157,7 @@ def q_exact_discrete(scale: int, digits: Sequence[int],
 
 
 @dataclass(frozen=True)
-class QReport:
+class QReport(JsonRecord):
     grid: tuple[float, ...]
     depth: int
     q_values: tuple[float, ...]
@@ -165,17 +165,6 @@ class QReport:
     tail_radius: float
     min_q: float
     max_q: float
-
-    def to_json(self) -> dict:
-        return {
-            "depth": self.depth,
-            "grid": list(self.grid),
-            "q_values": list(self.q_values),
-            "radii": list(self.radii),
-            "tail_radius": self.tail_radius,
-            "min_q": self.min_q,
-            "max_q": self.max_q,
-        }
 
 
 @dataclass(frozen=True)
@@ -666,7 +655,7 @@ UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
-class IZVerdict:
+class IZVerdict(JsonRecord):
     """Outcome of an integral periodic zero set computation.
 
     kind is one of the module constants above.  A nonempty witness always
@@ -678,14 +667,6 @@ class IZVerdict:
     witness: Optional[Fraction] = None
     horizon: Optional[int] = None
     reason: str = ""
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "reason": self.reason}
-        if self.witness is not None:
-            out["witness"] = frac_str(self.witness)
-        if self.horizon is not None:
-            out["horizon"] = self.horizon
-        return out
 
 
 def iz_finite(m: AtomicMeasure) -> IZVerdict:
@@ -851,21 +832,12 @@ def _letter_difference_gcd(spec: ConvolutionSpec,
 
 
 @dataclass(frozen=True)
-class WindowCertificate:
+class WindowCertificate(JsonRecord):
     ok: bool
     mass_lower: Fraction
     translates_checked: tuple[int, ...]
     blocking: tuple[tuple[int, Fraction], ...]
     reason: str
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "mass_lower": frac_str(self.mass_lower),
-            "translates_checked": list(self.translates_checked),
-            "blocking": [[k, frac_str(x)] for k, x in self.blocking],
-            "reason": self.reason,
-        }
 
 
 def translate_disjoint_window(approx: AtomicMeasure,
@@ -936,26 +908,13 @@ VERDICT_GRID = tuple(Fraction(j, 64) for j in range(64))
 
 
 @dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(JsonRecord):
     verdict: str
     reason: str
     trace: tuple[str, ...]
     details: dict = field(default_factory=dict)
     q_report: Optional[QReport] = None
     iz: Optional[IZVerdict] = None
-
-    def to_json(self) -> dict:
-        out = {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "trace": list(self.trace),
-            "details": self.details,
-        }
-        if self.q_report is not None:
-            out["q_report"] = self.q_report.to_json()
-        if self.iz is not None:
-            out["iz"] = self.iz.to_json()
-        return out
 
 
 def _admissibility_gap(spec: ConvolutionSpec) -> Optional[str]:

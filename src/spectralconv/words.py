@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .measures import frac_str, parse_frac, parse_int
+from .measures import JsonRecord, frac_str, parse_frac, parse_int
 
 _MASK64 = (1 << 64) - 1
 # splitmix64 constants (Steele, Lea, Flood; also used by Java's
@@ -171,7 +171,7 @@ def tail_from_json(data: dict) -> TailRule:
 
 
 @dataclass(frozen=True)
-class SymbolicWord:
+class SymbolicWord(JsonRecord):
     """Infinite word: explicit prefix, then a tail rule.  1-based indexing."""
 
     prefix: tuple[int, ...]
@@ -217,9 +217,6 @@ class SymbolicWord:
             if p == letter:
                 last = i
         return last
-
-    def to_json(self) -> dict:
-        return {"prefix": list(self.prefix), "tail": self.tail.to_json()}
 
     @classmethod
     def from_json(cls, data: dict) -> "SymbolicWord":
@@ -306,7 +303,7 @@ def monte_carlo_spectrality(
     if length < 1:
         raise ValueError("length must be at least 1")
     if not alphabet:
-        raise ValueError("alphabet must be nonempty")
+        raise ValueError("spec needs a nonempty alphabet")
     probs = tuple(Fraction(p) for p in probs)
     if len(probs) != len(alphabet):
         raise ValueError("need one probability per alphabet letter")

@@ -66,6 +66,17 @@ def two_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def sieve_file(tmp_path):
+    """(4,{0,1},{0,2}), (4,{0,6},{0,1}) with the word 1 2^inf: the sieve
+    certifies its periodic zero set empty."""
+    path = tmp_path / "sieve.json"
+    path.write_text(json.dumps({
+        "alphabet": [{"n": 4, "b": [0, 1], "l": [0, 2]}, {"n": 4, "b": [0, 6], "l": [0, 1]}],
+        "word": {"prefix": [1], "tail": {"periodic": [2]}}}))
+    return str(path)
+
+
 def _payload(result):
     assert result.output.strip(), result.output
     return json.loads(result.output)
@@ -435,7 +446,7 @@ def test_validate_rejects_alien_word_letters():
     ([{"n": 4, "b": [0, 2]}, 5, {"n": 4}],
      [{"pair": 1, "reason": "pair object needs keys 'n' and 'b': 5"},
       {"pair": 2, "reason": "pair object needs keys 'n' and 'b': {'n': 4}"}]),
-    ([], [{"pair": None, "reason": "alphabet must be a nonempty list"}]),
+    ([], [{"pair": None, "reason": "spec needs a nonempty alphabet"}]),
 ])
 def test_validate_names_each_pair_it_cannot_read(alphabet, diagnostics):
     assert validate_spec({"alphabet": alphabet}) == (None, diagnostics)
@@ -519,6 +530,7 @@ MALFORMED = [
     ("mc {alphabet} --length 2 --pattern 1,1,1", {}, "bad-input", 2),
     ("mc {alphabet} --probs 1/2,1/4,1/4", {}, "bad-input", 2),
     ("mc {empty_alphabet}", {}, "bad-input", 2),
+    ("mc {no_alphabet}", {}, "bad-input", 2),
     ("verdict --no-q {int_pair}", {}, "bad-input", 2),
 ]
 
@@ -540,7 +552,8 @@ MALFORMED_DETAILS = {
     "mc {alphabet} --length 2 --pattern 1,1,1":
         "pattern must be nonempty and no longer than the prefix",
     "mc {alphabet} --probs 1/2,1/4,1/4": "need one probability per alphabet letter",
-    "mc {empty_alphabet}": "alphabet must be nonempty",
+    "mc {empty_alphabet}": "spec needs a nonempty alphabet",
+    "mc {no_alphabet}": "spec needs a nonempty alphabet",
     "verdict --no-q {int_pair}": "pair object needs keys 'n' and 'b': 5",
 }
 
@@ -575,6 +588,7 @@ MALFORMED_FILES = {
     "alphabet": {"alphabet": [{"n": 2, "b": [0, 1], "l": [0, 1]},
                               {"n": 2, "b": [0, 3], "l": [0, 1]}]},
     "empty_alphabet": {"alphabet": []},
+    "no_alphabet": {},
     "int_pair": {"alphabet": [5]},
     "wide": {"alphabet": [{"n": 2 * 10 ** 200, "b": [0, 10 ** 200], "l": [0, 1]},
                           {"n": 4, "b": [0, 2], "l": [0, 1]}],
@@ -703,15 +717,25 @@ GOLDEN_STDOUT = [
      "cd4c1b1cb6011e6cf1bda953f64a1fff14147ca00b6487dbf7fdd6144c72e0ca"),
     ("--seed 7 mc {two} --trials 200 --probs 1/3,2/3",
      "a74e341802623fe1c4efc3add277107661c9a0dac9dba13af9af327ff1903c04"),
+    ("conv density {mixed}",
+     "0bac58fa772ddd0fd9048f182c67b50feee8fd755d26aca8092b813244bf0b00"),
+    ("validate {two}",
+     "0e2dc31ed2bd3fae8aa9cbc41eeb574e9f368fc48f6ec09b6f771764cb5e7548"),
+    ("validate {bern}",
+     "268d8ff7c4615115fcb5cb2a08611ae697860ef56db63eec7ca92494e66ad093"),
+    ("verdict --no-q {mixed}",
+     "7163e7b701c28bcaa4144eaf3b021ce0d7b298cffb10d91c9fc290a406db4775"),
+    ("verdict --no-q {sieve}",
+     "ba949761077fc512bd1c3a8d10bcd1a0be14c6ba8670ea24e8b3fc4850a608f5"),
 ]
 
 
 @pytest.mark.parametrize("command,digest", GOLDEN_STDOUT,
                          ids=[c for c, _ in GOLDEN_STDOUT])
 def test_float_free_stdout_is_pinned(runner, jp_file, mixed_file, two_file, bern_file,
-                                     command, digest):
+                                     sieve_file, command, digest):
     argv = command.format(jp=jp_file, mixed=mixed_file, two=two_file,
-                          bern=bern_file).split()
+                          bern=bern_file, sieve=sieve_file).split()
     result = runner.invoke(main, argv)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest

@@ -308,7 +308,7 @@ def test_small_monte_carlo_run_is_deterministic():
     (((2, (0, 1), (0, 1)), (2, (0, 3), (0, 1))), ("1/2", "1/2"), (1, 1, 1),
      "pattern must be nonempty and no longer than the prefix"),
     (((2, (0, 1), (0, 1)),), ("1/2", "1/2"), None, "need one probability per alphabet letter"),
-    ((), (), None, "alphabet must be nonempty"),
+    ((), (), None, "spec needs a nonempty alphabet"),
 ], ids=["pattern longer than the prefix", "too many probabilities", "empty alphabet"])
 def test_monte_carlo_checks_its_arguments_before_any_verdict(monkeypatch, pairs, probs,
                                                              pattern, message):
