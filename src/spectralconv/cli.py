@@ -67,24 +67,35 @@ def _finite(text: str) -> float:
     return value
 
 
-def _load_json(path: str) -> dict:
+# The kinds of spec file, told apart by their shape: a list or an object
+# with "atoms", an object with "regular", and any other object.
+CONVOLUTION, ATOMS, INSERTION = "a convolution spec", "an atom list", "an insertion spec"
+
+
+def _read(path: str, kinds: tuple[str, ...] = (CONVOLUTION,)) -> tuple[str, object]:
+    """A spec file's kind and JSON, read with the finite-number rule; a
+    kind that is not in `kinds` is refused."""
     with open(path) as handle:
-        return json.load(handle, parse_float=_finite, parse_constant=_finite)
+        data = json.load(handle, parse_float=_finite, parse_constant=_finite)
+    kind = ("a JSON scalar" if not isinstance(data, (dict, list))
+            else ATOMS if isinstance(data, list) or "atoms" in data
+            else INSERTION if "regular" in data else CONVOLUTION)
+    if kind not in kinds:
+        raise ValueError("expected %s, got %s" % (" or ".join(kinds), kind))
+    return kind, data
 
 
-def _load_convolution(path: str) -> ConvolutionSpec:
-    return ConvolutionSpec.from_json(_load_json(path))
+def _load(path: str, kinds: tuple[str, ...] = (CONVOLUTION,)):
+    """A spec file parsed by the reader of its kind."""
+    kind, data = _read(path, kinds)
+    if kind == ATOMS:
+        return AtomicMeasure.from_json(data["atoms"] if isinstance(data, dict) else data)
+    return (ConvolutionSpec if kind == CONVOLUTION else SparseInsertionSpec).from_json(data)
 
 
-def _load_target(path: str):
-    """Spec file dispatch: atom lists, insertion specs, or convolutions."""
-    data = _load_json(path)
-    if isinstance(data, list) or "atoms" in data:
-        atoms = data if isinstance(data, list) else data["atoms"]
-        return AtomicMeasure.from_json(atoms)
-    if "regular" in data:
-        return SparseInsertionSpec.from_json(data)
-    return ConvolutionSpec.from_json(data)
+def _detail(exc: Exception) -> str:
+    """An error's message; a KeyError names its key as missing."""
+    return "missing key %s" % exc if isinstance(exc, KeyError) else str(exc)
 
 
 # the C encoder, breaking lines between items at the indent of a level
@@ -193,7 +204,7 @@ def _emit_q_csv(ctx: click.Context, q_json: Optional[dict]) -> None:
 def _fail(ctx: click.Context, kind: str, exc: Exception, code: int) -> None:
     if isinstance(exc, OSError) and exc.filename == ctx.obj.get("json_out"):
         ctx.obj["json_out"] = None  # that file is what failed: print only
-    _emit(ctx, {"error": kind, "detail": str(exc)})
+    _emit(ctx, {"error": kind, "detail": _detail(exc)})
     ctx.exit(code)
 
 
@@ -302,7 +313,7 @@ def mask_zeros(ctx, digits):
 @click.option("--halfwidth", default="4", show_default=True)
 @click.pass_context
 def mask_window(ctx, specfile, start, halfwidth):
-    spec = _load_convolution(specfile)
+    spec = _load(specfile)
     zeros = zero_set_window(spec, start, parse_frac(halfwidth))
     _emit(ctx, {
         "start": start,
@@ -321,7 +332,7 @@ def conv():
 @click.option("--depth", type=int, default=4, show_default=True)
 @click.pass_context
 def conv_truncate(ctx, specfile, depth):
-    spec = _load_convolution(specfile)
+    spec = _load(specfile)
     measure = spec.truncate(depth)
     _emit(ctx, {"depth": depth, "atoms": measure.to_records()})
 
@@ -332,7 +343,7 @@ def conv_truncate(ctx, specfile, depth):
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @click.pass_context
 def conv_ft(ctx, specfile, xi, tol):
-    spec = _load_convolution(specfile)
+    spec = _load(specfile)
     value = spec.ft_infinite(parse_frac(xi), tol=tol)
     _emit(ctx, {
         "xi": xi,
@@ -348,7 +359,7 @@ def conv_ft(ctx, specfile, xi, tol):
 @click.argument("specfile", type=click.Path(exists=True))
 @click.pass_context
 def conv_support(ctx, specfile):
-    spec = _load_convolution(specfile)
+    spec = _load(specfile)
     lo, hi = spec.support_bound()
     _emit(ctx, {"lo": frac_str(lo), "hi": frac_str(hi)})
 
@@ -357,7 +368,7 @@ def conv_support(ctx, specfile):
 @click.argument("specfile", type=click.Path(exists=True))
 @click.pass_context
 def conv_density(ctx, specfile):
-    spec = _load_convolution(specfile)
+    spec = _load(specfile)
     _emit(ctx, density_consecutive(spec).to_json())
 
 
@@ -367,7 +378,7 @@ def conv_density(ctx, specfile):
 @click.option("--depth", type=int, default=8, show_default=True)
 @click.pass_context
 def conv_overlap(ctx, specfile, shift, depth):
-    spec = _load_convolution(specfile)
+    spec = _load(specfile)
     mass = overlap_mass(spec, shift, depth)
     _emit(ctx, {"shift": shift, "depth": depth, "mass": frac_str(mass)})
 
@@ -381,7 +392,7 @@ def conv_overlap(ctx, specfile, shift, depth):
 @click.option("--budget-atoms", type=int, default=16384, show_default=True)
 @click.pass_context
 def q_command(ctx, specfile, depth, grid_size, tol, budget_atoms):
-    spec = _load_convolution(specfile)
+    spec = _load(specfile)
     grid = [Fraction(j, grid_size) for j in range(grid_size)]
     payload = q_partial(spec, ctx.obj["budget_depth"] if depth is None else depth,
                         grid, tol=tol, budget_atoms=budget_atoms).to_json()
@@ -393,7 +404,7 @@ def q_command(ctx, specfile, depth, grid_size, tol, budget_atoms):
 @click.argument("specfile", type=click.Path(exists=True))
 @click.pass_context
 def iz_command(ctx, specfile):
-    target = _load_target(specfile)
+    target = _load(specfile, (CONVOLUTION, ATOMS))
     verdict = iz_weak_limit(target, ctx.obj["horizon"])
     _emit(ctx, verdict.to_json())
 
@@ -406,7 +417,7 @@ def iz_command(ctx, specfile):
               help="LO,HI window override for insertion specs")
 @click.pass_context
 def verdict_command(ctx, specfile, no_q, window):
-    target = _load_target(specfile)
+    target = _load(specfile, (CONVOLUTION, INSERTION))
     budget = _budget(ctx, no_q, window)
     report = spectral_verdict(target, budget)
     payload = report.to_json()
@@ -426,17 +437,12 @@ def verdict_command(ctx, specfile, no_q, window):
               help="comma-separated letters whose frequency to track")
 @click.pass_context
 def mc_command(ctx, specfile, trials, length, probs, pattern):
-    data = _load_json(specfile)
-    entries = data.get("alphabet", ()) if isinstance(data, dict) else ()
-    alphabet = tuple(map(AdmissiblePair.from_json, entries))
-    if probs is None:
-        probs = tuple(Fraction(1, len(alphabet)) for _ in alphabet)
-    else:
-        probs = tuple(parse_frac(p) for p in probs.split(","))
-    pattern_letters = _parse_ints(pattern) if pattern else None
-    summary = monte_carlo_spectrality(alphabet, probs, trials, length,
-                                      seed=ctx.obj["seed"],
-                                      pattern=pattern_letters)
+    _, data = _read(specfile)
+    alphabet = tuple(map(AdmissiblePair.from_json, data.get("alphabet", ())))
+    probs = (tuple(Fraction(1, len(alphabet)) for _ in alphabet) if probs is None
+             else tuple(parse_frac(p) for p in probs.split(",")))
+    summary = monte_carlo_spectrality(alphabet, probs, trials, length, seed=ctx.obj["seed"],
+                                      pattern=_parse_ints(pattern) if pattern else None)
     _emit(ctx, summary.to_json())
 
 
@@ -461,8 +467,6 @@ def validate_spec(data) -> tuple[Optional[dict], list[dict]]:
     and a reason.
     """
     diagnostics: list[dict] = []
-    if not isinstance(data, dict):
-        return None, [{"pair": None, "reason": "spec must be a JSON object"}]
     alphabet = data.get("alphabet")
     if not isinstance(alphabet, list) or not alphabet:
         return None, [{"pair": None, "reason": "spec needs a nonempty alphabet"}]
@@ -486,7 +490,7 @@ def validate_spec(data) -> tuple[Optional[dict], list[dict]]:
     try:
         spec = ConvolutionSpec.from_json(dict(data, alphabet=filled))
     except (ValueError, KeyError, TypeError) as exc:
-        return None, [{"pair": "word", "reason": str(exc)}]
+        return None, [{"pair": "word", "reason": _detail(exc)}]
     return spec.to_json(), []
 
 
@@ -494,13 +498,11 @@ def validate_spec(data) -> tuple[Optional[dict], list[dict]]:
 @click.argument("specfile", type=click.Path(exists=True))
 @click.pass_context
 def validate_command(ctx, specfile):
-    data = _load_json(specfile)
-    normalized, diagnostics = validate_spec(data)
+    normalized, diagnostics = validate_spec(_read(specfile)[1])
+    _emit(ctx, {"valid": False, "diagnostics": diagnostics} if diagnostics
+          else {"valid": True, "spec": normalized})
     if diagnostics:
-        _emit(ctx, {"valid": False, "diagnostics": diagnostics})
         ctx.exit(2)
-        return
-    _emit(ctx, {"valid": True, "spec": normalized})
 
 
 if __name__ == "__main__":

@@ -276,7 +276,6 @@ def monte_carlo_spectrality(
     trials: int,
     length: int,
     seed: int = 0,
-    exponents=None,
     pattern: Sequence[int] | None = None,
 ) -> MonteCarloSummary:
     """Sample words, decide their spectrality exactly, and tally.
@@ -295,7 +294,7 @@ def monte_carlo_spectrality(
     Seeds, prefixes and pattern windows come from numpy sweeps over blocks
     of about 2^16 draws, so memory does not grow with the trial count.
     """
-    from .convolution import ConstantExponents, ConvolutionSpec
+    from .convolution import ConvolutionSpec
     from .spectrality import spectral_verdict, VerdictBudget
 
     if trials < 1:
@@ -318,7 +317,6 @@ def monte_carlo_spectrality(
     windows = length - len(pattern) + 1
     if not pattern or windows < 1:
         raise ValueError("pattern must be nonempty and no longer than the prefix")
-    exponents = exponents or ConstantExponents(1)
 
     bspec = BernoulliSpec(probs, splitmix64(seed, 0))
     rows = max(1, _BLOCK_DRAWS // length)
@@ -327,7 +325,7 @@ def monte_carlo_spectrality(
               for t in range(0, trials, rows))
     block = next(blocks)
     word = SymbolicWord(tuple(block[0].tolist()), BernoulliTail(bspec, offset=length))
-    report = spectral_verdict(ConvolutionSpec(tuple(alphabet), word, exponents),
+    report = spectral_verdict(ConvolutionSpec(tuple(alphabet), word),
                               VerdictBudget(run_q=False))
     hits = 0
     while block is not None:

@@ -440,6 +440,10 @@ def test_validate_rejects_alien_word_letters():
     assert normalized is None
     assert diagnostics[0]["pair"] == "word"
     assert "outside 1..1" in diagnostics[0]["reason"]
+    assert validate_spec({
+        "alphabet": [{"n": 4, "b": [0, 2], "l": [0, 1]}],
+        "word": {"prefix": [1]},
+    }) == (None, [{"pair": "word", "reason": "missing key 'tail'"}])
 
 
 @pytest.mark.parametrize("alphabet,diagnostics", [
@@ -487,7 +491,6 @@ MALFORMED = [
     ("conv overlap {jp} 1 --depth 40", {}, "depth-limit", 3),
     ("q {jp} --depth 17 --grid-size 1", {"SPECTRAL_MAX_DEPTH": "16"}, "depth-limit", 3),
     ("q {jp} --depth 100000 --grid-size 1", {}, "depth-limit", 3),
-    ("iz {ins}", {}, "bad-input", 2),
     ("verdict {broken}", {}, "bad-input", 2),
     ("verdict {nx}", {}, "bad-input", 2),
     ("verdict {jp} --window 1,x", {}, "bad-input", 2),
@@ -532,10 +535,38 @@ MALFORMED = [
     ("mc {empty_alphabet}", {}, "bad-input", 2),
     ("mc {no_alphabet}", {}, "bad-input", 2),
     ("verdict --no-q {int_pair}", {}, "bad-input", 2),
+    ("verdict --no-q {no_tail}", {}, "bad-input", 2),
+    ("verdict --no-q {no_fixed}", {}, "bad-input", 2),
+    ("iz {no_x}", {}, "bad-input", 2),
+    ("verdict --no-q {no_p}", {}, "bad-input", 2),
 ]
 
+# Every command that reads a spec file, with the kinds of spec file it
+# takes; each refuses the kinds that it does not take, which the files of
+# KIND_FILES hold, by naming what it expected and what it got.
+FILE_COMMANDS = {
+    "mask window %s": "a convolution spec",
+    "conv truncate %s": "a convolution spec",
+    "conv ft %s 1/3": "a convolution spec",
+    "conv support %s": "a convolution spec",
+    "conv density %s": "a convolution spec",
+    "conv overlap %s 1": "a convolution spec",
+    "q %s": "a convolution spec",
+    "mc %s": "a convolution spec",
+    "validate %s": "a convolution spec",
+    "iz %s": "a convolution spec or an atom list",
+    "verdict --no-q %s": "a convolution spec or an insertion spec",
+}
+KIND_FILES = {"{atoms}": "an atom list", "{atom_object}": "an atom list",
+              "{ins}": "an insertion spec", "{scalar}": "a JSON scalar"}
+WRONG_KINDS = {command % name: "expected %s, got %s" % (taken, kind)
+               for command, taken in FILE_COMMANDS.items()
+               for name, kind in KIND_FILES.items() if kind not in taken}
+MALFORMED += [(command, {}, "bad-input", 2) for command in WRONG_KINDS]
+
 # Bad option values are refused up front with a message of their own,
-# not with whatever a deeper layer (numpy, a pattern count) would say.
+# not with whatever a deeper layer (numpy, a pattern count) would say, and
+# a missing key or a wrong kind of file is named.
 MALFORMED_DETAILS = {
     "conv truncate {jp} --depth 40": "truncation to depth 40 needs 8388608 "
         "atoms at level 23, past the bound of 4194304 atoms per level",
@@ -555,6 +586,11 @@ MALFORMED_DETAILS = {
     "mc {empty_alphabet}": "spec needs a nonempty alphabet",
     "mc {no_alphabet}": "spec needs a nonempty alphabet",
     "verdict --no-q {int_pair}": "pair object needs keys 'n' and 'b': 5",
+    "verdict --no-q {no_tail}": "missing key 'tail'",
+    "verdict --no-q {no_fixed}": "missing key 'fixed'",
+    "iz {no_x}": "missing key 'x'",
+    "verdict --no-q {no_p}": "missing key 'p'",
+    **WRONG_KINDS,
 }
 
 # A huge enumeration tail must be refused before its letters are listed,
@@ -563,7 +599,9 @@ MALFORMED_DETAILS = {
 # "alphabet" is a well-formed `mc` alphabet, for the bad option values;
 # "int_pair" holds a pair that is not a pair object;
 # "wide" has a tail support width of 10^200/3, too wide for the Q tail fit;
-# "far_level" has the level scale 2^2001, past the float range.
+# "far_level" has the level scale 2^2001, past the float range;
+# "atoms", "atom_object" and "scalar" are read only to be refused, and the
+# "no_" files each lack the key they name.
 MALFORMED_FILES = {
     "enum_1e300": {"alphabet": [{"n": 4, "b": [0, 2]}],
                    "word": {"tail": {"enumerate": 1e300}}},
@@ -595,6 +633,15 @@ MALFORMED_FILES = {
              "word": {"tail": {"periodic": [1, 2]}}},
     "far_level": {"alphabet": [{"n": 2, "b": [0, 1], "l": [0, 1]}],
                   "exponents": {"unbounded": {"offset": 2000}}},
+    "atoms": [{"x": "0", "w": "1/2"}, {"x": "1", "w": "1/2"}],
+    "atom_object": {"atoms": [{"x": "0", "w": "1/2"}, {"x": "1", "w": "1/2"}]},
+    "scalar": 5,
+    "no_tail": {"alphabet": [{"n": 4, "b": [0, 2]}], "word": {"prefix": [1]}},
+    "no_fixed": {"scale": 6, "regular": [0, 2, 4], "target": "5/6", "divisor": 3,
+                 "spectrum": [0, 2, 4]},
+    "no_x": [{"w": "1/2"}, {"x": "1", "w": "1/2"}],
+    "no_p": {"alphabet": [{"n": 4, "b": [0, 2]}],
+             "word": {"tail": {"bernoulli": {"seed": 3}}}},
 }
 
 # seconds one malformed case may take before it counts as a hang

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spectralconv import spectrality, words
-from spectralconv.convolution import ConstantExponents, ConvolutionSpec, UnboundedExponents
+from spectralconv.convolution import ConvolutionSpec
 from spectralconv.hadamard import AdmissiblePair
 from spectralconv.spectrality import VerdictBudget, spectral_verdict
 from spectralconv.words import (
@@ -203,38 +203,35 @@ def test_sample_word_matches_symbol_index_by_index(probs, seed):
         assert row == [trial.symbol(i) for i in range(256)]
 
 
-# (pairs, probabilities, pattern, exponents, the reason every trial gets).
+# (pairs, probabilities, pattern, the reason every trial gets).
 # In a Bernoulli word the occurring letters are the recurring ones, so the
 # gcd branch decides every alphabet past the family and admissibility
 # checks: the empty-zero-set and survivor alphabets end there too.
 MC_ALPHABETS = {
     "two-letter family, t = 1": (
-        ((2, (0, 1)), (2, (0, 3))), ("1/3", "2/3"), (1, 2), None,
+        ((2, (0, 1)), (2, (0, 3))), ("1/3", "2/3"), (1, 2),
         "special-family-classifier"),
     "two-letter family, t = 2": (
-        ((4, (0, 1)), (4, (0, 3))), ("1/2", "1/2"), (2, 2), None,
+        ((4, (0, 1)), (4, (0, 3))), ("1/2", "1/2"), (2, 2),
         "special-family-classifier"),
     "gcd branch": (
         ((4, (0, 2)), (3, (0, 1, 2)), (6, (0, 1, 2))), ("1/4", "1/4", "1/2"),
-        (3, 1), None, "tail-difference-gcd"),
+        (3, 1), "tail-difference-gcd"),
     "empty periodic zero set": (
         ((4, (0, 1), (0, 2)), (4, (0, 2), (0, 1))), ("1/2", "1/2"), (1,),
-        None, "tail-difference-gcd"),
+        "tail-difference-gcd"),
     "survivor letters": (
         ((2, (0, 1)), (2, (0, 3)), (2, (0, 9))), ("1/3", "1/3", "1/3"),
-        (2, 3), None, "tail-difference-gcd"),
+        (2, 3), "tail-difference-gcd"),
     "inadmissible letter": (
-        ((4, (0, 2)), (4, (0, 1, 2))), ("1/2", "1/2"), (2, 1, 2), None,
+        ((4, (0, 2)), (4, (0, 1, 2))), ("1/2", "1/2"), (2, 1, 2),
         "pair-admissibility-unknown"),
     "inadmissible letter with p = 0": (
-        ((4, (0, 2)), (4, (0, 1, 2))), ("1", "0"), (1, 2), None,
+        ((4, (0, 2)), (4, (0, 1, 2))), ("1", "0"), (1, 2),
         "tail-difference-gcd"),
     "one letter with positive probability": (
-        ((2, (0, 1)), (2, (0, 3))), ("0", "1"), (2, 2, 2), None,
+        ((2, (0, 1)), (2, (0, 3))), ("0", "1"), (2, 2, 2),
         "special-family-classifier"),
-    "unbounded exponents": (
-        ((2, (0, 1)), (2, (0, 3)), (2, (0, 9))), ("1/2", "1/4", "1/4"),
-        (1,), UnboundedExponents(), "unbounded-exponent-tail-collapse"),
 }
 
 
@@ -246,21 +243,18 @@ def test_monte_carlo_matches_the_per_trial_reference(monkeypatch, name, seed):
     and a plain window count gives its pattern frequency.  Blocks of 64
     draws hold 4 prefixes of 16 letters, so 9 trials end on a partial
     block."""
-    pairs, probs, pattern, exponents, reason = MC_ALPHABETS[name]
+    pairs, probs, pattern, reason = MC_ALPHABETS[name]
     alphabet = tuple(AdmissiblePair(*pair) for pair in pairs)
     probs = tuple(map(Fraction, probs))
     trials, length = 9, 16
     monkeypatch.setattr(words, "_BLOCK_DRAWS", 64)
-    summary = monte_carlo_spectrality(alphabet, probs, trials, length, seed,
-                                      exponents, pattern)
+    summary = monte_carlo_spectrality(alphabet, probs, trials, length, seed, pattern)
     counts, hits = {}, 0
     for t in range(trials):
         bspec = BernoulliSpec(probs, splitmix64(seed, t))
         prefix = tuple(bspec.symbol(i) for i in range(length))
         word = SymbolicWord(prefix, BernoulliTail(bspec, offset=length))
-        report = spectral_verdict(
-            ConvolutionSpec(alphabet, word, exponents or ConstantExponents(1)),
-            VerdictBudget(run_q=False))
+        report = spectral_verdict(ConvolutionSpec(alphabet, word), VerdictBudget(run_q=False))
         assert report.reason == reason
         counts[report.verdict] = counts.get(report.verdict, 0) + 1
         hits += sum(prefix[i:i + len(pattern)] == pattern
