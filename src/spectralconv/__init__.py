@@ -18,7 +18,6 @@ from .mask import (
     MaskZeros,
     RationalZeroSet,
     mask_zero_set,
-    rational_zeros,
 )
 from .measures import (
     AtomicMeasure,
@@ -53,7 +52,6 @@ from .convolution import (
     zero_set_window,
 )
 from .spectrality import (
-    CandidateSpectrum,
     IZVerdict,
     QReport,
     SpectralReport,
@@ -76,7 +74,6 @@ __all__ = [
     "AtomicMeasure",
     "BernoulliSpec",
     "BernoulliTail",
-    "CandidateSpectrum",
     "ComplexInterval",
     "ConstantExponents",
     "ConvolutionSpec",
@@ -119,7 +116,6 @@ __all__ = [
     "parse_frac",
     "q_exact_discrete",
     "q_partial",
-    "rational_zeros",
     "run_example",
     "sample_word",
     "spectral_verdict",

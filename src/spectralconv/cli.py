@@ -31,7 +31,8 @@ from .convolution import (
     overlap_mass,
     zero_set_window,
 )
-from .hadamard import first_spectrum, is_admissible, spectrum_rows, AdmissiblePair
+from .hadamard import (FIND_SPECTRA_SCALE_LIMIT, AdmissiblePair, first_spectrum,
+                       is_admissible, spectrum_rows)
 from .mask import IrrationalZeroPresent, mask_zero_set
 from .measures import JSON_SCALARS, AtomicMeasure, frac_str, parse_frac
 from .spectrality import (
@@ -280,7 +281,7 @@ def hadamard_check(ctx, scale, digits, spectrum):
 @hadamard.command("search")
 @click.argument("scale", type=int)
 @click.argument("digits")
-@click.option("--limit", type=int, default=64, show_default=True)
+@click.option("--limit", type=int, default=FIND_SPECTRA_SCALE_LIMIT, show_default=True)
 @click.pass_context
 def hadamard_search(ctx, scale, digits, limit):
     digits = _parse_ints(digits)

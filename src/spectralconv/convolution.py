@@ -28,9 +28,10 @@ import numpy as np
 
 from .hadamard import AdmissiblePair
 from .mask import (
+    IrrationalZeroPresent,
     eval_mask,
     mask_zero_set,
-    rational_zeros,
+    scaled_zero_sets,
     window_zeros,
 )
 from .measures import (
@@ -389,44 +390,21 @@ class ConvolutionSpec(JsonRecord):
 
     # -- transform
 
-    def min_zero_gap(self, require_complete: bool = True) -> Optional[Fraction]:
-        """Lower bound on |z| over nonzero rational mask zeros z of every
-        alphabet letter; None when no letter's mask vanishes anywhere.
-
-        With require_complete, a letter whose mask has zeros off the
-        rational grid raises, because window enumerations built on the
-        bound would otherwise be silently incomplete.  The bound itself is
-        computed once per alphabet.
-        """
-        if require_complete:
-            for pair in self.alphabet:
-                rational_zeros(pair.digits)
-        return _alphabet_zero_gap(self.alphabet)
-
     def transform_zero_at(self, xi: Rational) -> bool:
         """Exact test for a zero of the transform at a rational point.
 
         The transform is the product over levels of the digit-set masks
         at xi / c_k, and a tail of the product is eventually uniformly
-        close to 1, so it vanishes iff some single factor does.  At a
-        rational point a mask value is a sum of roots of unity whose
-        vanishing the cyclotomic layer decides exactly, which makes this
-        test complete even for digit sets flagged with irrational zeros
-        (those zeros sit at irrational points only).
+        close to 1, so it vanishes iff some single factor does, among the
+        levels that ``scaled_zero_sets`` walks.  At a rational point a
+        mask value is a sum of roots of unity whose vanishing the
+        cyclotomic layer decides exactly, which makes this test complete
+        even for digit sets flagged with irrational zeros (those zeros sit
+        at irrational points only).
         """
         x = Fraction(xi)
-        if x == 0:
-            return False
-        gap = self.min_zero_gap(require_complete=False)
-        if gap is None:
-            return False
-        ax = abs(x)
-        for c, digits in self.levels():
-            if Fraction(abs(c)) * gap > ax:
-                return False
-            if mask_zero_set(digits).rational.contains(x / Fraction(c)):
-                return True
-        raise AssertionError("unreachable: cumulative scales diverge")
+        levels = scaled_zero_sets(self.levels(), abs(x), _alphabet_zero_gap(self.alphabet))
+        return any(zs.contains(x / c) for c, zs in levels)
 
     def ft_infinite(self, xi, tol: float = 1e-9) -> ComplexInterval:
         """Transform value with a certified radius at most tol.
@@ -486,6 +464,9 @@ class ConvolutionSpec(JsonRecord):
 
 @lru_cache(maxsize=None)
 def _alphabet_zero_gap(alphabet: tuple[AdmissiblePair, ...]) -> Optional[Fraction]:
+    """Least |z| over the nonzero rational mask zeros z of every letter,
+    computed once per alphabet; None when no letter's mask vanishes at a
+    rational point."""
     zero_sets = (mask_zero_set(pair.digits).rational for pair in alphabet)
     return min((zs.min_abs_nonzero() for zs in zero_sets if zs.phases), default=None)
 
@@ -495,20 +476,23 @@ def zero_set_window(spec: ConvolutionSpec, n: int, h: Rational) -> list[Fraction
 
     The tail after level n has transform equal to the product of masks at
     xi / (c_{n+k} / c_n), so its zero set is the union over k of the
-    k-th mask zero set scaled by the restarted cumulative scale.  Each
-    scaled zero set keeps a distance |scale| * min_zero_gap from 0, so only
-    finitely many levels reach the window and the list is complete; zero
+    k-th mask zero set scaled by the restarted cumulative scale.  Only
+    finitely many levels reach the window (``scaled_zero_sets``); zero
     sets are symmetric and never hold 0, so [0, h] is listed and mirrored.
-    Raises IrrationalZeroPresent when completeness cannot be promised.
+    This is where completeness is decided: a letter whose mask also
+    vanishes off the rational grid raises IrrationalZeroPresent.
     """
     h = Fraction(h)
     if h <= 0:
         raise ValueError("window halfwidth must be positive")
     tail = spec.tail(n)
-    gap = tail.min_zero_gap(require_complete=True)
-    if gap is None:
-        return []
-    half = window_zeros(tail.levels(), h, gap)
+    for pair in tail.alphabet:
+        irrational = mask_zero_set(pair.digits).irrational
+        if irrational:
+            raise IrrationalZeroPresent(
+                f"digit set {pair.digits} has mask zeros off the rational grid "
+                f"(angles ~ {irrational}); the rational part alone is not the whole zero set")
+    half = window_zeros(tail.levels(), h, _alphabet_zero_gap(tail.alphabet))
     return [-z for z in reversed(half)] + half
 
 

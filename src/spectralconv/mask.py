@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -262,50 +262,49 @@ class IrrationalZeroPresent(ValueError):
     """A mask has zeros off the rational grid, so any enumeration that
     promises completeness over the rationals would silently lie."""
 
-    def __init__(self, digits: tuple[int, ...], angles: tuple[float, ...]):
-        super().__init__(
-            f"digit set {digits} has mask zeros off the rational grid "
-            f"(angles ~ {angles}); the rational part alone is not the whole zero set"
-        )
-        self.digits = digits
-        self.angles = angles
 
+def scaled_zero_sets(
+    levels: Iterator[tuple[int, tuple[int, ...]]],
+    bound: Rational,
+    gap: Optional[Fraction],
+) -> Iterator[tuple[int, RationalZeroSet]]:
+    """(|scale_k|, rational zero set of mask k) for every level k whose
+    zeros blown up by scale_k can reach [-bound, bound], and whose mask
+    vanishes at a rational point.
 
-def rational_zeros(digits: Sequence[int]) -> RationalZeroSet:
-    """Rational zero phases of the mask; raises if irrational zeros exist,
-    so callers relying on completeness cannot be fooled."""
-    mz = mask_zero_set(tuple(digits))
-    if mz.irrational:
-        raise IrrationalZeroPresent(tuple(digits), mz.irrational)
-    return mz.rational
+    `levels` yields (scale_k, digits_k) with |scale_k| strictly
+    increasing; the sign does not matter, as mask zero sets are symmetric
+    under negation.  `gap` must be a positive lower bound on |z| over the
+    nonzero rational mask zeros z of EVERY level, not just the ones
+    already seen (None when no level's mask vanishes at a rational
+    point).  Mask zero sets never hold 0, so level k's scaled zeros all
+    have absolute value >= |scale_k| * gap; once that clears the bound,
+    no later level reaches it and the walk stops.
+    """
+    if gap is None:
+        return
+    for scale, digits in levels:
+        scale = abs(scale)
+        if scale * gap > bound:
+            return
+        zs = mask_zero_set(digits).rational
+        if zs.phases:
+            yield scale, zs
 
 
 def window_zeros(
     levels: Iterator[tuple[int, tuple[int, ...]]],
     hi: Rational,
-    min_zero_gap: Fraction,
+    gap: Optional[Fraction],
 ) -> list[Fraction]:
-    """Rational zeros in [0, hi] of a product of masks taken at x / scale_k.
+    """Rational zeros in [0, hi] of a product of masks taken at x / scale_k,
+    over the levels of ``scaled_zero_sets(levels, hi, gap)``.
 
-    `levels` yields (scale_k, digits_k) with |scale_k| strictly
-    increasing; the sign does not matter, as mask zero sets are symmetric
-    under negation.  Factor k contributes its mask's rational zero set
-    blown up by scale_k, whose nonzero elements all have absolute value
-    >= scale_k times the least nonzero mask zero distance over the whole
-    level alphabet.  `min_zero_gap` must be a positive lower bound on that
-    distance valid for EVERY level, not just the ones already seen; once
-    scale * min_zero_gap clears hi, no later factor can reach the window
-    and enumeration stops.  The list is the whole zero set in [0, hi] only
-    when no digit set has irrational mask zeros; the caller decides that
-    once for the alphabet (``ConvolutionSpec.min_zero_gap``).
+    The list is the whole zero set in [0, hi] only when no digit set has
+    irrational mask zeros; ``convolution.zero_set_window`` decides that.
     """
     hi = Fraction(hi)
     zeros: set[Fraction] = set()
-    for scale, digits in levels:
-        scale = abs(scale)
-        zs = mask_zero_set(digits).rational
-        if zs.phases:
-            zeros.update(scale * z for z in zs.members_in(0, hi / scale))
-        if scale * min_zero_gap > hi:
-            break
+    for scale, zs in scaled_zero_sets(levels, hi, gap):
+        zeros.update(scale * z for z in zs.members_in(0, hi / scale))
     return sorted(zeros)

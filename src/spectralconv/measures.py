@@ -65,16 +65,12 @@ def parse_int(value) -> int:
 
 def frac_str(x: Fraction) -> str:
     """Canonical "num/den" form, denominator omitted when it is 1."""
-    return _ratio_str(*Fraction(x).as_integer_ratio())
-
-
-def _ratio_str(n: int, d: int) -> str:  # frac_str(n / d) for d > 0, with one gcd
-    g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    n, d = Fraction(x).as_integer_ratio()
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _ratio_strs(nums: np.ndarray, d: int) -> np.ndarray:
-    """_ratio_str(n, d) for each n of an integer array, as an object array:
+    """frac_str(n / d) for each n of an integer array, as an object array:
     one vectorized gcd over the distinct values, one "/m" per distinct
     reduced denominator m."""
     values, index = np.unique(nums, return_inverse=True)

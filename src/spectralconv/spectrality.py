@@ -93,28 +93,6 @@ def _float_level(spec: ConvolutionSpec, k: int, spectrum: Sequence[int] = ()):
                          "range of the Q sweep" % k) from None
 
 
-@dataclass(frozen=True)
-class CandidateSpectrum:
-    """Mixed-radix frequency set built from per-level spectra.
-
-    Element k of ``levels`` is the level-(k+1) spectrum translated to
-    contain 0, and ``elements`` is the set of all sums
-
-        l_1 + w_1 l_2 + w_1 w_2 ... l_n
-
-    where the weight for level k is the cumulative scale through level
-    k-1 times scale_k^(exponent_k - 1).  The extra power keeps each level
-    block orthogonal when a level repeats its base scale.
-    """
-    levels: tuple[tuple[int, ...], ...]
-    n: int
-    elements: tuple[int, ...]
-
-    def __contains__(self, value: int) -> bool:
-        i = bisect_left(self.elements, value)
-        return i < len(self.elements) and self.elements[i] == value
-
-
 def _level_weight(spec: ConvolutionSpec, k: int) -> int:
     """Integer multiplier for the level-k spectrum inside the radix sum."""
     pair = spec.pair_at(k)
@@ -122,25 +100,28 @@ def _level_weight(spec: ConvolutionSpec, k: int) -> int:
     return spec.cumulative_scale(k - 1) * pair.scale ** (e - 1)
 
 
-def candidate_spectrum(spec: ConvolutionSpec, n: int) -> CandidateSpectrum:
+def candidate_spectrum(spec: ConvolutionSpec, n: int) -> tuple[int, ...]:
+    """The sorted mixed-radix frequency set of depth n: all sums
+
+        l_1 + w_1 l_2 + w_1 w_2 ... l_n
+
+    over l_k in the level-k spectrum translated to contain 0, where the
+    weight for level k is the cumulative scale through level k-1 times
+    scale_k^(exponent_k - 1).  The extra power keeps each level block
+    orthogonal when a level repeats its base scale.
+    """
     if n < 1:
         raise ValueError("depth must be at least 1")
-    levels = []
     sums = [0]
     for k in range(1, n + 1):
-        spectrum = _level_spectrum(spec.pair_at(k))
-        levels.append(spectrum)
         w = _level_weight(spec, k)
-        sums = [s + w * l for s in sums for l in spectrum]
-    expected = 1
-    for spectrum in levels:
-        expected *= len(spectrum)
+        sums = [s + w * l for s in sums for l in _level_spectrum(spec.pair_at(k))]
     elements = tuple(sorted(set(sums)))
-    if len(elements) != expected:
+    if len(elements) != len(sums):
         raise ValueError(
             "level spectra collide: %d distinct sums, expected %d"
-            % (len(elements), expected))
-    return CandidateSpectrum(tuple(levels), n, elements)
+            % (len(elements), len(sums)))
+    return elements
 
 
 def q_exact_discrete(scale: int, digits: Sequence[int],
@@ -1020,6 +1001,8 @@ def spectral_verdict(spec, budget: Optional[VerdictBudget] = None
         return _sparse_window_verdict(spec, budget)
     if not isinstance(spec, ConvolutionSpec):
         raise TypeError("expected a ConvolutionSpec or SparseInsertionSpec")
+    if budget.window is not None:
+        raise ValueError("a window applies to insertion specs only")
     trace = []
 
     family = detect_special(spec)

@@ -539,7 +539,28 @@ MALFORMED = [
     ("verdict --no-q {no_fixed}", {}, "bad-input", 2),
     ("iz {no_x}", {}, "bad-input", 2),
     ("verdict --no-q {no_p}", {}, "bad-input", 2),
+    ("verdict --no-q {jp} --window 0,1", {}, "bad-input", 2),
+    ("example jorgensen-pedersen --no-q --window 0,1", {}, "bad-input", 2),
 ]
+
+# The refusals of each spec-file rule, one file each (in MALFORMED_FILES),
+# with the detail that names the rule.
+SPEC_RULE_DETAILS = {
+    "nan_number": "JSON numbers must be finite, got NaN",
+    "infinite_number": "JSON numbers must be finite, got Infinity",
+    "int_tail": "tail rule must be a JSON object",
+    "unknown_tail": "unknown tail rule: ['cycle']",
+    "list_word": "word must be a JSON object",
+    "int_exponents": "exponent rule must be a JSON object",
+    "int_unbounded": "unbounded exponent rule must be a JSON object",
+    "scale_one": "scale must be an integer >= 2",
+    "divisor_zero": "divisor must be positive",
+    "target_zero": "target must be positive",
+    "empty_fixed": "fixed part must be nonempty",
+    "colliding_fixed": "insertion digit 6 collides with the fixed part",
+}
+MALFORMED += [("verdict --no-q {%s}" % name, {}, "bad-input", 2)
+              for name in SPEC_RULE_DETAILS]
 
 # Every command that reads a spec file, with the kinds of spec file it
 # takes; each refuses the kinds that it does not take, which the files of
@@ -590,7 +611,11 @@ MALFORMED_DETAILS = {
     "verdict --no-q {no_fixed}": "missing key 'fixed'",
     "iz {no_x}": "missing key 'x'",
     "verdict --no-q {no_p}": "missing key 'p'",
+    "verdict --no-q {jp} --window 0,1": "a window applies to insertion specs only",
+    "example jorgensen-pedersen --no-q --window 0,1":
+        "a window applies to insertion specs only",
     **WRONG_KINDS,
+    **{"verdict --no-q {%s}" % name: detail for name, detail in SPEC_RULE_DETAILS.items()},
 }
 
 # A huge enumeration tail must be refused before its letters are listed,
@@ -600,8 +625,11 @@ MALFORMED_DETAILS = {
 # "int_pair" holds a pair that is not a pair object;
 # "wide" has a tail support width of 10^200/3, too wide for the Q tail fit;
 # "far_level" has the level scale 2^2001, past the float range;
-# "atoms", "atom_object" and "scalar" are read only to be refused, and the
-# "no_" files each lack the key they name.
+# "atoms", "atom_object" and "scalar" are read only to be refused, the
+# "no_" files each lack the key they name, and the files of
+# SPEC_RULE_DETAILS each break the rule that its detail names.
+ONE_LETTER = [{"n": 4, "b": [0, 2]}]
+INSERTION = insertion_target_five_sixths().to_json()
 MALFORMED_FILES = {
     "enum_1e300": {"alphabet": [{"n": 4, "b": [0, 2]}],
                    "word": {"tail": {"enumerate": 1e300}}},
@@ -642,6 +670,18 @@ MALFORMED_FILES = {
     "no_x": [{"w": "1/2"}, {"x": "1", "w": "1/2"}],
     "no_p": {"alphabet": [{"n": 4, "b": [0, 2]}],
              "word": {"tail": {"bernoulli": {"seed": 3}}}},
+    "nan_number": {"alphabet": ONE_LETTER, "exponents": {"const": float("nan")}},
+    "infinite_number": {"alphabet": [{"n": 4, "b": [0, float("inf")]}]},
+    "int_tail": {"alphabet": ONE_LETTER, "word": {"tail": 5}},
+    "unknown_tail": {"alphabet": ONE_LETTER, "word": {"tail": {"cycle": [1]}}},
+    "list_word": {"alphabet": ONE_LETTER, "word": [1]},
+    "int_exponents": {"alphabet": ONE_LETTER, "exponents": 2},
+    "int_unbounded": {"alphabet": ONE_LETTER, "exponents": {"unbounded": 5}},
+    "scale_one": {**INSERTION, "scale": 1},
+    "divisor_zero": {**INSERTION, "divisor": 0},
+    "target_zero": {**INSERTION, "target": "0"},
+    "empty_fixed": {**INSERTION, "fixed": []},
+    "colliding_fixed": {**INSERTION, "fixed": [2, 6]},
 }
 
 # seconds one malformed case may take before it counts as a hang
@@ -654,7 +694,7 @@ def test_malformed_input_gets_one_json_error(runner, jp_file, tmp_path,
                                              command, env, kind, code):
     files = {"jp": jp_file}
     for name, text in (
-            ("ins", json.dumps(insertion_target_five_sixths().to_json())),
+            ("ins", json.dumps(INSERTION)),
             ("broken", "{bad"),
             ("nx", json.dumps({"alphabet": [{"n": "x", "b": [0, 1]}]})),
             *((name, json.dumps(data)) for name, data in MALFORMED_FILES.items())):

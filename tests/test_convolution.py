@@ -26,6 +26,7 @@ from spectralconv.convolution import (
     MAX_TRUNCATION_ATOMS,
     PeriodicExponents,
     SparseInsertionSpec,
+    _alphabet_zero_gap,
     _is_triangular,
     UnboundedExponents,
     density_consecutive,
@@ -336,8 +337,8 @@ def test_exact_zero_decisions(jp):
 
 
 def test_minimum_zero_gap(jp, mixed17):
-    assert jp.min_zero_gap() == Fraction(1, 4)
-    assert mixed17.min_zero_gap() == Fraction(1, 6)
+    assert _alphabet_zero_gap(jp.alphabet) == Fraction(1, 4)
+    assert _alphabet_zero_gap(mixed17.alphabet) == Fraction(1, 6)
 
 
 def test_translate_walk_computes_each_letter_gap_once(monkeypatch):

@@ -134,6 +134,7 @@ TEST_ONLY_ALLOWED = {
     "measures.AtomicMeasure.ft": "the transform oracle of the measure tests",
     "measures.AtomicMeasure.uniform": "the tests' constructor of uniform measures",
     "measures.AtomicMeasure.point": "the tests' constructor of point masses",
+    "measures.AtomicMeasure.atoms": "the tests' Fraction view of a measure",
     "measures.convolve": "perfbench/tracing.py wraps it",
     "cyclotomic.euler_phi": "the degree of the cyclotomic polynomials in the order tests",
     "convolution.SparseInsertionSpec.digits_at": "the spec's definition of its own levels",
@@ -169,28 +170,36 @@ def _checked_definitions(tree):
 
 
 def _names_read(node, enclosing, out):
-    """Append (name, ids of the enclosing definitions) for every name read,
-    by name or as an attribute, in the tree under ``node``."""
+    """Append (name, ids of the enclosing definitions) for every name read
+    in the tree under ``node``; a read as an attribute is keyed "." + name."""
     if isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
         enclosing = enclosing | {id(node)}
     if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store):
-        out.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(enclosing)
+        key = node.id if isinstance(node, ast.Name) else "." + node.attr
+        out.setdefault(key, []).append(enclosing)
     for child in ast.iter_child_nodes(node):
         _names_read(child, enclosing, out)
 
 
 def definitions_reached_only_by_tests(sources):
     """Sorted ``module.qualname`` of every checked definition that no module
-    but ``__init__.py`` names outside the definition itself."""
+    but ``__init__.py`` names outside the definition itself.  A method is
+    named only as an attribute: a local variable of the same name is not
+    a read of it."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = {}
     for module, tree in trees.items():
         if module != "__init__.py":
             _names_read(tree, frozenset(), read)
+
+    def reads(qualname, name):
+        attribute = read.get("." + name, [])
+        return attribute if "." in qualname else attribute + read.get(name, [])
+
     return sorted("%s.%s" % (module[:-3], qualname)
                   for module, tree in trees.items()
                   for qualname, node in _checked_definitions(tree)
-                  if all(id(node) in enclosing for enclosing in read.get(node.name, ())))
+                  if all(id(node) in enclosing for enclosing in reads(qualname, node.name)))
 
 
 def test_the_checker_sees_a_test_only_definition():
@@ -203,7 +212,9 @@ def test_the_checker_sees_a_test_only_definition():
                 "        return super().invoke(ctx)\n"
                 "@click.group()\ndef main():\n    pass\n"
                 "@main.command('go')\ndef go():\n    pass\n",
-        "b.py": "from .a import Box, Loud, used\nx = used() + Box() + Loud()\n",
+        # the local variable shut is not a read of the method Box.shut
+        "b.py": "from .a import Box, Loud, used\nshut = [1]\n"
+                "x = used() + Box() + Loud() + len(shut)\n",
     }
     assert definitions_reached_only_by_tests(sources) == ["a.Box.shut", "a.spare"]
 

@@ -1,6 +1,7 @@
 """Digit-set exponential sums and their zero sets."""
 
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -16,7 +17,7 @@ from spectralconv.mask import (
     eval_mask,
     mask_abs2,
     mask_zero_set,
-    rational_zeros,
+    scaled_zero_sets,
     window_zeros,
 )
 from spectralconv.words import splitmix64
@@ -70,18 +71,18 @@ def test_children_of_a_branch_sum_to_one(scale, digits, spectrum, exponent):
 
 
 def test_two_digit_zero_sets():
-    z = rational_zeros((0, 1))
+    z = mask_zero_set((0, 1)).rational
     assert z.members_in(0, 2) == [Fraction(1, 2), Fraction(3, 2)]
-    z = rational_zeros((0, 2))
+    z = mask_zero_set((0, 2)).rational
     assert z.members_in(0, 1) == [Fraction(1, 4), Fraction(3, 4)]
-    z = rational_zeros((0, 4))
+    z = mask_zero_set((0, 4)).rational
     assert z.members_in(0, Fraction(1, 2)) == [Fraction(1, 8), Fraction(3, 8)]
 
 
 def test_consecutive_digit_zero_set_is_punctured_lattice():
     # digits 0..N-1 vanish exactly on (1/N) * (integers not divisible by N)
     for n in (2, 3, 4, 5):
-        z = rational_zeros(tuple(range(n)))
+        z = mask_zero_set(tuple(range(n))).rational
         got = z.members_in(Fraction(-3), Fraction(3))
         expected = [Fraction(k, n) for k in range(-3 * n, 3 * n + 1)
                     if k % n != 0]
@@ -89,7 +90,7 @@ def test_consecutive_digit_zero_set_is_punctured_lattice():
 
 
 def test_membership_is_exact():
-    z = rational_zeros((0, 2))
+    z = mask_zero_set((0, 2)).rational
     assert Fraction(1, 4) in z
     assert Fraction(3, 4) in z
     assert Fraction(5, 4) in z
@@ -116,7 +117,7 @@ def test_zero_sets_are_symmetric_under_negation():
 
 def test_every_listed_zero_kills_the_mask():
     for digits in ((0, 1), (0, 3), (0, 2, 4), (0, 1, 2, 3), (0, 5)):
-        z = rational_zeros(digits)
+        z = mask_zero_set(digits).rational
         for x in z.members_in(-2, 2):
             assert abs(eval_mask(digits, x)) < 1e-12
 
@@ -127,9 +128,19 @@ def test_scaling_and_shifting_zero_sets():
     assert window_zeros(levels, 6, Fraction(1, 2)) == [Fraction(3, 2), Fraction(9, 2)]
 
 
+def test_the_level_walk_stops_where_no_later_level_reaches_the_bound():
+    """Scaled zeros of level k are at least |scale_k| * gap from 0: the
+    walk yields levels 3 and -9 (3/2, 9/2 <= 6) and stops at 27, although
+    the stream of levels never ends."""
+    levels = ((3 ** k * (-1) ** (k + 1), (0, 1)) for k in itertools.count(1))
+    walked = list(scaled_zero_sets(levels, 6, Fraction(1, 2)))
+    assert walked == [(3, RationalZeroSet(2, (1,))), (9, RationalZeroSet(2, (1,)))]
+    assert list(scaled_zero_sets(iter([(3, (0, 1))]), 6, None)) == []
+
+
 def test_min_abs_nonzero():
-    assert rational_zeros((0, 3)).min_abs_nonzero() == Fraction(1, 6)
-    assert rational_zeros((0, 1)).min_abs_nonzero() == Fraction(1, 2)
+    assert mask_zero_set((0, 3)).rational.min_abs_nonzero() == Fraction(1, 6)
+    assert mask_zero_set((0, 1)).rational.min_abs_nonzero() == Fraction(1, 2)
     at_zero = RationalZeroSet(5, (0, 3))
     assert at_zero.min_abs_nonzero() == Fraction(2, 5)
     only_zero = RationalZeroSet(1, (0,))
@@ -193,12 +204,16 @@ def test_clean_masks_carry_no_flag():
 
 def test_flagged_digits_poison_window_enumeration():
     from spectralconv.catalog import scale4_spec
-    from spectralconv.convolution import ConstantExponents, ConvolutionSpec
+    from spectralconv.convolution import (ConstantExponents, ConvolutionSpec,
+                                          _alphabet_zero_gap, zero_set_window)
     from spectralconv.hadamard import AdmissiblePair
 
     spec = ConvolutionSpec(
         (AdmissiblePair(7, (0, 1, 3, 5, 6)),),
         scale4_spec().word, ConstantExponents(1))
-    with pytest.raises(IrrationalZeroPresent):
-        spec.min_zero_gap()
-    assert spec.min_zero_gap(require_complete=False) is None
+    with pytest.raises(IrrationalZeroPresent,
+                       match=r"^digit set \(0, 1, 3, 5, 6\) has mask zeros off"):
+        zero_set_window(spec, 0, 1)
+    # no rational zero at all, so the exact point test stays complete
+    assert _alphabet_zero_gap(spec.alphabet) is None
+    assert not spec.transform_zero_at(Fraction(1, 3))

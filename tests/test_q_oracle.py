@@ -51,7 +51,7 @@ def q_oracle(spec: ConvolutionSpec, n: int, xi: Fraction):
     smin = min(p.modulus for p in spec.alphabet) ** spec.exponents.minimum()
     diam = Fraction(span, smin - 1)
     lo = hi = mpmath.mpf(0)
-    for lam in candidate_spectrum(spec, n).elements:
+    for lam in candidate_spectrum(spec, n):
         x = xi + lam
         # the rest after level k moves the product by at most bound / c_k^2
         bound = 20 * diam ** 2 * x ** 2
@@ -297,7 +297,7 @@ def test_periodic_prefix_points_stop_at_different_tail_levels():
     spec = build()
     fits = spectrality._TailFits(spec)
     points = _points(sorted(CASES).index("periodic-prefix"))
-    spectrum = candidate_spectrum(spec, n).elements
+    spectrum = candidate_spectrum(spec, n)
     assert len(points) * len(spectrum) <= spectrality._BLOCK_ENTRIES
     assert not options
     c = abs(spec.cumulative_scale(n))
