@@ -38,9 +38,9 @@ Rational = Union[int, Fraction]
 
 _U = 2.0 ** -53
 
-# q_partial cuts its grid into point blocks of about this many branches,
-# so no temporary of a level holds more than a few times that many
-# entries.
+# q_partial runs the tree levels on the whole grid while it holds at most
+# this many branches, then on point blocks of about this many at the widest
+# level, so no temporary of a level holds more than a few times that many.
 _BLOCK_ENTRIES = 1 << 15
 
 # q_partial sums each row in blocks of this many columns (``_row_sums``)
@@ -392,9 +392,42 @@ class _SharedLevels:
         return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
 
 
-def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
-                     tol: float, budget_atoms: int, levels: list,
-                     delta: np.ndarray, ybound: np.ndarray,
+def _walk_levels(levels: list, ks: range, budget_atoms: int,
+                 shared: _SharedLevels, points: slice, branches: tuple) -> tuple:
+    """Tree levels ``ks`` of ``_q_partial_block`` on the rows ``points``:
+    ``branches`` is their (y, p, pruned mass, whether a level pruned), and
+    a level that prunes keeps each row's budget_atoms heaviest branches."""
+    y, p, dropped, pruned = branches
+    npts = len(y)
+    for k in ks:
+        scale, offsets, kernel = levels[k - 1]
+        # child-major: column l * width + j is child l of parent j
+        width = p.shape[1]
+        y = ((y / scale)[:, None, :] + offsets[:, None]).reshape(npts, -1)
+        head = kernel(y[:, :-width]) if pruned else shared.factor(k, points)
+        head = head.reshape(npts, -1, width)
+        last = head.sum(axis=1)
+        np.subtract(1.0, last, out=last)
+        np.maximum(last, 0.0, out=last)
+        # new contiguous arrays: numpy broadcasts into a strided view far slower
+        factor = np.empty_like(y).reshape(npts, -1, width)
+        np.multiply(head, p[:, None, :], out=factor[:, :-1])
+        np.multiply(last, p, out=factor[:, -1])
+        p = factor.reshape(npts, -1)
+        if p.shape[1] > budget_atoms:
+            pruned = True
+            cut = p.shape[1] - budget_atoms
+            order = np.argpartition(p, cut, axis=1)
+            order += np.arange(0, p.size, p.shape[1])[:, None]
+            dropped += _row_sums(p.take(order[:, :cut]))
+            p = p.take(order[:, cut:])
+            y = y.take(order[:, cut:])
+    return y, p, dropped, pruned
+
+
+def _q_partial_block(spec: ConvolutionSpec, n: int, tol: float,
+                     budget_atoms: int, levels: list, first: int,
+                     branches: tuple, delta: np.ndarray, ybound: np.ndarray,
                      kernel_err: np.ndarray, widest: int, tails: _TailFits,
                      shared: _SharedLevels, points: slice) -> tuple[np.ndarray, np.ndarray]:
     """Certified Q_n enclosures (value, radius) for a block of grid points.
@@ -404,8 +437,9 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
     is the series a_0 + sum_f a_f cos(2 pi f y) of ``MaskAbs2.terms``,
     clamped to [0, 1].  ``levels`` holds each level's (scale, offsets,
     kernel), ``delta``, ``ybound`` and ``kernel_err`` the points' bounds
-    at level n (see ``q_partial``), and ``points`` the block's rows of
-    ``shared``.  The true Q_n(xi) is the sum over leaves of p times
+    at level n (see ``q_partial``), ``points`` the block's rows of
+    ``shared``, and ``branches`` those rows after the levels before
+    ``first``.  The true Q_n(xi) is the sum over leaves of p times
     F_m(y) = |nu_m^(y)|^2, with nu_m the measure of the levels after the
     last one multiplied, m.  The radius has three parts:
 
@@ -452,34 +486,10 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, xs: np.ndarray,
     Every point's row is computed on its own, so the result does not
     depend on how the grid is split into blocks.
     """
-    npts = len(xs)
-    y = xs.reshape(npts, 1).copy()
-    p = np.ones_like(y)
+    y, p, dropped, pruned = _walk_levels(levels, range(first, n + 1), budget_atoms,
+                                         shared, points, branches)
+    npts = len(y)
     delta, ybound, kernel_err = delta.copy(), ybound.copy(), kernel_err.copy()
-    dropped = np.zeros(npts)
-    pruned = False
-    for k, (scale, offsets, kernel) in enumerate(levels, 1):
-        # child-major: column l * width + j is child l of parent j
-        width = p.shape[1]
-        y = ((y / scale)[:, None, :] + offsets[:, None]).reshape(npts, -1)
-        head = kernel(y[:, :-width]) if pruned else shared.factor(k, points)
-        head = head.reshape(npts, -1, width)
-        last = head.sum(axis=1)
-        np.subtract(1.0, last, out=last)
-        np.maximum(last, 0.0, out=last)
-        # new contiguous arrays: numpy broadcasts into a strided view far slower
-        factor = np.empty_like(y).reshape(npts, -1, width)
-        np.multiply(head, p[:, None, :], out=factor[:, :-1])
-        np.multiply(last, p, out=factor[:, -1])
-        p = factor.reshape(npts, -1)
-        if p.shape[1] > budget_atoms:
-            pruned = True
-            cut = p.shape[1] - budget_atoms
-            order = np.argpartition(p, cut, axis=1)
-            order += np.arange(0, p.size, p.shape[1])[:, None]
-            dropped += _row_sums(p.take(order[:, :cut]))
-            p = p.take(order[:, cut:])
-            y = y.take(order[:, cut:])
     # largest |computed y| per point; dividing every y by a scale divides
     # it exactly the same way, since rounding is monotonic
     far = np.maximum(y.max(axis=1), -y.min(axis=1))
@@ -571,8 +581,9 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
     on |y| <= 2/(pi D), D the support width of the tail measures) and
     float rounding, with every row summed in a fixed blocked order; see
     ``_q_partial_block``.  Level constants, tables and error bounds through
-    level n are computed once for the grid; point blocks of about
-    _BLOCK_ENTRIES branches then run in turn.
+    level n are computed once for the grid, and so are the tree levels
+    while the grid holds at most _BLOCK_ENTRIES branches; point blocks of
+    about _BLOCK_ENTRIES branches at the widest level then carry on in turn.
     """
     if n < 1:
         raise ValueError("depth must be at least 1")
@@ -593,6 +604,7 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
     tails = _TailFits(spec)
     levels = []
     widest = columns = 1
+    grid_levels = 0  # levels with at most _BLOCK_ENTRIES branches on the whole grid
     shared = _SharedLevels(spec, xs)
     for k in range(1, n + 1):
         pair = spec.pair_at(k)
@@ -609,13 +621,18 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
         levels.append((scale, offsets, kernel))
         columns = min(columns, budget_atoms) * len(spectrum)
         widest = max(widest, columns)
+        grid_levels += len(xs) * widest <= _BLOCK_ENTRIES
+    y, p, dropped, pruned = _walk_levels(
+        levels, range(1, grid_levels + 1), budget_atoms, shared, slice(0, len(xs)),
+        (xs.reshape(-1, 1), np.ones((len(xs), 1)), np.zeros(len(xs)), False))
     per_block = max(1, _BLOCK_ENTRIES // widest)
     parts = []
     for block in np.array_split(np.arange(len(xs)), -(-len(xs) // per_block)):
         cut = slice(block[0], block[-1] + 1)
         parts.append(_q_partial_block(
-            spec, n, xs[cut], tol, budget_atoms, levels, delta[cut],
-            ybound[cut], kernel_err[cut], widest, tails, shared, cut))
+            spec, n, tol, budget_atoms, levels, grid_levels + 1,
+            (y[cut], p[cut], dropped[cut], pruned), delta[cut], ybound[cut],
+            kernel_err[cut], widest, tails, shared, cut))
     value = np.concatenate([v for v, _ in parts])
     radius = np.concatenate([r for _, r in parts])
     return QReport(
@@ -1003,6 +1020,8 @@ def spectral_verdict(spec, budget: Optional[VerdictBudget] = None
         raise TypeError("expected a ConvolutionSpec or SparseInsertionSpec")
     if budget.window is not None:
         raise ValueError("a window applies to insertion specs only")
+    if budget.run_q and budget.depth < 1:
+        raise ValueError("depth must be at least 1")
     trace = []
 
     family = detect_special(spec)

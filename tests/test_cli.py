@@ -541,6 +541,7 @@ MALFORMED = [
     ("verdict --no-q {no_p}", {}, "bad-input", 2),
     ("verdict --no-q {jp} --window 0,1", {}, "bad-input", 2),
     ("example jorgensen-pedersen --no-q --window 0,1", {}, "bad-input", 2),
+    ("--budget-depth 0 verdict {evidence}", {}, "bad-input", 2),
 ]
 
 # The refusals of each spec-file rule, one file each (in MALFORMED_FILES),
@@ -614,6 +615,7 @@ MALFORMED_DETAILS = {
     "verdict --no-q {jp} --window 0,1": "a window applies to insertion specs only",
     "example jorgensen-pedersen --no-q --window 0,1":
         "a window applies to insertion specs only",
+    "--budget-depth 0 verdict {evidence}": "depth must be at least 1",
     **WRONG_KINDS,
     **{"verdict --no-q {%s}" % name: detail for name, detail in SPEC_RULE_DETAILS.items()},
 }
@@ -625,6 +627,7 @@ MALFORMED_DETAILS = {
 # "int_pair" holds a pair that is not a pair object;
 # "wide" has a tail support width of 10^200/3, too wide for the Q tail fit;
 # "far_level" has the level scale 2^2001, past the float range;
+# "evidence" is EVIDENCE, which a verdict takes to the grid Q;
 # "atoms", "atom_object" and "scalar" are read only to be refused, the
 # "no_" files each lack the key they name, and the files of
 # SPEC_RULE_DETAILS each break the rule that its detail names.
@@ -661,6 +664,7 @@ MALFORMED_FILES = {
              "word": {"tail": {"periodic": [1, 2]}}},
     "far_level": {"alphabet": [{"n": 2, "b": [0, 1], "l": [0, 1]}],
                   "exponents": {"unbounded": {"offset": 2000}}},
+    "evidence": EVIDENCE,
     "atoms": [{"x": "0", "w": "1/2"}, {"x": "1", "w": "1/2"}],
     "atom_object": {"atoms": [{"x": "0", "w": "1/2"}, {"x": "1", "w": "1/2"}]},
     "scalar": 5,

@@ -117,24 +117,45 @@ def test_partial_functional_on_the_quarter_spec(jp):
 def test_point_blocks_do_not_change_the_report(jp, monkeypatch):
     """Also on the pruning path (base 6 under a budget of 4 atoms, so the
     levels after the first prune take the per-entry kernel) and on tail
-    levels (a digit span of 30 runs several past the tree)."""
+    levels (a digit span of 30 runs several past the tree).  The tree
+    levels run once on the whole grid while it holds at most
+    _BLOCK_ENTRIES branches, and point blocks carry on from the first
+    level past that: level 12 for jp on 16 points, level 7 for base 6
+    under 700 atoms on 16 points, which prunes at level 6 (3^6 = 729
+    branches) on the whole grid, and level 10 for the wide spec on 64
+    points, whose blocks then run the tail levels."""
     base6 = ConvolutionSpec((AdmissiblePair(6, (0, 1, 2), (0, 2, 4)),),
                             SymbolicWord((), PeriodicTail((1,))), ConstantExponents(1))
     wide = ConvolutionSpec((AdmissiblePair(4, (0, 30), (0, 1)),),
                            SymbolicWord((), PeriodicTail((1,))), ConstantExponents(1))
-    runs = [(jp, 8, {}), (base6, 3, {"budget_atoms": 4}), (wide, 4, {})]
     grid = frac_grid(16, -2, 2)
-    wholes = [q_partial(spec, n, grid, **options) for spec, n, options in runs]
-    whole = q_partial(jp, 8, frac_grid(16))
-    sizes = []
-    block = spectrality._q_partial_block
+    runs = [(jp, 8, frac_grid(16), {}), (jp, 8, grid, {}),
+            (base6, 3, grid, {"budget_atoms": 4}), (wide, 4, grid, {}),
+            (jp, 12, frac_grid(16), {}),
+            (base6, 8, frac_grid(16), {"budget_atoms": 700}), (wide, 12, grid, {})]
+    walks = []
+    walk = spectrality._walk_levels
+    monkeypatch.setattr(spectrality, "_walk_levels", lambda *args: walks.append(
+        (len(args[5][0]), args[1])) or walk(*args))
+
+    def report(spec, n, points, options):
+        walks.clear()
+        return q_partial(spec, n, points, **options), list(walks)
+
+    wholes = [report(*run) for run in runs]
+    assert [shape for _, shape in wholes] == [
+        [(16, range(1, 9)), (16, range(9, 9))],
+        [(64, range(1, 9)), (64, range(9, 9))],
+        [(64, range(1, 4)), (64, range(4, 4))],
+        [(64, range(1, 5)), (64, range(5, 5))],
+        [(16, range(1, 12))] + [(8, range(12, 13))] * 2,
+        [(16, range(1, 7))] + [(8, range(7, 9))] * 2,
+        [(64, range(1, 10))] + [(8, range(10, 13))] * 8]
     monkeypatch.setattr(spectrality, "_BLOCK_ENTRIES", 1)
-    monkeypatch.setattr(spectrality, "_q_partial_block",
-                        lambda *args: sizes.append(len(args[2])) or block(*args))
-    assert q_partial(jp, 8, frac_grid(16)) == whole
-    assert sizes == [1] * 16
-    for (spec, n, options), report in zip(runs, wholes):
-        assert q_partial(spec, n, grid, **options) == report
+    for (spec, n, points, options), (whole, _) in zip(runs, wholes):
+        npts = len(points)
+        assert report(spec, n, points, options) == (
+            whole, [(npts, range(1, 1))] + [(1, range(1, n + 1))] * npts)
 
 
 def test_partial_functional_empty_grid(jp):
