@@ -17,6 +17,7 @@ import functools
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import click
@@ -34,7 +35,7 @@ from .convolution import (
 from .hadamard import (FIND_SPECTRA_SCALE_LIMIT, AdmissiblePair, first_spectrum,
                        is_admissible, spectrum_rows)
 from .mask import IrrationalZeroPresent, mask_zero_set
-from .measures import JSON_SCALARS, AtomicMeasure, frac_str, parse_frac
+from .measures import JSON_SCALARS, AtomicMeasure, frac_str, int_dtype, parse_frac
 from .spectrality import (
     VerdictBudget,
     iz_weak_limit,
@@ -128,30 +129,31 @@ def _rows(arr: np.ndarray, level: int) -> str:
     return "".join(cells)
 
 
-def _records(arr: np.ndarray, level: int) -> str:
-    """A 1-D structured array as the list of its records, each an object
-    of its fields.
+def _reduced(ints: np.ndarray, d: int, after: str) -> tuple[list, list]:
+    """ints / d in lowest terms: each fraction's numerator string, and its
+    "/m" (none for m = 1) followed by `after`.  One vectorized gcd, and one
+    string per distinct reduced numerator and per distinct denominator m."""
+    g = np.gcd(ints, d)
+    nums, i = np.unique(ints // g, return_inverse=True)
+    dens, j = np.unique(d // g, return_inverse=True)
+    heads = np.array(list(map(str, nums.tolist())), object)
+    ends = np.array([("/%d" % m if m != 1 else "") + after for m in dens.tolist()], object)
+    return heads[i].tolist(), ends[j].tolist()
 
-    Each field's column goes through the C encoder once, as a list of
-    scalars whose ensure_ascii text holds no raw newline, and each record's
-    text is joined once from the column texts."""
-    if arr.ndim != 1:
-        raise TypeError("only 1-D arrays of scalar records are printed")
-    if not arr.size:
-        return "[]"
+
+def _atoms(m: AtomicMeasure, level: int) -> str:
+    """A measure's atoms as the list of their {"w", "x"} records of reduced
+    fraction strings, joined once from the lattice integers: four pieces
+    an atom, each numerator followed by the text from its denominator up
+    to the next numerator."""
     pad, inner, deep = "  " * level, "  " * (level + 1), "  " * (level + 2)
-    names, columns = sorted(arr.dtype.names), []
-    for name in names:
-        column = arr[name].tolist()
-        if not set(map(type, column)) <= JSON_SCALARS:
-            raise TypeError("only 1-D arrays of scalar records are printed")
-        columns.append(_encoder(0)(column)[1:-1].split(",\n"))
-    texts = columns[0]
-    for name, column in zip(names[1:], columns[1:]):
-        texts = list(map((",\n" + deep + _encoder(0)(name) + ": ").join, zip(texts, column)))
-    opener = inner + "{\n" + deep + _encoder(0)(names[0]) + ": "
-    return ("[\n" + opener + ("\n" + inner + "},\n" + opener).join(texts)
-            + "\n" + inner + "}\n" + pad + "]")
+    opener, closer = inner + "{\n" + deep + '"w": "', '"\n' + inner + "}"
+    dtype = int_dtype(max(-m.nums[0], m.nums[-1], m.den, m.total))
+    pieces = ["[\n" + opener, *chain.from_iterable(zip(
+        *_reduced(np.array(m.weights, dtype), m.total, '",\n' + deep + '"x": "'),
+        *_reduced(np.array(m.nums, dtype), m.den, closer + ",\n" + opener)))]
+    pieces[-1] = pieces[-1][:-len(",\n" + opener)] + "\n" + pad + "]"
+    return "".join(pieces)
 
 
 def _dumps(obj, level: int = 0) -> str:
@@ -159,10 +161,12 @@ def _dumps(obj, level: int = 0) -> str:
 
     Scalar-only containers go to the C encoder whole, and every other
     container is built member by member.  A 2-D integer ndarray prints as
-    the list of its rows, and a structured one as the list of its
-    records."""
+    the list of its rows, and an AtomicMeasure as the list of its atoms'
+    {"w", "x"} frac_str records."""
+    if isinstance(obj, AtomicMeasure):
+        return _atoms(obj, level)
     if isinstance(obj, np.ndarray):
-        return _records(obj, level) if obj.dtype.names else _rows(obj, level)
+        return _rows(obj, level)
     if not isinstance(obj, (dict, list, tuple)):
         return _encoder(0)(obj)
     o, c = "{}" if isinstance(obj, dict) else "[]"
@@ -180,14 +184,14 @@ def _dumps(obj, level: int = 0) -> str:
 
 
 def _emit(ctx: click.Context, payload: dict) -> None:
-    """Write the payload to --json-out, then print it."""
+    """Build the payload's document whole, then write it, and a newline,
+    to --json-out and to the current stdout."""
     text = _dumps(payload)
     json_out = ctx.obj.get("json_out")
     if json_out:
         with open(json_out, "w") as handle:
-            handle.write(text)
-            handle.write("\n")
-    click.echo(text)
+            print(text, file=handle)
+    print(text, flush=True)
 
 
 def _emit_q_csv(ctx: click.Context, q_json: Optional[dict]) -> None:
@@ -335,7 +339,7 @@ def conv():
 def conv_truncate(ctx, specfile, depth):
     spec = _load(specfile)
     measure = spec.truncate(depth)
-    _emit(ctx, {"depth": depth, "atoms": measure.to_records()})
+    _emit(ctx, {"depth": depth, "atoms": measure})
 
 
 @conv.command("ft")

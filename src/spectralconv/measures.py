@@ -69,17 +69,6 @@ def frac_str(x: Fraction) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _ratio_strs(nums: np.ndarray, d: int) -> np.ndarray:
-    """frac_str(n / d) for each n of an integer array, as an object array:
-    one vectorized gcd over the distinct values, one "/m" per distinct
-    reduced denominator m."""
-    values, index = np.unique(nums, return_inverse=True)
-    g = np.gcd(values, d)
-    dens, which = np.unique(d // g, return_inverse=True)
-    slash = np.array([f"/{m}" if m != 1 else "" for m in dens.tolist()], object)
-    return (np.array(list(map(str, (values // g).tolist())), object) + slash[which])[index]
-
-
 def _json_value(value):
     if isinstance(value, Fraction):
         return frac_str(value)
@@ -98,7 +87,8 @@ class JsonRecord:
     as it is.  Classes whose JSON keys are not their field names keep their
     own to_json: the input formats (AdmissiblePair, the exponent and tail
     rules, SparseInsertionSpec), RationalZeroSet, MaskZeros and
-    MonteCarloSummary; so does AtomicMeasure, which prints through to_records.
+    MonteCarloSummary.  AtomicMeasure has none: the command line prints
+    its atoms straight from the lattice integers.
     """
 
     def to_json(self) -> dict:
@@ -220,14 +210,6 @@ class AtomicMeasure:
             groups[theta] = groups.get(theta, 0) + w
         return sum(w / self.total * phase_unit(Fraction(theta, period))
                    for theta, w in groups.items())
-
-    def to_records(self) -> np.ndarray:
-        """The atoms as records of their reduced "w" and "x" strings."""
-        dtype = int_dtype(max(-self.nums[0], self.nums[-1], self.den, self.total))
-        out = np.empty(len(self.nums), [("w", object), ("x", object)])
-        out["w"] = _ratio_strs(np.array(self.weights, dtype), self.total)
-        out["x"] = _ratio_strs(np.array(self.nums, dtype), self.den)
-        return out
 
     @classmethod
     def from_json(cls, data: Sequence[dict]) -> "AtomicMeasure":

@@ -1,12 +1,14 @@
 """Finite atomic measures with exact rational atoms."""
 
 import cmath
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectralconv.cli import _dumps
 from spectralconv.measures import (
     AtomicMeasure,
     ComplexInterval,
@@ -115,7 +117,7 @@ def test_interval_bounds():
 @settings(max_examples=40, deadline=None)
 def test_json_roundtrip(m):
     """The atoms `conv truncate` prints read back as the same measure."""
-    again = AtomicMeasure.from_json([{"x": x, "w": w} for w, x in m.to_records().tolist()])
+    again = AtomicMeasure.from_json(json.loads(_dumps(m)))
     assert again.atoms == m.atoms
 
 
