@@ -91,15 +91,15 @@ class MaskAbs2:
     rounding: float
     terms: tuple[tuple[int, float], ...]
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        c = y * self.step
+    def __call__(self, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        c = np.multiply(y, self.step, out=out)
         np.cos(c, out=c)
         b1, b2 = self.coeffs[-1], 0.0
         for a in self.coeffs[-2:0:-1]:
             b = c * (b1 + b1)
             b += a - b2
             b1, b2 = b, b1
-        f = c * b1
+        f = np.multiply(c, b1, out=c)
         f += self.coeffs[0] - b2
         np.maximum(f, 0.0, out=f)
         return np.minimum(f, 1.0, out=f)

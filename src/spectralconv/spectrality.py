@@ -40,7 +40,7 @@ _U = 2.0 ** -53
 
 # q_partial runs the tree levels on the whole grid while it holds at most
 # this many branches, then on point blocks of about this many at the widest
-# level, so no temporary of a level holds more than a few times that many.
+# level, which reuse five buffers of that many entries for their arrays.
 _BLOCK_ENTRIES = 1 << 15
 
 # q_partial sums each row in blocks of this many columns (``_row_sums``)
@@ -162,9 +162,9 @@ class _TailFit:
     coeffs: tuple[float, ...]
     quad: float
 
-    def __call__(self, s: np.ndarray) -> np.ndarray:
-        """F_m at the branches whose squared positions are ``s``."""
-        f = s * self.coeffs[0]
+    def __call__(self, s: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """F_m at the branches whose squared positions are ``s``, into ``out`` if given."""
+        f = np.multiply(s, self.coeffs[0], out=out)
         f += self.coeffs[1]
         for c in self.coeffs[2:]:
             f *= s
@@ -379,11 +379,12 @@ class _SharedLevels:
                            np.sin(turns), (kernel.coeffs[0] - theta) * stretch, err)
         return self._levels[m]
 
-    def factor(self, m: int, points) -> np.ndarray:
-        """Level m's factors at rows ``points``, as a new contiguous array."""
+    def factor(self, m: int, points, out: Optional[np.ndarray] = None,
+               tmp: Optional[np.ndarray] = None) -> np.ndarray:
+        """Level m's factors at rows ``points``, into ``out`` with ``tmp`` (else new arrays)."""
         rows_cos, rows_sin, cols_cos, cols_sin, const, _ = self(m)
-        out = np.multiply(rows_cos[points, :1], cols_cos[0])
-        tmp = np.empty_like(out)
+        out = np.multiply(rows_cos[points, :1], cols_cos[0], out=out)
+        tmp = np.empty_like(out) if tmp is None else tmp
         for t in range(len(cols_cos)):
             if t:
                 out += np.multiply(rows_cos[points, t:t + 1], cols_cos[t], out=tmp)
@@ -392,36 +393,53 @@ class _SharedLevels:
         return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out)
 
 
-def _walk_levels(levels: list, ks: range, budget_atoms: int,
-                 shared: _SharedLevels, points: slice, branches: tuple) -> tuple:
+def _view(buf: Optional[np.ndarray], shape: tuple) -> np.ndarray:
+    """The head of the flat ``buf`` as a C-contiguous array of ``shape``;
+    a new array where there is no buffer."""
+    return np.empty(shape) if buf is None else buf[:math.prod(shape)].reshape(shape)
+
+
+def _walk_levels(levels: list, ks: range, budget_atoms: int, shared: _SharedLevels,
+                 points: slice, branches: tuple, free: tuple = (None,) * 5) -> tuple:
     """Tree levels ``ks`` of ``_q_partial_block`` on the rows ``points``:
     ``branches`` is their (y, p, pruned mass, whether a level pruned), and
-    a level that prunes keeps each row's budget_atoms heaviest branches."""
+    a level that prunes keeps each row's budget_atoms heaviest branches.
+    Its arrays go into the flat buffers ``free`` (``_view``), never into
+    one that holds an array still to be read: y into the first, p into the
+    third and fourth in turn, the other children, the pruned masses and a
+    pruned y into the last, the rest into the second."""
     y, p, dropped, pruned = branches
+    ybuf, work, pbuf, spare, heads = free
     npts = len(y)
     for k in ks:
         scale, offsets, kernel = levels[k - 1]
         # child-major: column l * width + j is child l of parent j
         width = p.shape[1]
-        y = ((y / scale)[:, None, :] + offsets[:, None]).reshape(npts, -1)
-        head = kernel(y[:, :-width]) if pruned else shared.factor(k, points)
+        wide = (npts, len(offsets), width)
+        y = np.divide(y, scale, out=_view(work, y.shape))
+        y = np.add(y[:, None, :], offsets[:, None], out=_view(ybuf, wide)).reshape(npts, -1)
+        head = _view(heads, (npts, y.shape[1] - width))
+        head = kernel(y[:, :-width], head) if pruned else shared.factor(
+            k, points, head, _view(work, head.shape))
         head = head.reshape(npts, -1, width)
-        last = head.sum(axis=1)
+        last = head.sum(axis=1, out=_view(work, (npts, width)))
         np.subtract(1.0, last, out=last)
         np.maximum(last, 0.0, out=last)
-        # new contiguous arrays: numpy broadcasts into a strided view far slower
-        factor = np.empty_like(y).reshape(npts, -1, width)
+        # contiguous arrays: numpy broadcasts into a strided view far slower
+        factor = _view(pbuf, wide)
         np.multiply(head, p[:, None, :], out=factor[:, :-1])
         np.multiply(last, p, out=factor[:, -1])
-        p = factor.reshape(npts, -1)
+        p, pbuf, spare = factor.reshape(npts, -1), spare, pbuf  # p is in ``spare``
         if p.shape[1] > budget_atoms:
             pruned = True
             cut = p.shape[1] - budget_atoms
             order = np.argpartition(p, cut, axis=1)
             order += np.arange(0, p.size, p.shape[1])[:, None]
-            dropped += _row_sums(p.take(order[:, :cut]))
-            p = p.take(order[:, cut:])
-            y = y.take(order[:, cut:])
+            # the indices are in range, and mode="raise" would buffer ``out``
+            dropped += _row_sums(p.take(order[:, :cut], mode="clip", out=_view(heads, (npts, cut))))
+            p = p.take(order[:, cut:], mode="clip", out=_view(pbuf, (npts, budget_atoms)))
+            pbuf, spare = spare, pbuf
+            y = y.take(order[:, cut:], mode="clip", out=_view(heads, (npts, budget_atoms)))
     return y, p, dropped, pruned
 
 
@@ -429,7 +447,8 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, tol: float,
                      budget_atoms: int, levels: list, first: int,
                      branches: tuple, delta: np.ndarray, ybound: np.ndarray,
                      kernel_err: np.ndarray, widest: int, tails: _TailFits,
-                     shared: _SharedLevels, points: slice) -> tuple[np.ndarray, np.ndarray]:
+                     shared: _SharedLevels, points: slice,
+                     free: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Certified Q_n enclosures (value, radius) for a block of grid points.
 
     Each branch carries its position y = (xi + lambda)/c_k, updated as
@@ -438,10 +457,11 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, tol: float,
     clamped to [0, 1].  ``levels`` holds each level's (scale, offsets,
     kernel), ``delta``, ``ybound`` and ``kernel_err`` the points' bounds
     at level n (see ``q_partial``), ``points`` the block's rows of
-    ``shared``, and ``branches`` those rows after the levels before
-    ``first``.  The true Q_n(xi) is the sum over leaves of p times
-    F_m(y) = |nu_m^(y)|^2, with nu_m the measure of the levels after the
-    last one multiplied, m.  The radius has three parts:
+    ``shared``, ``branches`` those rows after the levels before ``first``
+    and ``free`` the buffers of ``_walk_levels``, which every block reuses.
+    The true Q_n(xi) is the sum over leaves of p times F_m(y) =
+    |nu_m^(y)|^2, with nu_m the measure of the levels after the last one
+    multiplied, m.  The radius has three parts:
 
     * pruned mass: branches dropped to keep budget_atoms per point add
       their mass as an interval [0, p] of full width;
@@ -487,7 +507,7 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, tol: float,
     depend on how the grid is split into blocks.
     """
     y, p, dropped, pruned = _walk_levels(levels, range(first, n + 1), budget_atoms,
-                                         shared, points, branches)
+                                         shared, points, branches, free)
     npts = len(y)
     delta, ybound, kernel_err = delta.copy(), ybound.copy(), kernel_err.copy()
     # largest |computed y| per point; dividing every y by a scale divides
@@ -515,12 +535,14 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, tol: float,
         delta[rows] = (delta[rows] + 2.01 * _U * (ybound[rows] + delta[rows])) \
             / abs(scale)
         ybound[rows] /= abs(scale)
+        # y and p are in neither the walk's second buffer nor, unpruned, its last
+        out = _view(free[1], (len(delta[rows]), p.shape[1]))
         if pruned:
-            p[rows] *= kernel(y[rows])
+            p[rows] *= kernel(y[rows], out)
             kernel_err[rows] += kernel.error(delta[rows], ybound[rows])
         else:
             index = np.arange(points.start, points.stop)[rows]
-            p[rows] *= shared.factor(m, index)
+            p[rows] *= shared.factor(m, index, out, _view(free[-1], out.shape))
             kernel_err[rows] += shared(m)[-1][index]
     if going.any():
         # past _MAX_TAIL: branches still outside the fit count as [0, p]
@@ -541,7 +563,7 @@ def _q_partial_block(spec: ConvolutionSpec, n: int, tol: float,
         s = y[sel]
         np.square(s, out=s)
         mass = p[sel]
-        f = fit(s)
+        f = fit(s, _view(free[1], s.shape))
         s *= mass
         moment[sel] = _row_sums(s)
         f *= mass
@@ -583,7 +605,8 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
     ``_q_partial_block``.  Level constants, tables and error bounds through
     level n are computed once for the grid, and so are the tree levels
     while the grid holds at most _BLOCK_ENTRIES branches; point blocks of
-    about _BLOCK_ENTRIES branches at the widest level then carry on in turn.
+    about _BLOCK_ENTRIES branches at the widest level then carry on in turn,
+    all writing their arrays into one set of buffers made for this call.
     """
     if n < 1:
         raise ValueError("depth must be at least 1")
@@ -626,13 +649,15 @@ def q_partial(spec: ConvolutionSpec, n: int, grid: Sequence,
         levels, range(1, grid_levels + 1), budget_atoms, shared, slice(0, len(xs)),
         (xs.reshape(-1, 1), np.ones((len(xs), 1)), np.zeros(len(xs)), False))
     per_block = max(1, _BLOCK_ENTRIES // widest)
+    # the blocks' own buffers, apart from the rows above that wait for them
+    free = tuple(np.empty(min(per_block, len(xs)) * widest) for _ in range(5))
     parts = []
     for block in np.array_split(np.arange(len(xs)), -(-len(xs) // per_block)):
         cut = slice(block[0], block[-1] + 1)
         parts.append(_q_partial_block(
             spec, n, tol, budget_atoms, levels, grid_levels + 1,
             (y[cut], p[cut], dropped[cut], pruned), delta[cut], ybound[cut],
-            kernel_err[cut], widest, tails, shared, cut))
+            kernel_err[cut], widest, tails, shared, cut, free))
     value = np.concatenate([v for v, _ in parts])
     radius = np.concatenate([r for _, r in parts])
     return QReport(

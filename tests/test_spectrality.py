@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,7 +124,18 @@ def test_point_blocks_do_not_change_the_report(jp, monkeypatch):
     level past that: level 12 for jp on 16 points, level 7 for base 6
     under 700 atoms on 16 points, which prunes at level 6 (3^6 = 729
     branches) on the whole grid, and level 10 for the wide spec on 64
-    points, whose blocks then run the tail levels."""
+    points, whose blocks then run the tail levels.  Every block reuses one
+    set of buffers, and each array is handed out full of NaN, so a block
+    that read a row another block left behind, or a value before writing
+    it, would change the report."""
+    view = spectrality._view
+
+    def stale(buf, shape):
+        out = view(buf, shape)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(spectrality, "_view", stale)
     base6 = ConvolutionSpec((AdmissiblePair(6, (0, 1, 2), (0, 2, 4)),),
                             SymbolicWord((), PeriodicTail((1,))), ConstantExponents(1))
     wide = ConvolutionSpec((AdmissiblePair(4, (0, 30), (0, 1)),),
