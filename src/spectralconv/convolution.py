@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
-from math import floor, gcd, inf, isqrt, lcm
+from math import floor, gcd, inf, isqrt
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -39,6 +39,7 @@ from .measures import (
     AtomicMeasure,
     ComplexInterval,
     JsonRecord,
+    convolve,
     frac_str,
     int_dtype,
     parse_frac,
@@ -766,15 +767,10 @@ class SparseInsertionSpec:
         tail enclosure: convolving the atoms with anything supported in
         the returned interval dominates the true limit's support."""
         base, tail_iv = self.regular_spec().truncate_with_tail(depth)
-        # both weights share the denominator #fixed + 1, so their numerators
-        # weigh the plain and the translated copy of the truncation
-        (plain, shifted), den = self.limit_weights(), lcm(base.den, self.target.denominator)
-        acc: dict[int, int] = {}
-        for offset, c in ((0, plain.numerator), (int(self.target * den), shifted.numerator)):
-            for n, w in zip(base.nums, base.weights):
-                x = n * (den // base.den) + offset
-                acc[x] = acc.get(x, 0) + c * w
-        return AtomicMeasure.from_lattice(den, acc), tail_iv
+        plain, shifted = self.limit_weights()
+        mixture = AtomicMeasure.from_pairs(((0, plain), (self.target, shifted)))
+        # the two-atom factor first: convolve loops over it outside
+        return convolve(mixture, base), tail_iv
 
     def to_json(self) -> dict:
         return {

@@ -27,6 +27,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .measures import int_dtype
+
 # Orders n with phi(n) <= d satisfy n <= _PHI_SLACK * d for every n below
 # ~1.3e16 (the primorial where prod p/(p-1) first exceeds 7), far past desk
 # scale.  Used to bound the candidate scan.
@@ -253,7 +255,7 @@ def cyclotomic_orders(coeffs: Sequence[int]) -> tuple[list[int], list[int]]:
     support = [e for e, c in enumerate(residual) if c]
     values = [residual[e] for e in support]
     exps = np.array(support, dtype=np.int64)
-    values = np.array(values, dtype=np.int64 if max(map(abs, values)) < 1 << 63 else object)
+    values = np.array(values, dtype=int_dtype(max(map(abs, values))))
     n_max = _PHI_SLACK * d
     _grow_sieve(n_max)
     candidates = np.flatnonzero(_PHI[1:n_max + 1] <= d) + 1

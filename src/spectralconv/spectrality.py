@@ -3,7 +3,7 @@
 Builds candidate frequency sets level by level, evaluates the completeness
 function Q on grids with certified radii, decides integral periodic zero
 sets exactly where possible, and combines everything into a verdict
-pipeline.  Exact branches run first; numerics only ever produce evidence,
+pipeline.  Exact rules run first; numerics only ever produce evidence,
 never a certified verdict.
 """
 from __future__ import annotations
@@ -843,17 +843,6 @@ def iz_weak_limit(spec_or_measure, horizon: int = 64) -> IZVerdict:
                            for f in candidates))
 
 
-def _letter_difference_gcd(spec: ConvolutionSpec,
-                           letters: Sequence[int]) -> int:
-    g = 0
-    for letter in letters:
-        digits = spec.alphabet[letter - 1].digits
-        base = digits[0]
-        for b in digits[1:]:
-            g = gcd(g, b - base)
-    return g
-
-
 @dataclass(frozen=True)
 class WindowCertificate(JsonRecord):
     ok: bool
@@ -918,8 +907,8 @@ class VerdictBudget:
     """``run_q`` gates the Q grid of ``spectral_verdict`` and of a catalog
     example, which runs ``q_partial`` at ``depth`` on ``VERDICT_GRID``
     with its default tolerance and atom budget; ``depth`` (capped to 2..6)
-    and ``window`` set the sparse-insertion window certificate.  No exact
-    branch reads them."""
+    and ``window`` set the sparse-insertion window certificate.  No other
+    rule reads them."""
 
     run_q: bool = True
     depth: int = 12
@@ -940,178 +929,177 @@ class SpectralReport(JsonRecord):
     iz: Optional[IZVerdict] = None
 
 
-def _admissibility_gap(spec: ConvolutionSpec) -> Optional[str]:
-    """Reason string when some occurring pair is not known admissible.
-
-    Every certified branch below leans on the levels being admissible,
-    so a pair without a chosen spectrum and without any found by search
-    blocks certification outright.  Up to FIND_SPECTRA_SCALE_LIMIT the
-    search is exhaustive, so finding nothing there proves the pair
-    inadmissible; above it the question stays open.
-    """
-    for letter in sorted(spec.word.occurring_letters()):
-        pair = spec.alphabet[letter - 1]
-        if pair.spectrum is not None:
-            continue
-        if abs(pair.scale) > FIND_SPECTRA_SCALE_LIMIT:
-            return ("pair (%d, %s) has no known spectrum; admissibility "
-                    "is open" % (pair.scale, list(pair.digits)))
-        if first_spectrum(pair.scale, pair.digits) is None:
-            return ("pair (%d, %s) is not admissible: exhaustive search "
-                    "finds no spectrum" % (pair.scale, list(pair.digits)))
-    return None
-
-
-def _gcd_branch(spec: ConvolutionSpec) -> Optional[tuple[int, str]]:
-    """Certified branch from the digit difference gcds.
-
-    Fires when the gcd over letters that recur equals the gcd over all
-    letters that occur.  Anchoring each letter at 0 shifts the measure by
-    a convergent constant, and dividing all digits by the common gcd d
-    keeps every level admissible with the same unitary matrix (spectrum
-    d L), so the measure is affinely equivalent to one whose tails all
-    have difference gcd 1.  The cyclic limit of that measure's shifted
-    tails then has empty integral periodic zero set, which certifies
-    spectrality, and affine maps carry it back.
-    """
-    d_tail = _letter_difference_gcd(
-        spec, sorted(spec.word.recurring_letters()))
-    d_all = _letter_difference_gcd(
-        spec, sorted(spec.word.occurring_letters()))
-    if d_all != d_tail:
-        return None
-    if d_tail == 1:
-        return 1, "digit differences of every tail already have gcd 1"
-    return d_tail, (
-        "digit differences have gcd %d at every position; anchoring and "
-        "dividing by %d reduces to the gcd 1 case" % (d_tail, d_tail))
-
-
 def _limit_tail_spec(spec: ConvolutionSpec) -> ConvolutionSpec:
     """The weak limit of the shifted tails of a spec whose tail is
     periodic: the tail after the prefix, with its exponent rule minus the
-    head (which comes only before a constant pattern, so levels stay aligned).
-
-    A tail that never repeats has every word over its recurring letters
-    as a weak limit, so no single spec stands for its limits."""
+    head (which comes only before a constant pattern, so levels stay aligned)."""
     limit = spec.tail(len(spec.word.prefix))
     return ConvolutionSpec(spec.alphabet, SymbolicWord((), limit.word.tail),
                            PeriodicExponents(limit.exponents.pattern))
 
 
-def _sparse_window_verdict(spec: SparseInsertionSpec,
-                           budget: VerdictBudget) -> SpectralReport:
-    trace = ["insertion positions follow the triangular numbers; the "
-             "shifted tails converge to a two-part limit measure"]
+def _family_rule(spec: ConvolutionSpec, budget: VerdictBudget):
+    """Theorem 1.6: two letters of one scale stretch * base, digits
+    {0, ..., base - 1} and that set times a step coprime to base, constant
+    exponent 1 (``detect_special``).  Every word is spectral at stretch
+    >= 2; at stretch 1 exactly those constant on the scaled letter or using
+    the consecutive letter infinitely often are."""
+    family = detect_special(spec)
+    if family is None:
+        return None, None, ["no two-letter special family structure"], {}
+    spectral = family.spectral(spec.word)
+    shape = {"stretch": family.stretch, "base": family.base, "step": family.step}
+    line = ("two-letter family detected: stretch %(stretch)d, base %(base)d, "
+            "step %(step)d; classifier says " % shape
+            + ("Spectral" if spectral else "NotSpectral"))
+    return ("SpectralCertified" if spectral else "NotSpectralCertified",
+            "special-family-classifier", [line], {"details": {"family": shape}})
+
+
+def _admissibility_rule(spec: ConvolutionSpec, budget: VerdictBudget):
+    """Every rule below assumes each occurring pair admissible, so a pair
+    without a chosen spectrum and without any found by search blocks
+    certification.  Up to FIND_SPECTRA_SCALE_LIMIT the search is
+    exhaustive, so finding nothing proves the pair inadmissible; above it
+    the question stays open."""
+    for letter in sorted(spec.word.occurring_letters()):
+        pair = spec.alphabet[letter - 1]
+        if pair.spectrum is None and abs(pair.scale) > FIND_SPECTRA_SCALE_LIMIT:
+            gap = "has no known spectrum; admissibility is open"
+        elif pair.spectrum is None and first_spectrum(pair.scale, pair.digits) is None:
+            gap = "is not admissible: exhaustive search finds no spectrum"
+        else:
+            continue
+        return ("Inconclusive", "pair-admissibility-unknown",
+                ["pair (%d, %s) %s" % (pair.scale, list(pair.digits), gap)], {})
+    return None, None, [], {}
+
+
+def _unbounded_rule(spec: ConvolutionSpec, budget: VerdictBudget):
+    """Admissible levels with exponents that have no bound: along a
+    subsequence on which they grow, the shifted tails converge weakly to the
+    point mass at 0, whose transform has no zero, so that weak limit has an
+    empty integral periodic zero set and the criterion certifies."""
+    if spec.exponents.bounded():
+        return None, None, [], {}
+    return ("SpectralCertified", "unbounded-exponent-tail-collapse",
+            ["exponent sequence unbounded; shifted tails collapse to the "
+             "point mass at 0, whose zero set is empty"], {})
+
+
+def _gcd_rule(spec: ConvolutionSpec, budget: VerdictBudget):
+    """Admissible levels whose digit differences have the same gcd d over
+    the letters that recur as over all that occur.  Anchoring each letter
+    at 0 shifts the measure by a convergent constant, and dividing all
+    digits by d keeps every level admissible with the same unitary matrix
+    (spectrum d L), so the measure is affinely equivalent to one whose
+    tails all have difference gcd 1.  The cyclic limit of that measure's
+    shifted tails then has empty integral periodic zero set, which
+    certifies spectrality, and affine maps carry it back."""
+    d_tail, d_all = (gcd(*(b - spec.alphabet[k - 1].digits[0]
+                           for k in letters for b in spec.alphabet[k - 1].digits))
+                     for letters in (spec.word.recurring_letters(),
+                                     spec.word.occurring_letters()))
+    if d_all != d_tail:
+        return None, None, ["difference-gcd reduction does not apply"], {}
+    note = ("digit differences of every tail already have gcd 1" if d_tail == 1
+            else "digit differences have gcd %d at every position; anchoring "
+                 "and dividing by %d reduces to the gcd 1 case" % (d_tail, d_tail))
+    return ("SpectralCertified", "tail-difference-gcd", [note],
+            {"details": {"difference_gcd": d_tail}})
+
+
+def _periodic_limit_rule(spec: ConvolutionSpec, budget: VerdictBudget):
+    """Admissible levels, bounded exponents and a periodic tail: the
+    shifted tails converge to the rotations of ``_limit_tail_spec``, and an
+    empty integral periodic zero set of it (``iz_weak_limit``) certifies.
+    A tail that never repeats has every word over its recurring letters as
+    a weak limit, so no one spec stands for them."""
+    if not isinstance(spec.word.tail, PeriodicTail):
+        return None, None, ["no limit tail checked: a tail that never repeats "
+                            "has every word over its recurring letters as a "
+                            "weak limit"], {}
+    iz = iz_weak_limit(_limit_tail_spec(spec))
+    lines = ["limit tail = periodic tail beyond the prefix",
+             "zero set of the limit tail: %s (%s)" % (iz.kind, iz.reason)]
+    verdict = "SpectralCertified" if iz.kind == EMPTY_CERTIFIED else None
+    return verdict, "empty-periodic-zero-set", lines, {"iz": iz}
+
+
+def _grid_q_rule(spec: ConvolutionSpec, budget: VerdictBudget):
+    """Evidence, never a certificate: the measure is spectral exactly when
+    Q is 1 everywhere, and ``q_partial`` at the budget's depth on
+    ``VERDICT_GRID`` sees finitely many points.  Q at least _EVIDENCE_Q_MIN
+    with radius at most _EVIDENCE_RADIUS_MAX gives SpectralEvidence."""
+    if not budget.run_q:
+        return None, None, ["grid Q skipped by budget"], {}
+    try:
+        q_report = q_partial(spec, budget.depth, VERDICT_GRID)
+    except ValueError as exc:
+        return None, None, ["grid Q unavailable: %s" % exc], {}
+    evidence = (q_report.min_q >= _EVIDENCE_Q_MIN
+                and q_report.tail_radius <= _EVIDENCE_RADIUS_MAX)
+    return ("SpectralEvidence" if evidence else None, "q-grid-evidence",
+            ["grid Q at depth %d: min %.6f, max radius %.2e"
+             % (q_report.depth, q_report.min_q, q_report.tail_radius)],
+            {"q_report": q_report})
+
+
+def _window_rule(spec: SparseInsertionSpec, budget: VerdictBudget):
+    """Along the restarts just after an insertion the shifted tails converge
+    to a two-part limit.  Say an open window has positive limit mass and
+    null integer translates (``translate_disjoint_window`` on
+    ``limit_approximation`` at the budget's depth capped to 2..6).  At a
+    common zero xi of the transform's integer translates the measure
+    exp(-2 pi i xi x) d(limit) periodizes to 0, so it is null on the
+    window, which it cannot be: the integral periodic zero set is empty and
+    spectrality is certified.  A failed certificate proves nothing."""
     depth = max(2, min(budget.depth, 6))
     approx, tail_iv = spec.limit_approximation(depth)
-    if budget.window is not None:
-        window = (Fraction(budget.window[0]), Fraction(budget.window[1]))
-    else:
-        window = (spec.target - Fraction(1, 5),
-                  Fraction(math.ceil(spec.target)))
+    lo, hi = budget.window or (spec.target - Fraction(1, 5), math.ceil(spec.target))
+    window = (Fraction(lo), Fraction(hi))
     cert = translate_disjoint_window(approx, tail_iv, window)
-    trace.append("window (%s, %s) at depth %d: %s"
-                 % (frac_str(window[0]), frac_str(window[1]), depth,
-                    cert.reason))
-    details = {
-        "window": [frac_str(window[0]), frac_str(window[1])],
-        "depth": depth,
-        "certificate": cert.to_json(),
-    }
+    bounds = [frac_str(w) for w in window]
+    lines = ["insertion positions follow the triangular numbers; the shifted "
+             "tails converge to a two-part limit measure",
+             "window (%s, %s) at depth %d: %s" % (*bounds, depth, cert.reason)]
+    fields = {"details": {"window": bounds, "depth": depth,
+                          "certificate": cert.to_json()}}
     if cert.ok:
-        return SpectralReport(
-            "SpectralCertified", "window-disjoint-translates",
-            tuple(trace), details)
-    return SpectralReport(
-        "Inconclusive",
-        "window-certificate-failed", tuple(trace), details)
+        return "SpectralCertified", "window-disjoint-translates", lines, fields
+    return "Inconclusive", "window-certificate-failed", lines, fields
+
+
+# The rules of each spec type, in the order the verdict tries them.  A rule
+# returns (verdict or None, reason, trace lines, SpectralReport fields).
+_RULES = {
+    ConvolutionSpec: (_family_rule, _admissibility_rule, _unbounded_rule,
+                      _gcd_rule, _periodic_limit_rule, _grid_q_rule),
+    SparseInsertionSpec: (_window_rule,),
+}
 
 
 def spectral_verdict(spec, budget: Optional[VerdictBudget] = None
                      ) -> SpectralReport:
-    """Run the verdict pipeline: exact branches first, numerics last.
-
-    Certified verdicts only come from exact arguments (the two-letter
-    family classifier, unbounded exponents collapsing the tails, the
-    difference-gcd reduction, an empty periodic zero set, or a window
-    certificate).  Grid evidence can at most report SpectralEvidence.
-    """
+    """Walk the spec type's ``_RULES``, exact arguments first and numerics
+    last, to the first verdict; the report keeps every trace line and
+    field gathered on the way.  No verdict ends Inconclusive,
+    ``budget-exhausted``.  Only exact arguments certify; grid evidence
+    gives at most SpectralEvidence."""
     if budget is None:
         budget = VerdictBudget()
-    if isinstance(spec, SparseInsertionSpec):
-        return _sparse_window_verdict(spec, budget)
-    if not isinstance(spec, ConvolutionSpec):
+    if isinstance(spec, ConvolutionSpec):
+        if budget.window is not None:
+            raise ValueError("a window applies to insertion specs only")
+        if budget.run_q and budget.depth < 1:
+            raise ValueError("depth must be at least 1")
+    elif not isinstance(spec, SparseInsertionSpec):
         raise TypeError("expected a ConvolutionSpec or SparseInsertionSpec")
-    if budget.window is not None:
-        raise ValueError("a window applies to insertion specs only")
-    if budget.run_q and budget.depth < 1:
-        raise ValueError("depth must be at least 1")
-    trace = []
-
-    family = detect_special(spec)
-    if family is not None:
-        spectral = family.spectral(spec.word)
-        trace.append("two-letter family detected: stretch %d, base %d, "
-                     "step %d; classifier says %s"
-                     % (family.stretch, family.base, family.step,
-                        "Spectral" if spectral else "NotSpectral"))
-        verdict = "SpectralCertified" if spectral else "NotSpectralCertified"
-        return SpectralReport(verdict, "special-family-classifier",
-                              tuple(trace),
-                              {"family": {
-                                  "stretch": family.stretch,
-                                  "base": family.base,
-                                  "step": family.step}})
-    trace.append("no two-letter special family structure")
-
-    gap = _admissibility_gap(spec)
-    if gap is not None:
-        trace.append(gap)
-        return SpectralReport("Inconclusive", "pair-admissibility-unknown",
-                              tuple(trace))
-
-    if not spec.exponents.bounded():
-        trace.append("exponent sequence unbounded; shifted tails collapse "
-                     "to the point mass at 0, whose zero set is empty")
-        return SpectralReport("SpectralCertified",
-                              "unbounded-exponent-tail-collapse",
-                              tuple(trace))
-
-    branch = _gcd_branch(spec)
-    if branch is not None:
-        d, note = branch
-        trace.append(note)
-        return SpectralReport("SpectralCertified", "tail-difference-gcd",
-                              tuple(trace), {"difference_gcd": d})
-    trace.append("difference-gcd reduction does not apply")
-
-    iz = None
-    if isinstance(spec.word.tail, PeriodicTail):
-        trace.append("limit tail = periodic tail beyond the prefix")
-        iz = iz_weak_limit(_limit_tail_spec(spec))
-        trace.append("zero set of the limit tail: %s (%s)" % (iz.kind, iz.reason))
-        if iz.kind == EMPTY_CERTIFIED:
-            return SpectralReport("SpectralCertified", "empty-periodic-zero-set",
-                                  tuple(trace), {}, None, iz)
-    else:
-        trace.append("no limit tail checked: a tail that never repeats has "
-                     "every word over its recurring letters as a weak limit")
-
-    q_report = None
-    if budget.run_q:
-        try:
-            q_report = q_partial(spec, budget.depth, VERDICT_GRID)
-            trace.append("grid Q at depth %d: min %.6f, max radius %.2e"
-                         % (q_report.depth, q_report.min_q,
-                            q_report.tail_radius))
-            if (q_report.min_q >= _EVIDENCE_Q_MIN
-                    and q_report.tail_radius <= _EVIDENCE_RADIUS_MAX):
-                return SpectralReport("SpectralEvidence", "q-grid-evidence",
-                                      tuple(trace), {}, q_report, iz)
-        except ValueError as exc:
-            trace.append("grid Q unavailable: %s" % exc)
-    else:
-        trace.append("grid Q skipped by budget")
-    return SpectralReport("Inconclusive", "budget-exhausted", tuple(trace),
-                          {}, q_report, iz)
+    trace, fields = [], {}
+    for rule in _RULES[type(spec)]:
+        verdict, reason, lines, found = rule(spec, budget)
+        trace += lines
+        fields.update(found)
+        if verdict is not None:
+            return SpectralReport(verdict, reason, tuple(trace), **fields)
+    return SpectralReport("Inconclusive", "budget-exhausted", tuple(trace), **fields)

@@ -287,9 +287,9 @@ def monte_carlo_spectrality(
     interval of bounds, so the letters occurring in every trial are the
     recurring ones, {j : p_j > 0}, and on a tail that is not periodic
     `spectral_verdict` reads the word only through `occurring_letters`,
-    `recurring_letters`, `occurs_infinitely` and `is_constant` (in
-    `SpecialFamily.spectral`, `_admissibility_gap` and `_gcd_branch`;
-    such a tail gets no limit-tail check).  It runs on the first trial's
+    `recurring_letters`, `occurs_infinitely` and `is_constant` (in the
+    family, admissibility and gcd rules of `spectrality._RULES`; such a
+    tail gets no limit-tail check).  It runs on the first trial's
     realized spec.
     Seeds, prefixes and pattern windows come from numpy sweeps over blocks
     of about 2^16 draws, so memory does not grow with the trial count.

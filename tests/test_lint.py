@@ -7,6 +7,7 @@ import os
 import pytest
 
 import spectralconv
+from spectralconv import spectrality
 
 SRC = os.path.dirname(spectralconv.__file__)
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
@@ -135,7 +136,6 @@ TEST_ONLY_ALLOWED = {
     "measures.AtomicMeasure.uniform": "the tests' constructor of uniform measures",
     "measures.AtomicMeasure.point": "the tests' constructor of point masses",
     "measures.AtomicMeasure.atoms": "the tests' Fraction view of a measure",
-    "measures.convolve": "perfbench/tracing.py wraps it",
     "cyclotomic.euler_phi": "the degree of the cyclotomic polynomials in the order tests",
     "convolution.SparseInsertionSpec.digits_at": "the spec's definition of its own levels",
 }
@@ -227,3 +227,11 @@ def test_no_definition_is_reached_only_by_tests():
     found = definitions_reached_only_by_tests(sources)
     assert sorted(set(found) - set(TEST_ONLY_ALLOWED)) == []
     assert sorted(set(TEST_ONLY_ALLOWED) - set(found)) == []
+
+
+def test_every_verdict_rule_states_its_argument():
+    """Each row of the verdict's rule table cites the argument it applies
+    and its hypotheses, as the rule's docstring."""
+    rules = [rule for row in spectrality._RULES.values() for rule in row]
+    assert len(rules) > 0
+    assert [rule.__name__ for rule in rules if not (rule.__doc__ or "").strip()] == []

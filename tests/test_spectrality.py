@@ -1,6 +1,9 @@
 """Spectrality machinery: candidate spectra, the discrete quadratic
 functional, integer-zero verdicts, windows, and the top-level verdict."""
 
+import hashlib
+import itertools
+import json
 import random
 import re
 from collections import Counter
@@ -14,8 +17,10 @@ from hypothesis import strategies as st
 
 from conftest import constant_word, frac_grid, single_pair_spec
 from spectralconv.catalog import (
+    example_ids,
     insertion_target_five_sixths,
     mixed_word_spec,
+    run_example,
     scale4_spec,
     two_letter_family_spec,
 )
@@ -683,6 +688,23 @@ def periodic_exponent_specs(count):
                                  for _ in range(random.randint(0, 1)))
         yield ConvolutionSpec(letters, SymbolicWord(prefix, PeriodicTail(tail)),
                               PeriodicExponents(tuple(random.sample(pattern, len(pattern)))))
+
+
+def test_verdict_bytes_are_pinned():
+    """The JSON of every exact verdict, its trace, details and zero set
+    included, over the census, the periodic-exponent specs and every
+    example.  Q is off, so no float enters.  A change that moves one byte
+    of a report moves this pin."""
+    budget = VerdictBudget(run_q=False)
+    digest = hashlib.sha256()
+    for spec in itertools.chain(census_specs(), periodic_exponent_specs(400)):
+        report = spectral_verdict(spec, budget).to_json()
+        digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+    for example_id in example_ids():
+        payload, _ = run_example(example_id, budget)
+        digest.update(json.dumps(payload, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "7d0f54afe9cf63ffb9e7a2fa4f046ff0a69477acb05eefbc37eb110afab1c9e2")
 
 
 def test_limit_tail_keeps_each_letter_with_its_exponent():
