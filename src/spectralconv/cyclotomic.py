@@ -58,12 +58,10 @@ def degree(coeffs: Sequence[int]) -> int:
 
 
 def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Exact division by a monic integer polynomial."""
+    """Long division by a monic den; by any other den, exact with rem == [] iff den | num in Z[x]."""
     den = trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
     rem = list(num)
     d = len(den) - 1
     if len(rem) - 1 < d:
@@ -71,13 +69,13 @@ def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list
     quot = [0] * (len(rem) - d)
     terms = [(j, dj) for j, dj in enumerate(den) if dj]
     for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
+        c = rem[i] // den[-1]
         if c == 0:
             continue
         quot[i - d] = c
         for j, dj in terms:
             rem[i - d + j] -= c * dj
-    return trim(quot), trim(rem[:d])  # the steps zero every rem[i], i >= d
+    return trim(quot), trim(rem if any(rem[d:]) else rem[:d])  # rem[d:] != 0: den[-1] did not divide
 
 
 def divisors(n: int) -> list[int]:
@@ -316,9 +314,28 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [-c for c in fa] if fa and fa[-1] < 0 else fa
 
 
-def _gcd_degree_mod_p(a: Sequence[int], b: Sequence[int]) -> int:
-    """Degree of gcd(a mod p, b mod p) over F_p, p = _GCD_PRIME; -1 when
-    both vanish mod p.
+def screened_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """poly_gcd of two trimmed nonzero polynomials, read off their gcd h mod
+    p when p divides neither leading coefficient.  A primitive common factor
+    over Z keeps its degree mod p, so a constant h proves the gcd is 1, and
+    c h / lc(h), c = gcd(lc(a), lc(b)), taken into (-p/2, p/2) is the gcd
+    when its primitive part divides both.  An unlucky p, or a gcd with
+    coefficients past p/2, falls through to poly_gcd."""
+    p = _GCD_PRIME
+    if a[-1] % p and b[-1] % p:
+        h = _gcd_mod_p(a, b)
+        if len(h) == 1:
+            return [1]
+        c = gcd(a[-1], b[-1]) * pow(int(h[0]), -1, p)
+        lift = _primitive([(c * int(r) + p // 2) % p - p // 2 for r in h[::-1]])
+        if lift[-1] > 0 and not (poly_divmod(a, lift)[1] or poly_divmod(b, lift)[1]):
+            return lift
+    return poly_gcd(a, b)
+
+
+def _gcd_mod_p(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
+    """gcd(a mod p, b mod p) over F_p, p = _GCD_PRIME, highest coefficient
+    first and not made monic; empty when both vanish mod p.
 
     Euclid runs in place on int64 arrays, highest coefficient first.  Each
     coefficient is reduced mod p as a Python int before it enters numpy,
@@ -342,7 +359,7 @@ def _gcd_degree_mod_p(a: Sequence[int], b: Sequence[int]) -> int:
                 seg %= p
         rem = big[len(big) - m + 1:]
         big, small = small, rem[np.argmax(rem != 0):] if rem.any() else rem[:0]
-    return len(big) - 1
+    return big
 
 
 def unit_circle_angles(coeffs: Sequence[int]) -> tuple[float, ...]:
@@ -351,24 +368,20 @@ def unit_circle_angles(coeffs: Sequence[int]) -> tuple[float, ...]:
     Meant for a cyclotomic-free residual: any angle reported here belongs to
     a root that is not a root of unity, hence irrational.  A root z with
     |z| = 1 has 1/z = conj(z) as a root as well, so it is a root of the
-    reciprocal part gcd(f, f*), f* the reversed polynomial.  That part is
-    first screened over F_p: when p divides neither leading coefficient and
-    the gcd mod p is a constant, the gcd over Q is 1 (a primitive common
-    factor over Z would keep its degree mod p), and the answer is () with
-    no float involved.  Otherwise the primitive integer gcd is computed and
-    its roots are found numerically (the exact layer has already removed
-    every rational candidate), so callers treat a nonempty answer as a
-    flag, not a certificate.
+    reciprocal part gcd(f, f*), f* the reversed polynomial (``screened_gcd``:
+    a constant gcd mod p answers () with no float involved).  The roots of
+    its squarefree part, which np.roots does not move off the circle by
+    sqrt(eps) as it would a repeated root, are found numerically (the exact
+    layer has already removed every rational candidate), so callers treat a
+    nonempty answer as a flag, not a certificate.
     """
     cs = trim(coeffs)
     if degree(cs) <= 0:
         return ()
-    rev = _poly_reverse(cs)
-    if cs[-1] % _GCD_PRIME and rev[-1] % _GCD_PRIME and _gcd_degree_mod_p(cs, rev) == 0:
-        return ()
-    sym = poly_gcd(cs, rev)
+    sym = screened_gcd(cs, _poly_reverse(cs))
     if degree(sym) <= 0:
         return ()
+    sym = poly_divmod(sym, screened_gcd(sym, [k * c for k, c in enumerate(sym)][1:]))[0]
     roots = np.roots(np.array(sym[::-1], dtype=float))
     angles = []
     for z in roots:

@@ -162,14 +162,16 @@ class AtomicMeasure:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Xi, Xi]]) -> "AtomicMeasure":
-        merged: dict[Fraction, Fraction] = {}
+        pairs = [(Fraction(x), Fraction(w)) for x, w in pairs]
+        den = lcm(*(x.denominator for x, _ in pairs))
+        total = lcm(*(w.denominator for _, w in pairs))
+        acc: dict[int, int] = {}
         for x, w in pairs:
-            merged[Fraction(x)] = merged.get(Fraction(x), Fraction(0)) + Fraction(w)
-        atoms = sorted(merged.items())
-        den = lcm(*(x.denominator for x, _ in atoms))
-        total = lcm(*(w.denominator for _, w in atoms))
-        return cls(den, tuple(int(x * den) for x, _ in atoms),
-                   tuple(int(w * total) for _, w in atoms), total)
+            n = x.numerator * (den // x.denominator)
+            acc[n] = acc.get(n, 0) + w.numerator * (total // w.denominator)
+        nums = sorted(acc)
+        g = gcd(total, *acc.values())  # merged weights may share a factor with total
+        return cls(den, tuple(nums), tuple(acc[n] // g for n in nums), total // g)
 
     @classmethod
     def uniform(cls, points: Iterable[Xi]) -> "AtomicMeasure":

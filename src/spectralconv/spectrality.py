@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -27,10 +26,9 @@ from .convolution import (
     detect_special,
     zero_set_window,
 )
-from .cyclotomic import cyclotomic_orders, unit_circle_angles
+from .cyclotomic import cyclotomic_orders, screened_gcd, unit_circle_angles
 from .hadamard import AdmissiblePair, first_spectrum, FIND_SPECTRA_SCALE_LIMIT
-from .mask import (COS_ULPS, IrrationalZeroPresent, RationalZeroSet, eval_mask,
-                   mask_abs2, mask_zero_set)
+from .mask import COS_ULPS, IrrationalZeroPresent, eval_mask, mask_abs2, mask_zero_set
 from .measures import TWO_PI_UPPER, AtomicMeasure, JsonRecord, frac_str
 from .words import SymbolicWord, PeriodicTail
 
@@ -695,24 +693,25 @@ class IZVerdict(JsonRecord):
 def iz_finite(m: AtomicMeasure) -> IZVerdict:
     """Exact integral periodic zero set of a finite rational measure.
 
-    The transform has period D, the common denominator of the atom
-    positions, so membership reduces to one residue class being made
-    entirely of zeros.  Zeros come from the cyclotomic factors of the
-    weighted support polynomial; leftover factors with roots on the unit
-    circle would sit at irrational points and leave the answer open.
+    Write each atom as (r + D q) / D, D the common denominator and 0 <= r < D.
+    Then mu^(xi + k) = sum_r e(-r k / D) e(-r xi / D) f_r(e(-xi)), f_r(y) the
+    sum of w y^q over the atoms of class r: a DFT in k = 0..D-1, and mu^ has
+    period D, so xi + Z is all zeros exactly when e(-xi) is a root of every
+    f_r, that is of g = gcd_r f_r.  The cyclotomic factors of g give the
+    rational members; a leftover factor with roots on the unit circle would
+    put members at irrational points and leave the answer open.
     """
-    D, pmin = m.den, m.nums[0]
-    coeffs = [0] * (m.nums[-1] - pmin + 1)
+    D, classes = m.den, {}  # r -> (least q, coefficients of f_r from that q)
     for n, w in zip(m.nums, m.weights):
-        coeffs[n - pmin] = w
-    orders, residual = cyclotomic_orders(coeffs)
-    # the zeros D p / den in [0, D), p a root phase over den, are distinct;
-    # a class mod 1 is all zeros when it holds D numerators
-    roots = RationalZeroSet.from_orders(orders)
-    counts = Counter(D * p % roots.den for p in roots.phases)
-    complete = [r for r, count in counts.items() if count == D]
-    if complete:
-        witness = Fraction(min(complete), roots.den)
+        q, r = divmod(n, D)
+        low, coeffs = classes.setdefault(r, (q, []))  # the nums ascend, so q does too
+        coeffs += [0] * (q - low - len(coeffs)) + [w]
+    g, *rest = sorted((coeffs for _, coeffs in classes.values()), key=len)
+    for f in rest:
+        g = g if len(g) == 1 else screened_gcd(g, f)
+    orders, residual = cyclotomic_orders(g) if len(g) > 1 else ([], g)
+    if orders:  # the least phase j/n, gcd(j, n) = 1, of a root of g
+        witness = Fraction(1, max(orders))
         return IZVerdict(
             NONEMPTY_WITNESS, witness=witness,
             reason="transform has period %d and vanishes on %s plus every "

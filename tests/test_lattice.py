@@ -18,6 +18,7 @@ import tempfile
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -198,6 +199,62 @@ def ref_iz_finite(atoms):
                "of transform zeros" % D)
 
 
+def ref_fraction_gcd(a, b):
+    """Monic gcd over Q of two nonzero Fraction polynomials, lowest degree
+    first, by Euclid's algorithm."""
+    while b:
+        a = list(a)
+        while len(a) >= len(b):
+            c, k = a[-1] / b[-1], len(a) - len(b)
+            for j, bj in enumerate(b):
+                a[k + j] -= c * bj
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return [c / a[-1] for c in a]
+
+
+def ref_class_gcd(atoms):
+    """The gcd over Q of the class polynomials f_r(y) = sum w y^q over the
+    atoms at (r + D q) / D, D the common denominator, 0 <= r < D."""
+    D = math.lcm(*(x.denominator for x, _ in atoms))
+    classes = {}
+    for x, w in atoms:
+        q, r = divmod(int(x * D), D)
+        classes.setdefault(r, {})[q] = w
+    g = None
+    for terms in classes.values():
+        f = [terms.get(q, Fraction(0)) for q in range(min(terms), max(terms) + 1)]
+        g = f if g is None else ref_fraction_gcd(g, f)
+    return g
+
+
+def ref_has_unit_circle_root(poly):
+    """Whether a Fraction polynomial has a root of modulus 1, from its
+    roots at 40 digits."""
+    if len(poly) < 2:
+        return False
+    with mpmath.workdps(40):
+        roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                  for c in reversed(poly)], maxsteps=400, extraprec=400)
+        return any(abs(abs(z) - 1) < mpmath.mpf(10) ** -12 for z in roots)
+
+
+def assert_iz_finite_matches_the_reference(m, atoms):
+    """iz_finite(m) is what ref_iz_finite says, except that it may settle
+    an undecided list as empty-certified: when the class polynomials have
+    no common root on the unit circle, no class mod 1 is all zeros, though
+    the whole support polynomial keeps irrational unit-circle roots."""
+    got, want = iz_finite(m), ref_iz_finite(atoms)
+    if want.kind == UNDECIDED and got.kind == EMPTY_CERTIFIED:
+        assert not ref_has_unit_circle_root(ref_class_gcd(atoms))
+        assert got.reason == ("no residue class modulo the period %d consists "
+                              "entirely of transform zeros" % m.den)
+    else:
+        assert got == want
+    return got
+
+
 def ref_json(atoms):
     return [{"x": ref_frac_str(x), "w": ref_frac_str(w)} for x, w in atoms]
 
@@ -348,4 +405,50 @@ def test_iz_finite_matches_the_common_denominator_reference(data):
     m = AtomicMeasure.from_json(data)
     ref = tuple(sorted((Fraction(d["x"]), Fraction(d["w"])) for d in data))
     assert m.atoms == ref
-    assert iz_finite(m) == ref_iz_finite(ref)
+    assert_iz_finite_matches_the_reference(m, ref)
+
+
+@st.composite
+def class_atom_lists(draw):
+    """Atoms at (r + D q) / D for a few classes r mod D, q in -6..10, so
+    classes repeat and positions go negative.  Each class polynomial is a
+    random one times a factor with roots on the unit circle, most of them
+    at roots of unity; in about half the draws every class takes the same
+    factor, so the gcd of the class polynomials is not a constant."""
+    factors = st.sampled_from([[1], [1], [1, 1], [1, 1, 1], [1, 0, 1],
+                               [1, 0, 0, 1], [1, 2, 1], [2, 1, 2], [4, 4, 9, 4, 4]])
+    D = draw(st.integers(1, 6))
+    classes = draw(st.lists(st.integers(0, D - 1), min_size=1, max_size=3, unique=True))
+    shared = draw(factors) if draw(st.booleans()) else None
+    terms = {}
+    for r in classes:
+        low = draw(st.integers(-6, 3))
+        h = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+        h[0] = h[0] or 1
+        factor = shared or draw(factors)
+        for i, a in enumerate(h):
+            for j, c in enumerate(factor):
+                if a * c:
+                    x = Fraction(r + D * (low + i + j), D)
+                    terms[x] = terms.get(x, 0) + a * c
+    total = sum(terms.values())
+    return tuple(sorted((x, Fraction(w, total)) for x, w in terms.items()))
+
+
+@given(class_atom_lists())
+@settings(max_examples=150, deadline=None)
+@example(((Fraction(0), Fraction(2, 5)), (Fraction(3, 2), Fraction(1, 5)),
+          (Fraction(3), Fraction(2, 5))))
+def test_iz_finite_classes_match_the_reference_and_the_transform(atoms):
+    m = AtomicMeasure.from_pairs(atoms)
+    assert m.atoms == atoms
+    got = assert_iz_finite_matches_the_reference(m, atoms)
+    if got.kind == NONEMPTY_WITNESS:
+        with mpmath.workdps(40):
+            for k in range(m.den):
+                xi = got.witness + k
+                value = mpmath.fsum(mpmath.mpf(w.numerator) / w.denominator
+                                    * mpmath.expjpi(-2 * mpmath.mpf((xi * x).numerator)
+                                                    / (xi * x).denominator)
+                                    for x, w in atoms)
+                assert abs(value) < mpmath.mpf(10) ** -30

@@ -8,7 +8,8 @@ integers.  The references below are the code they replaced: the
 `all()`-based clique extension with a final sort, and the Euclid over
 `Fraction`s.  Every result must match them exactly.  The F_p screen
 that `unit_circle_angles` runs before `poly_gcd` is checked against
-`poly_gcd` on the same draws.
+`poly_gcd` on the same draws, and the gcd that `screened_gcd` reads off
+F_p against the Euclid over `Fraction`s.
 """
 
 import importlib
@@ -24,10 +25,11 @@ from conftest import time_limit
 
 from spectralconv.cyclotomic import (
     _GCD_PRIME,
-    _gcd_degree_mod_p,
+    _gcd_mod_p,
     cyclotomic_orders,
     degree,
     poly_gcd,
+    screened_gcd,
     trim,
     unit_circle_angles,
 )
@@ -109,7 +111,7 @@ def reverse(coeffs):
 def assert_screen_agrees(f, g):
     """The F_p gcd degree of f and f* is 0 exactly when their integer gcd
     g is constant, and never below the degree of g."""
-    screened = _gcd_degree_mod_p(f, reverse(f))
+    screened = len(_gcd_mod_p(f, reverse(f))) - 1
     assert screened >= degree(g)
     assert (screened == 0) == (degree(g) == 0)
 
@@ -258,7 +260,7 @@ def test_an_unlucky_prime_falls_through_to_the_integer_gcd(gcd_calls):
     # but none over Q
     p = _GCD_PRIME
     f = poly_mul([-2, 1], [-(p + 1) // 2, 1])
-    assert _gcd_degree_mod_p(f, reverse(f)) == 2
+    assert len(_gcd_mod_p(f, reverse(f))) - 1 == 2
     assert unit_circle_angles(f) == ()
     assert len(gcd_calls) == 1
     assert degree(poly_gcd(f, reverse(f))) == 0
@@ -268,7 +270,7 @@ def test_an_unlucky_prime_falls_through_to_the_integer_gcd(gcd_calls):
 def test_a_leading_coefficient_divisible_by_p_falls_through(gcd_calls, f):
     # mod p one of f, f* drops to a constant, so the screen reads degree 0
     # without a proof
-    assert _gcd_degree_mod_p(f, reverse(f)) == 0
+    assert len(_gcd_mod_p(f, reverse(f))) - 1 == 0
     assert unit_circle_angles(f) == ()
     assert len(gcd_calls) == 1
 
@@ -278,3 +280,37 @@ def test_gcd_edge_cases_match_the_reference():
     for a, b in (([], []), ([], [0, 2]), ([6, 4], []), ([3], [0, 0, 5]),
                  ([-2, 0, -4], [-1, 0, -2]), ([0, 0, 6], [0, 3])):
         assert poly_gcd(a, b) == ref_poly_gcd(a, b)
+
+
+@st.composite
+def gcd_pairs(draw):
+    """Two polynomials with a drawn common factor: small coefficients that
+    lift from F_p at once, huge ones past p/2 that fall through to
+    poly_gcd, and signs of both kinds."""
+    big = draw(st.booleans())
+    coeff = st.integers(-2 ** 80, 2 ** 80) if big else st.integers(-9, 9)
+    nonzero_top = lambda cs: cs + [draw(coeff.filter(bool))]
+    common = nonzero_top(draw(st.lists(coeff, max_size=4)))
+    a = poly_mul(common, nonzero_top(draw(st.lists(coeff, max_size=12))))
+    b = poly_mul(common, nonzero_top(draw(st.lists(coeff, max_size=12))))
+    return a, b
+
+
+@given(gcd_pairs())
+@settings(max_examples=200, deadline=None)
+@example(([-2, -(_GCD_PRIME + 1), 2], [2, 0, 2]))
+@example((poly_mul([1, 1], [1, 2, 3]), poly_mul([1, 1], [3, 0, _GCD_PRIME])))
+def test_the_gcd_read_from_f_p_matches_the_reference(ab):
+    a, b = ab
+    assert screened_gcd(a, b) == ref_poly_gcd(a, b)
+
+
+def test_a_repeated_unit_circle_root_is_flagged():
+    """(2 z^2 + z + 2)^2 has a double root at each angle t with cos(2 pi t)
+    = -1/4; np.roots puts both copies about 2e-8 off the circle, so only
+    the squarefree part's roots can be read as on it."""
+    f = poly_mul([2, 1, 2], [2, 1, 2])
+    angles = unit_circle_angles(f)
+    assert angles == unit_circle_angles([2, 1, 2])
+    assert len(angles) == 2 and abs(np.cos(2 * np.pi * angles[0]) + 0.25) < 1e-12
+    assert unit_circle_angles(poly_mul(f, [2, 1])) == angles

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import re
+import timeit
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -32,6 +33,7 @@ from spectralconv.convolution import (
     detect_special,
     zero_set_window,
 )
+from spectralconv.cyclotomic import cyclotomic_orders, unit_circle_angles
 from spectralconv.hadamard import (
     FIND_SPECTRA_SCALE_LIMIT,
     AdmissiblePair,
@@ -233,17 +235,79 @@ def test_irrational_mask_zeros_leave_the_limit_undecided():
     assert v.reason.startswith("a level mask has zeros at irrational points")
 
 
+NON_CYCLOTOMIC_WEIGHTS = [Fraction(w, 49) for w in (8, 8, 17, 8, 8)]
+
+
 def test_non_cyclotomic_roots_leave_the_question_open():
-    """Weights (8,8,17,8,8)/49 at j/5: the support polynomial keeps
+    """Weights (8,8,17,8,8)/49 at 0..4: the support polynomial keeps
     unit-circle roots at irrational angles, so the zero set cannot be
     settled by rational phase checks alone."""
-    w = [Fraction(8, 49), Fraction(8, 49), Fraction(17, 49),
-         Fraction(8, 49), Fraction(8, 49)]
-    m = AtomicMeasure.from_pairs((Fraction(j, 5), w[j]) for j in range(5))
+    m = AtomicMeasure.from_pairs(zip(range(5), NON_CYCLOTOMIC_WEIGHTS))
     v = iz_finite(m)
     assert v.kind == "undecided"
     assert v.reason.startswith(
         "support polynomial keeps non-cyclotomic unit-circle roots")
+
+
+def test_one_atom_per_class_settles_irrational_support_roots():
+    """The same weights at j/5: each class mod 5 holds one atom, so the
+    class polynomials are constants with gcd 1, and the irrational roots of
+    the whole support polynomial cannot make a class of zeros."""
+    m = AtomicMeasure.from_pairs((Fraction(j, 5), w) for j, w in enumerate(NON_CYCLOTOMIC_WEIGHTS))
+    assert unit_circle_angles([8, 8, 17, 8, 8])
+    v = iz_finite(m)
+    assert v.kind == "empty-certified"
+    assert v.reason == ("no residue class modulo the period 5 consists "
+                        "entirely of transform zeros")
+
+
+def test_class_polynomials_without_a_common_root_certify_empty():
+    """Weights (2,1,2)/5 at 0, 3/2, 3: mu^(xi) - mu^(xi + 1) is
+    (2/5) e(-3 xi / 2), never 0, though the support polynomial
+    2 + z^3 + 2 z^6 has roots on the unit circle at irrational angles."""
+    m = AtomicMeasure.from_pairs(
+        ((0, Fraction(2, 5)), (Fraction(3, 2), Fraction(1, 5)), (3, Fraction(2, 5))))
+    assert unit_circle_angles([2, 0, 0, 1, 0, 0, 2])
+    assert iz_finite(m).kind == "empty-certified"
+
+
+def test_a_double_irrational_root_leaves_the_question_open():
+    """(4,4,9,4,4)/25 at 0..4: the support polynomial is (2 + z + 2 z^2)^2,
+    so the transform vanishes where cos(2 pi xi) = -1/4, at every point of
+    a double root on the unit circle."""
+    m = AtomicMeasure.from_pairs(zip(range(5), [Fraction(w, 25) for w in (4, 4, 9, 4, 4)]))
+    assert iz_finite(m).kind == "undecided"
+
+
+def two_large_classes(factor):
+    """Atoms at q and q + 1/2, q = 0..400: D = 2, and each of the two class
+    polynomials is a seeded random one times ``factor``.  Also returns the
+    support polynomial of the whole list."""
+    rng = random.Random(5)
+    classes = [np.convolve([rng.randint(1, 9) for _ in range(402 - len(factor))],
+                           factor).tolist() for _ in range(2)]
+    support = [c for pair in zip(*classes) for c in pair]
+    total = sum(support)
+    m = AtomicMeasure.from_pairs((Fraction(n, 2), Fraction(c, total))
+                                 for n, c in enumerate(support))
+    return m, support
+
+
+@pytest.mark.parametrize("factor, kind", [
+    ([1], "empty-certified"), ([1, 1], "nonempty-witness"),
+    ([1, 1, 1], "nonempty-witness"), ([2, 1, 2], "undecided")])
+def test_large_class_polynomials_cost_less_than_the_support_scan(factor, kind):
+    """iz on two classes of degree 400 takes the gcd of the class
+    polynomials, from F_p, and scans only its cyclotomic factors: it costs
+    less than the cyclotomic scan of the degree-801 support polynomial
+    alone, which deciding from the whole support would run."""
+    m, support = two_large_classes(factor)
+    assert iz_finite(m).kind == kind
+
+    def best(f):
+        return min(timeit.repeat(f, number=1, repeat=3))
+
+    assert best(lambda: iz_finite(m)) < best(lambda: cyclotomic_orders(support))
 
 
 def test_exhaustive_two_atom_sweep_finds_one_zero_pattern():
