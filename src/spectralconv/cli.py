@@ -35,7 +35,7 @@ from .convolution import (
 from .hadamard import (FIND_SPECTRA_SCALE_LIMIT, AdmissiblePair, first_spectrum,
                        is_admissible, spectrum_rows)
 from .mask import IrrationalZeroPresent, mask_zero_set
-from .measures import JSON_SCALARS, AtomicMeasure, frac_str, int_dtype, parse_frac
+from .measures import JSON_SCALARS, AtomicMeasure, frac_str, parse_frac
 from .spectrality import (
     VerdictBudget,
     iz_weak_limit,
@@ -148,10 +148,9 @@ def _atoms(m: AtomicMeasure, level: int) -> str:
     to the next numerator."""
     pad, inner, deep = "  " * level, "  " * (level + 1), "  " * (level + 2)
     opener, closer = inner + "{\n" + deep + '"w": "', '"\n' + inner + "}"
-    dtype = int_dtype(max(-m.nums[0], m.nums[-1], m.den, m.total))
     pieces = ["[\n" + opener, *chain.from_iterable(zip(
-        *_reduced(np.array(m.weights, dtype), m.total, '",\n' + deep + '"x": "'),
-        *_reduced(np.array(m.nums, dtype), m.den, closer + ",\n" + opener)))]
+        *_reduced(m.weights, m.total, '",\n' + deep + '"x": "'),
+        *_reduced(m.nums, m.den, closer + ",\n" + opener)))]
     pieces[-1] = pieces[-1][:-len(",\n" + opener)] + "\n" + pad + "]"
     return "".join(pieces)
 
@@ -337,9 +336,7 @@ def conv():
 @click.option("--depth", type=int, default=4, show_default=True)
 @click.pass_context
 def conv_truncate(ctx, specfile, depth):
-    spec = _load(specfile)
-    measure = spec.truncate(depth)
-    _emit(ctx, {"depth": depth, "atoms": measure})
+    _emit(ctx, {"depth": depth, "atoms": _load(specfile).truncate(depth)})
 
 
 @conv.command("ft")
@@ -383,8 +380,7 @@ def conv_density(ctx, specfile):
 @click.option("--depth", type=int, default=8, show_default=True)
 @click.pass_context
 def conv_overlap(ctx, specfile, shift, depth):
-    spec = _load(specfile)
-    mass = overlap_mass(spec, shift, depth)
+    mass = overlap_mass(_load(specfile), shift, depth)
     _emit(ctx, {"shift": shift, "depth": depth, "mass": frac_str(mass)})
 
 

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count
+from itertools import count
 from math import floor, gcd, inf, isqrt
 from typing import Iterator, Optional, Union
 
@@ -345,36 +345,29 @@ class ConvolutionSpec(JsonRecord):
     def truncate(self, q: int) -> AtomicMeasure:
         """Exact atomic measure of the first q convolution levels.
 
-        Numerators over |c_k| follow N_k = N_{k-1} * |c_k / c_{k-1}| +
-        sign(c_k) * b, one array per level, and equal numerators merge
-        after a stable sort.  Each level's arrays are int64 while exact
-        bounds on |N_k|, the weight total and |c_k| fit, and hold Python
-        ints from the level where one of them passes 2^63.  A level past
-        MAX_TRUNCATION_ATOMS atoms is refused before it is built.
+        Numerators over |c_k| follow N_k = N_{k-1} * |c_k| / D_{k-1} + sign(c_k) * b,
+        D_{k-1} the previous denominator, merged once a level by `from_lattice`:
+        int64 while |N_k|, the weight total and |c_k| fit, Python ints otherwise.
+        A level past MAX_TRUNCATION_ATOMS atoms is refused before it is built.
         """
         if q < 0:
             raise ValueError("truncation depth must be nonnegative")
         cap = depth_cap()
         if q > cap:
             raise DepthLimitError(q, cap)
-        nums, weights = np.zeros(1, np.int64), np.ones(1, np.int64)
-        top, total, den = 0, 1, 1  # bounds on |N_k| and on every weight, and |c_k|
+        m = AtomicMeasure.point(0)
         for k, (c, digits) in zip(range(1, q + 1), self.levels()):
-            if len(nums) * len(digits) > MAX_TRUNCATION_ATOMS:
+            if len(m.nums) * len(digits) > MAX_TRUNCATION_ATOMS:
                 raise DepthLimitError(q, k - 1, "truncation to depth %d needs %d atoms at "
                                       "level %d, past the bound of %d atoms per level"
-                                      % (q, len(nums) * len(digits), k, MAX_TRUNCATION_ATOMS))
-            signed, step = (digits if c > 0 else tuple(-b for b in digits)), abs(c) // den
-            top, total, den = top * step + max(map(abs, digits)), total * len(digits), abs(c)
-            dtype = int_dtype(max(top, total, den))
-            nums = (nums.astype(dtype, copy=False)[:, None] * step + np.array(signed, dtype)).ravel()
-            order = np.argsort(nums, kind="stable")
-            nums, weights = nums[order], np.repeat(weights.astype(dtype, copy=False), len(digits))[order]
-            starts = np.flatnonzero(np.concatenate(([True], nums[1:] != nums[:-1])))
-            nums, weights = nums[starts], np.add.reduceat(weights, starts)
-        g, gw = gcd(den, int(np.gcd.reduce(nums))), int(np.gcd.reduce(weights))
-        return AtomicMeasure(den // g, tuple((nums // g).tolist()),
-                             tuple((weights // gw).tolist()), total // gw)
+                                      % (q, len(m.nums) * len(digits), k, MAX_TRUNCATION_ATOMS))
+            step, signed = abs(c) // m.den, [b if c > 0 else -b for b in digits]
+            dtype = int_dtype(max(m.top() * step + max(map(abs, digits)),
+                                  m.total * len(digits), abs(c)))
+            nums = np.add.outer(m.nums.astype(dtype, copy=False) * step, np.array(signed, dtype))
+            weights = np.repeat(m.weights.astype(dtype, copy=False), len(digits))
+            m = AtomicMeasure.from_lattice(abs(c), nums.ravel(), weights)
+        return m
 
     def truncate_with_tail(self, q: int) -> tuple[AtomicMeasure, tuple[Fraction, Fraction]]:
         """Depth-q truncation plus an exact enclosure of the dropped tail.
@@ -662,9 +655,9 @@ def overlap_mass(spec: ConvolutionSpec, j: int, depth: int) -> Fraction:
     # the translated cover iff some atom y has |x - y - j| <= width, that
     # is N_y in [N_x - j*D - reach, N_x - j*D + reach], reach = floor(width*D)
     reach, shift = floor((thi - tlo) * m.den), j * m.den
-    nums = np.array(m.nums, int_dtype(max(-m.nums[0], m.nums[-1]) + abs(shift) + reach + 1))
+    nums = m.nums.astype(int_dtype(m.top() + abs(shift) + reach + 1), copy=False)
     lo, hi = np.searchsorted(nums, np.stack((nums - shift - reach, nums - shift + reach + 1)))
-    return Fraction(sum(compress(m.weights, (lo < hi).tolist())), m.total)
+    return Fraction(int(m.weights[lo < hi].sum()), m.total)
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +762,6 @@ class SparseInsertionSpec:
         base, tail_iv = self.regular_spec().truncate_with_tail(depth)
         plain, shifted = self.limit_weights()
         mixture = AtomicMeasure.from_pairs(((0, plain), (self.target, shifted)))
-        # the two-atom factor first: convolve loops over it outside
         return convolve(mixture, base), tail_iv
 
     def to_json(self) -> dict:

@@ -20,7 +20,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
-from operator import lt
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -125,53 +124,71 @@ class ComplexInterval:
         return abs(self.value) + self.radius
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicMeasure:
     """Finitely supported probability measure with rational atoms.
 
     Atom i sits at nums[i] / den with weight weights[i] / total: sorted
     distinct numerators, positive weights summing to total, den and total
-    minimal, so equality is bit-exact structural equality.  `atoms` is the
-    (position, weight) Fraction view.
+    minimal.  nums and weights are read-only integer arrays, int64 or, past
+    2^63, Python ints, in a dtype that holds den and total; == compares
+    values whatever the dtype.  `atoms` is the (position, weight) view.
     """
 
     den: int
-    nums: tuple[int, ...]
-    weights: tuple[int, ...]
+    nums: np.ndarray
+    weights: np.ndarray
     total: int
 
     def __post_init__(self):
-        nums, weights = self.nums, self.weights
-        if weights and min(weights) <= 0:
-            x = Fraction(nums[[w > 0 for w in weights].index(False)], self.den)
+        nums, weights, den, total = self.nums, self.weights, self.den, self.total
+        if len(weights) and weights.min() <= 0:
+            x = Fraction(int(nums[np.argmax(weights <= 0)]), den)
             raise ValueError(f"weight at {x} must be positive")
-        if len(weights) != len(nums) or sum(weights) != self.total:
-            raise ValueError(f"weights sum to {Fraction(sum(weights), self.total)}, expected 1")
-        if not (self.den > 0 and gcd(self.den, *nums) == gcd(*weights) == 1
-                and all(map(lt, nums, nums[1:]))):
+        # an int64 sum of positive weights can wrap only where len * max passes 2^63
+        wraps = len(weights) * int(weights.max(initial=0)) >> 63
+        mass = sum(weights.tolist()) if wraps else int(weights.sum())
+        if len(weights) != len(nums) or mass != total:
+            raise ValueError(f"weights sum to {Fraction(mass, total)}, expected 1")
+        if not (den > 0 and gcd(den, int(np.gcd.reduce(nums))) == np.gcd.reduce(weights) == 1
+                and (nums[1:] > nums[:-1]).all()):
             raise ValueError("atoms need sorted distinct positions over minimal denominators")
+        nums.flags.writeable = weights.flags.writeable = False
+
+    def __eq__(self, other):
+        return (isinstance(other, AtomicMeasure) and self.den == other.den
+                and self.total == other.total and np.array_equal(self.nums, other.nums)
+                and np.array_equal(self.weights, other.weights))
 
     @classmethod
-    def from_lattice(cls, den: int, acc: dict[int, int]) -> "AtomicMeasure":
-        """Mass proportional to acc[n] at each n / den, for den > 0."""
-        nums = sorted(acc)
-        weights = [acc[n] for n in nums]
-        g, gw = gcd(den, *nums), gcd(*weights)
-        return cls(den // g, tuple(n // g for n in nums),
-                   tuple(w // gw for w in weights), sum(weights) // gw)
+    def from_lattice(cls, den: int, nums: np.ndarray, weights: np.ndarray) -> "AtomicMeasure":
+        """Mass proportional to weights[i] at nums[i] / den (den > 0, one atom or
+        more, a dtype that holds den, every numerator and every weight sum): a
+        stable sort in place, one add.reduceat over equal numerators, lowest terms."""
+        order = np.argsort(nums, kind="stable")
+        nums[:], weights[:] = nums[order], weights[order]
+        del order  # the merge below holds as many arrays as the sort did
+        first = np.concatenate(([True], nums[1:] != nums[:-1]))
+        nums, weights = nums[first], np.add.reduceat(weights, np.flatnonzero(first))
+        # all-zero weights have gcd 0 and meet the constructor's positivity check
+        g, gw = gcd(den, int(np.gcd.reduce(nums))), int(np.gcd.reduce(weights)) or 1
+        nums //= g  # both arrays are the merge's own
+        weights //= gw
+        return cls(den // g, nums, weights, int(weights.sum()))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[Xi, Xi]]) -> "AtomicMeasure":
         pairs = [(Fraction(x), Fraction(w)) for x, w in pairs]
         den = lcm(*(x.denominator for x, _ in pairs))
         total = lcm(*(w.denominator for _, w in pairs))
-        acc: dict[int, int] = {}
-        for x, w in pairs:
-            n = x.numerator * (den // x.denominator)
-            acc[n] = acc.get(n, 0) + w.numerator * (total // w.denominator)
-        nums = sorted(acc)
-        g = gcd(total, *acc.values())  # merged weights may share a factor with total
-        return cls(den, tuple(nums), tuple(acc[n] // g for n in nums), total // g)
+        nums = [x.numerator * (den // x.denominator) for x, _ in pairs]
+        weights = [w.numerator * (total // w.denominator) for _, w in pairs]
+        dtype = int_dtype(max(den, *map(abs, nums)) + sum(map(abs, weights)))
+        if pairs:  # a nonpositive merged weight is reported before the sum
+            m = cls.from_lattice(den, np.array(nums, dtype), np.array(weights, dtype))
+        if sum(weights) != total:
+            raise ValueError(f"weights sum to {Fraction(sum(weights), total)}, expected 1")
+        return m
 
     @classmethod
     def uniform(cls, points: Iterable[Xi]) -> "AtomicMeasure":
@@ -186,32 +203,34 @@ class AtomicMeasure:
 
     @property
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(zip(self.positions(), (Fraction(w, self.total) for w in self.weights)))
+        return tuple((Fraction(n, self.den), Fraction(w, self.total))
+                     for n, w in zip(self.nums.tolist(), self.weights.tolist()))
 
-    def positions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self.nums)
+    def top(self) -> int:
+        """The largest |numerator|, read off the sorted ends."""
+        return max(-int(self.nums[0]), int(self.nums[-1]))
 
     def support_min(self) -> Fraction:
-        return Fraction(self.nums[0], self.den)
+        return Fraction(int(self.nums[0]), self.den)
 
     def support_max(self) -> Fraction:
-        return Fraction(self.nums[-1], self.den)
+        return Fraction(int(self.nums[-1]), self.den)
 
     def mass_in(self, lo: Fraction, hi: Fraction) -> Fraction:
         """Total weight of atoms inside the open interval (lo, hi)."""
-        inside = self.weights[bisect_right(self.nums, lo * self.den):bisect_left(self.nums, hi * self.den)]
-        return Fraction(sum(inside), self.total)
+        nums = self.nums.tolist()
+        inside = self.weights[bisect_right(nums, lo * self.den):bisect_left(nums, hi * self.den)]
+        return Fraction(int(inside.sum()), self.total)
 
     def ft(self, xi: Union[int, Fraction]) -> complex:
-        """Fourier transform sum_j w_j exp(-2*pi*i*xi*x_j)."""
+        """Fourier transform sum_j w_j e(-xi x_j), one exponential per phase xi x mod 1."""
         xi = Fraction(xi)
         period = xi.denominator * self.den
-        groups: dict[int, int] = {}  # period * frac(xi*x) -> weight
-        for n, w in zip(self.nums, self.weights):
-            theta = xi.numerator * n % period
-            groups[theta] = groups.get(theta, 0) + w
-        return sum(w / self.total * phase_unit(Fraction(theta, period))
-                   for theta, w in groups.items())
+        dtype = int_dtype(max(abs(xi.numerator) * self.top(), period, self.total))
+        image = AtomicMeasure.from_lattice(
+            period, self.nums.astype(dtype) * xi.numerator % period, self.weights.astype(dtype))
+        return sum(w / image.total * phase_unit(Fraction(theta, image.den))
+                   for theta, w in zip(image.nums.tolist(), image.weights.tolist()))
 
     @classmethod
     def from_json(cls, data: Sequence[dict]) -> "AtomicMeasure":
@@ -221,11 +240,8 @@ class AtomicMeasure:
 def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
     """Convolution: atoms at pairwise sums, colliding weights merged exactly."""
     den = lcm(m1.den, m2.den)
-    right = [(n * (den // m2.den), w) for n, w in zip(m2.nums, m2.weights)]
-    out: dict[int, int] = {}
-    for n1, w1 in zip(m1.nums, m1.weights):
-        base = n1 * (den // m1.den)
-        for n2, w2 in right:
-            out[base + n2] = out.get(base + n2, 0) + w1 * w2
-    return AtomicMeasure.from_lattice(den, out)
-
+    s1, s2 = den // m1.den, den // m2.den
+    dtype = int_dtype(max(m1.top() * s1 + m2.top() * s2, m1.total * m2.total, den))
+    n1, w1, n2, w2 = (a.astype(dtype) for a in (m1.nums, m1.weights, m2.nums, m2.weights))
+    return AtomicMeasure.from_lattice(den, np.add.outer(n1 * s1, n2 * s2).ravel(),
+                                      np.multiply.outer(w1, w2).ravel())

@@ -702,7 +702,7 @@ def iz_finite(m: AtomicMeasure) -> IZVerdict:
     put members at irrational points and leave the answer open.
     """
     D, classes = m.den, {}  # r -> (least q, coefficients of f_r from that q)
-    for n, w in zip(m.nums, m.weights):
+    for n, w in zip(m.nums.tolist(), m.weights.tolist()):
         q, r = divmod(n, D)
         low, coeffs = classes.setdefault(r, (q, []))  # the nums ascend, so q does too
         coeffs += [0] * (q - low - len(coeffs)) + [w]
@@ -869,15 +869,12 @@ def translate_disjoint_window(approx: AtomicMeasure,
     lo_t, hi_t = Fraction(tail_interval[0]), Fraction(tail_interval[1])
     if lo_t > hi_t:
         raise ValueError("tail interval is inverted")
-    D, nums = approx.den, approx.nums
+    D, nums = approx.den, approx.nums.tolist()
     k_lo = math.floor(approx.support_min() + lo_t - b) + 1
     k_hi = math.ceil(approx.support_max() + hi_t - a) - 1
-    checked = []
+    checked = tuple(k for k in range(k_lo, k_hi + 1) if k)
     blocking: list[tuple[int, Fraction]] = []
-    for k in range(k_lo, k_hi + 1):
-        if k == 0:
-            continue
-        checked.append(k)
+    for k in checked:
         # atoms x = N / D whose closed cover [x+lo_t, x+hi_t] meets (a+k, b+k)
         left = bisect_right(nums, (a + k - hi_t) * D)
         right = min(bisect_left(nums, (b + k - lo_t) * D), left + 8 - len(blocking))
@@ -887,15 +884,14 @@ def translate_disjoint_window(approx: AtomicMeasure,
     if blocking:
         reason = ("support cover reaches translate(s) %s of the window"
                   % ", ".join(sorted({"%+d" % k for k, _ in blocking})))
-        return WindowCertificate(False, mass, tuple(checked),
-                                 tuple(blocking), reason)
+        return WindowCertificate(False, mass, checked, tuple(blocking), reason)
     if mass == 0:
         return WindowCertificate(
-            False, mass, tuple(checked), (),
+            False, mass, checked, (),
             "no atom's cover fits strictly inside the window; the mass "
             "lower bound is 0")
     return WindowCertificate(
-        True, mass, tuple(checked), (),
+        True, mass, checked, (),
         "mass at least %s inside the window; all %d intersecting integer "
         "translates miss the support cover"
         % (frac_str(mass), len(checked)))

@@ -903,7 +903,8 @@ def _measures(draw):
     weights = draw(st.lists(st.one_of(st.sampled_from([1, 2, 3, 4, 6, 12, 30]),
                                       st.integers(1, 2**66)),
                             min_size=len(nums), max_size=len(nums)))
-    return AtomicMeasure.from_lattice(draw(_DENOMINATORS), dict(zip(nums, weights)))
+    return AtomicMeasure.from_lattice(draw(_DENOMINATORS), np.array(nums, object),
+                                      np.array(weights, object))
 
 
 JSON_TREES = st.recursive(

@@ -6,11 +6,16 @@ below is the Fraction code it replaced: the per-level `convolve` chain
 behind `ConvolutionSpec.truncate`, the support cover of
 `truncate_with_tail`, the bisect `overlap_mass`, the mixture behind
 `SparseInsertionSpec.limit_approximation`, `translate_disjoint_window`
-and `iz_finite` with its hand-built common denominators.  Every result
+and `iz_finite` with its hand-built common denominators, whose roots of
+unity come from its own Moebius-product Phi_n and long division and whose
+unit-circle flag comes from mpmath, not from the library.  Every result
 must match it exactly, and `conv truncate` must print what `json.dumps`
 prints of the reference atoms.
 """
 
+import cmath
+import functools
+import importlib
 import json
 import math
 import os
@@ -19,6 +24,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -34,9 +40,8 @@ from spectralconv.convolution import (
     PeriodicExponents,
     overlap_mass,
 )
-from spectralconv.cyclotomic import cyclotomic_orders, degree, unit_circle_angles
 from spectralconv.hadamard import AdmissiblePair
-from spectralconv.measures import AtomicMeasure
+from spectralconv.measures import AtomicMeasure, convolve
 from spectralconv.spectrality import (
     EMPTY_CERTIFIED,
     NONEMPTY_WITNESS,
@@ -161,7 +166,112 @@ def ref_window(atoms, tail_interval, window):
         "translates miss the support cover" % (ref_frac_str(mass), len(checked)))
 
 
+def ref_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def ref_divmod(num, den):
+    """Quotient and remainder of integer polynomials, lowest degree first,
+    by long division by den, which is monic or divides num."""
+    rem, quot = list(num), [0] * max(len(num) - len(den) + 1, 0)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = rem[k + len(den) - 1] // den[-1]
+        for j, dj in enumerate(den):
+            rem[k + j] -= c * dj
+    return quot, ref_trim(rem[:len(den) - 1])
+
+
+def ref_mobius(n):
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+@functools.lru_cache(maxsize=None)
+def ref_cyclotomic(n):
+    """Phi_n = prod over d | n of (x^d - 1)^mu(n/d): the factors with
+    mu = 1 multiplied out, then divided by the product of those with
+    mu = -1."""
+    factors = {1: [1], -1: [1]}
+    for d in range(1, n + 1):
+        mu = ref_mobius(n // d) if n % d == 0 else 0
+        if mu:
+            p = factors[mu]
+            factors[mu] = [a - b for a, b in zip([0] * d + p, p + [0] * d)]  # p (x^d - 1)
+    quot, rem = ref_divmod(factors[1], factors[-1])
+    assert rem == []
+    return tuple(quot)
+
+
+@functools.lru_cache(maxsize=None)
+def ref_totients(limit):
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            for k in range(p, limit + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
+
+
+def ref_cyclotomic_factors(coeffs):
+    """Every n with Phi_n | P, for P with P(0) != 0, and P with those
+    factors divided out as often as they divide.  Phi_n | P needs
+    phi(n) <= deg P, and phi(n) >= sqrt(n / 2), so n <= 2 deg^2.  Horner's
+    rule in double precision at a rounded e(1/n) errs by less than
+    8 deg 2^-53 sum |c|, far below 1e-9 sum |c| at these degrees, so Phi_n
+    is tried, by exact division, wherever |P(e(1/n))| is below that."""
+    deg, scale = len(coeffs) - 1, sum(map(abs, coeffs))
+    phi = ref_totients(1 << (2 * deg * deg).bit_length())
+    orders, residual = [], list(coeffs)
+    for n in range(1, 2 * deg * deg + 1):
+        if phi[n] > len(residual) - 1:
+            continue
+        z, value = cmath.exp(2j * cmath.pi / n), 0
+        for c in reversed(coeffs):
+            value = value * z + c
+        if abs(value) > 1e-9 * scale:
+            continue
+        quot, rem = ref_divmod(residual, ref_cyclotomic(n))
+        if rem:
+            continue
+        orders.append(n)
+        while not rem:
+            residual, (quot, rem) = quot, ref_divmod(quot, ref_cyclotomic(n))
+    return orders, residual
+
+
+def ref_int_gcd(a, b):
+    """gcd of integer polynomials a != 0 and b, lowest degree first, by the
+    primitive pseudo-remainder sequence; a itself when b is zero.  (The
+    Fraction Euclid of ref_fraction_gcd takes half a minute at degree 120.)"""
+    while b:
+        a = list(a)
+        while len(a) >= len(b):
+            c, k = a[-1], len(a) - len(b)
+            a = [b[-1] * x for x in a]
+            for j, bj in enumerate(b):
+                a[k + j] -= c * bj
+            a = ref_trim(a)
+            g = math.gcd(*a) or 1
+            a = [x // g for x in a]
+        a, b = b, a
+    return a
+
+
 def ref_iz_finite(atoms):
+    """Z(mu) from the zeros of the whole support polynomial P: its roots of
+    unity by ref_cyclotomic_factors, counted per class mod 1, and a
+    unit-circle flag for the rest R of P from the mpmath roots of the
+    squarefree part of gcd(R, R*), where any root of modulus 1 of R lies."""
     D = 1
     for x, _ in atoms:
         D = D * x.denominator // math.gcd(D, x.denominator)
@@ -173,7 +283,7 @@ def ref_iz_finite(atoms):
     coeffs = [0] * (max(positions) - pmin + 1)
     for (_, w), pos in zip(atoms, positions):
         coeffs[pos - pmin] += int(w * wden)
-    orders, residual = cyclotomic_orders(coeffs)
+    orders, residual = ref_cyclotomic_factors(coeffs)
     zeros = set()
     for order in orders:
         for j in range(1, order + 1):
@@ -188,7 +298,9 @@ def ref_iz_finite(atoms):
             NONEMPTY_WITNESS, witness=complete[0],
             reason="transform has period %d and vanishes on %s plus every "
                    "integer offset 0..%d" % (D, ref_frac_str(complete[0]), D - 1))
-    if degree(residual) > 0 and len(unit_circle_angles(residual)) > 0:
+    sym = ref_int_gcd(residual, residual[::-1])
+    sym = ref_divmod(sym, ref_int_gcd(sym, [k * c for k, c in enumerate(sym)][1:]))[0]
+    if ref_has_unit_circle_root([Fraction(c) for c in sym]):
         return IZVerdict(
             UNDECIDED,
             reason="support polynomial keeps non-cyclotomic unit-circle "
@@ -370,6 +482,75 @@ def test_numerators_at_the_int64_edge_stay_exact(digit, scale, sign):
 def test_the_huge_scale_example_passes_64_bit_numerators():
     m = HUGE.truncate(6)
     assert m.den > 2**63 and max(abs(n) for n in m.nums) > 2**63
+
+
+def test_a_measure_is_its_values_in_read_only_arrays():
+    m = AtomicMeasure(6, np.array([-5, 1, 7]), np.array([1, 2, 3]), 6)
+    same = AtomicMeasure(6, np.array([-5, 1, 7], object), np.array([1, 2, 3], object), 6)
+    assert m == same and m.atoms == same.atoms
+    assert m != AtomicMeasure(6, np.array([-5, 1, 11]), np.array([1, 2, 3]), 6)
+    big = AtomicMeasure(1, np.array([0, 2**64 + 1], object), np.array([1, 1], object), 2)
+    assert big.nums.dtype == object and big == AtomicMeasure.from_pairs(big.atoms)
+    with pytest.raises(TypeError):
+        hash(m)
+    for array in (m.nums, m.weights, big.nums):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@st.composite
+def edge_pairs(draw):
+    """Atoms, positions not always distinct, at numerators within 2^10 of
+    +-2^62 over the denominators 1, 2, 3 and 6, with weights whose
+    numerators are within 2^8 of 2^32: sums of two numerators pass 2^63,
+    and so do products of two weight numerators."""
+    count = draw(st.integers(1, 4))
+    nums = draw(st.lists(st.integers(2**62 - 2**10, 2**62 + 2**10), min_size=count,
+                         max_size=count))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=count, max_size=count))
+    dens = draw(st.lists(st.sampled_from([1, 2, 3, 6]), min_size=count, max_size=count))
+    raw = draw(st.lists(st.integers(2**32 - 2**8, 2**32 + 2**8), min_size=count,
+                        max_size=count))
+    if draw(st.booleans()):  # one position twice
+        nums, signs, dens = nums + nums[:1], signs + signs[:1], dens + dens[:1]
+        raw = raw + [draw(st.integers(2**32 - 2**8, 2**32 + 2**8))]
+    return [(Fraction(s * n, d), Fraction(r, sum(raw)))
+            for n, s, d, r in zip(nums, signs, dens, raw)]
+
+
+@given(edge_pairs(), edge_pairs())
+@settings(max_examples=60, deadline=None)
+def test_convolve_and_from_pairs_stay_exact_past_the_int64_edge(a, b):
+    point = ((Fraction(0), Fraction(1)),)
+    ma, mb = AtomicMeasure.from_pairs(a), AtomicMeasure.from_pairs(b)
+    assert ma.atoms == ref_convolve(a, point) and mb.atoms == ref_convolve(b, point)
+    m = convolve(ma, mb)
+    assert m.atoms == ref_convolve(a, b)
+    assert m == AtomicMeasure.from_pairs(ref_convolve(a, b))
+
+
+def test_iz_finite_gives_the_gcd_python_ints(monkeypatch):
+    """The class polynomials h and h (y + 2), h = (y^2 + y + 1)(A y + B),
+    have coefficients below 2^40, so the measure's arrays are int64, but h
+    has coefficients past p/2, so the F_p gcd falls through to poly_gcd,
+    whose pseudo-remainder products pass 2^63."""
+    A, B = 2**35 + 7, 2**35 - 9
+    h = [B, A + B, A + B, A]
+    classes = (h, [2 * h[0]] + [2 * c + d for c, d in zip(h[1:], h)] + [h[-1]])
+    total = sum(map(sum, classes))
+    atoms = tuple(sorted((Fraction(r + 2 * q, 2), Fraction(w, total))
+                         for r, f in enumerate(classes) for q, w in enumerate(f)))
+    m = AtomicMeasure.from_pairs(atoms)
+    assert m.weights.dtype == np.int64
+    inputs = []
+    # the package exports a function named cyclotomic, so import the module by name
+    module = importlib.import_module("spectralconv.cyclotomic")
+    real = module.poly_gcd
+    monkeypatch.setattr(module, "poly_gcd", lambda a, b: inputs.append((a, b)) or real(a, b))
+    got = assert_iz_finite_matches_the_reference(m, atoms)
+    assert (got.kind, got.witness) == (NONEMPTY_WITNESS, Fraction(1, 3))
+    assert inputs and all(type(c) is int for a, b in inputs for c in a + b)
+    assert max(max(map(abs, a)) * max(map(abs, b)) for a, b in inputs) > 2**63
 
 
 @given(st.sampled_from([insertion_target_five_sixths(), insertion_target_one_half()]),

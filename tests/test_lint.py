@@ -134,7 +134,6 @@ TEST_ONLY_ALLOWED = {
     "spectrality.candidate_spectrum": "the reference of the Q oracle",
     "measures.AtomicMeasure.ft": "the transform oracle of the measure tests",
     "measures.AtomicMeasure.uniform": "the tests' constructor of uniform measures",
-    "measures.AtomicMeasure.point": "the tests' constructor of point masses",
     "measures.AtomicMeasure.atoms": "the tests' Fraction view of a measure",
     "cyclotomic.euler_phi": "the degree of the cyclotomic polynomials in the order tests",
     "convolution.SparseInsertionSpec.digits_at": "the spec's definition of its own levels",

@@ -4,6 +4,7 @@ import cmath
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,9 +130,9 @@ def test_from_pairs_rejects_nonpositive_weight():
 def test_lattice_form_is_minimal_and_canonical():
     m = AtomicMeasure.from_pairs([(Fraction(1, 2), Fraction(1, 3)),
                                   (Fraction(3, 2), Fraction(2, 3))])
-    assert (m.den, m.nums, m.weights, m.total) == (2, (1, 3), (1, 2), 3)
+    assert (m.den, m.nums.tolist(), m.weights.tolist(), m.total) == (2, [1, 3], [1, 2], 3)
     # the same measure built by a lattice merge over a larger denominator
-    assert AtomicMeasure.from_lattice(6, {9: 4, 3: 2}) == m
+    assert AtomicMeasure.from_lattice(6, np.array([9, 3, 9]), np.array([3, 2, 1])) == m
     assert convolve(m, AtomicMeasure.point(0)) == m
 
 
@@ -146,7 +147,7 @@ def test_lattice_form_is_minimal_and_canonical():
 ])
 def test_lattice_constructor_rejects_malformed_fields(den, nums, weights, total):
     with pytest.raises(ValueError):
-        AtomicMeasure(den, nums, weights, total)
+        AtomicMeasure(den, np.array(nums), np.array(weights), total)
 
 
 def test_from_pairs_rejects_zero_and_unbalanced_weights():
